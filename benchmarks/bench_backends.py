@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python twins.
-
-Runs the hot workloads once per available backend and prints a table:
+"""Time the hot kernels on fixed inputs and print a table:
 
     python benchmarks/bench_backends.py [--repeat 3]
 """
@@ -9,12 +7,9 @@ Runs the hot workloads once per available backend and prints a table:
 import argparse
 import time
 
-from zdt import _kernels_py as kpy
+from zdt import kernels as kpy
 
-try:
-    from zdt import _ckernels as kc
-except ImportError:
-    kc = None
+kc = None  # no compiled kernels exist; the name stays for importers of this module
 
 
 def _down_rows(n, up):
@@ -97,27 +92,13 @@ def main():
         ("system members on the 16-point lattice", bench_members, (b4,)),
         ("closed-family filter on the 16-point lattice", bench_family_filter, (b4,)),
     ]
-    backends = [("python", kpy)] + ([("cython", kc)] if kc is not None else [])
-    if kc is None:
-        print("compiled kernels not built; benchmarking the pure backend only")
 
     width = max(len(w[0]) for w in workloads)
-    header = f"{'workload':<{width}}  " + "  ".join(f"{name:>10}" for name, _ in backends)
-    print(header)
-    print("-" * len(header))
+    print(f"{'workload':<{width}}  {'best':>10}")
+    print("-" * (width + 12))
     for label, fn, extra in workloads:
-        cells = []
-        reference = None
-        for _, kernel in backends:
-            best = min(
-                _timed(fn, kernel, extra) for _ in range(args.repeat)
-            )
-            if reference is None:
-                reference = best
-                cells.append(f"{best * 1e3:8.1f}ms")
-            else:
-                cells.append(f"{best * 1e3:8.1f}ms" + (f" ({reference / best:4.1f}x)" if best else ""))
-        print(f"{label:<{width}}  " + "  ".join(cells))
+        best = min(_timed(fn, kpy, extra) for _ in range(args.repeat))
+        print(f"{label:<{width}}  {best * 1e3:8.1f}ms")
 
 
 def _timed(fn, kernel, extra):

@@ -614,6 +614,8 @@ def run_claim(
     only parallelizes, it never reorders.  ``max_size`` defaults to the
     claim's own tested depth.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     claim = get_claim(claim_id)
     if max_size is None:
         max_size = claim.max_size

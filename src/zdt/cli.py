@@ -180,6 +180,16 @@ def cmd_export(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zdt",
@@ -219,7 +229,7 @@ def build_parser():
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--labeled", action="store_true")
     mode.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--emit-counterexamples", default=None, metavar="DIR")
     p.set_defaults(func=cmd_search)
 

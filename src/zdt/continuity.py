@@ -156,18 +156,23 @@ def is_s_z_quasicontinuous(P, system, cap=ps.FINP_CAP):
 # -- meet continuity ----------------------------------------------------
 
 
-def weakly_meet_witness(P, system):
+def _meet_closure_witness(P, system, closure):
+    """First (x, D) with x ∈ D^δ and x outside closure(↓x ∩ ↓D), or None."""
+    members = [(d, ps.cut(P, d), ps.down_set(P, d)) for d in system.members(P)]
     for x in range(P.n):
-        for d in system.members(P):
-            if not (ps.cut(P, d) >> x) & 1:
+        for d, cut_mask, dd_mask in members:
+            if not (cut_mask >> x) & 1:
                 continue
-            dd_mask = ps.down_set(P, d)
             if (dd_mask >> x) & 1:
                 continue  # x ∈ ↓D lands inside the closed-over set at once
             meet_part = P.down[x] & dd_mask
-            if not (tp.closure_subbasic(P, system, meet_part) >> x) & 1:
+            if not (closure(P, system, meet_part) >> x) & 1:
                 return {"element": P.labels[x], "member": P.names(d)}
     return None
+
+
+def weakly_meet_witness(P, system):
+    return _meet_closure_witness(P, system, tp.closure_subbasic)
 
 
 def is_weakly_meet(P, system):
@@ -175,17 +180,7 @@ def is_weakly_meet(P, system):
 
 
 def meet_witness(P, system):
-    for x in range(P.n):
-        for d in system.members(P):
-            if not (ps.cut(P, d) >> x) & 1:
-                continue
-            dd_mask = ps.down_set(P, d)
-            if (dd_mask >> x) & 1:
-                continue
-            meet_part = P.down[x] & dd_mask
-            if not (tp.closure_topological(P, system, meet_part) >> x) & 1:
-                return {"element": P.labels[x], "member": P.names(d)}
-    return None
+    return _meet_closure_witness(P, system, tp.closure_topological)
 
 
 def is_meet(P, system):

@@ -1,77 +1,218 @@
-"""Backend selection for the bitset kernels.
+"""Bitset kernels: enumeration, canonical forms, member masks, ideal filtering.
 
-The compiled extension handles carriers of at most 63 elements (masks live in
-a machine word there); wider posets, which only arise through Fin P on large
-bases, fall back to the pure twin per call.  Set ``ZDT_BACKEND=py`` to force
-the pure implementation.
+All hot inner loops of the workbench live behind this small surface.  A poset
+is passed around as ``(n, up, down)`` where ``up[i]`` is the bitmask of
+``{j : i <= j}`` and ``down[i]`` the bitmask of ``{j : j <= i}``.  Subsets of
+the carrier are plain ints with bit ``i`` standing for element ``i``.
 """
 
-import os
+from itertools import permutations
 
-from zdt import _kernels_py as _py
+BACKEND = "python"
 
-if os.environ.get("ZDT_BACKEND", "").lower() in ("py", "python", "pure"):
-    _c = None
-else:
-    try:
-        from zdt import _ckernels as _c
-    except ImportError:
-        _c = None
-
-BACKEND = "cython" if _c is not None else "python"
-_C_MAX_N = 63
-
-SYS_SINGLETONS = _py.SYS_SINGLETONS
-SYS_CHAINS = _py.SYS_CHAINS
-SYS_DIRECTED = _py.SYS_DIRECTED
-SYS_FINITE = _py.SYS_FINITE
-SYS_CONNECTED = _py.SYS_CONNECTED
+SYS_SINGLETONS = 0
+SYS_CHAINS = 1
+SYS_DIRECTED = 2
+SYS_FINITE = 3
+SYS_CONNECTED = 4
 
 
 def transitive_closure(n, rows):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.transitive_closure(n, rows)
-    return _py.transitive_closure(n, rows)
+    """Reflexive-transitive closure of an arbitrary relation given as row masks."""
+    out = [rows[i] | (1 << i) for i in range(n)]
+    for k in range(n):
+        bit = 1 << k
+        rk = out[k]
+        for i in range(n):
+            if out[i] & bit:
+                out[i] |= rk
+    return tuple(out)
 
 
 def is_partial_order(n, rows):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.is_partial_order(n, rows)
-    return _py.is_partial_order(n, rows)
+    """Reflexivity, antisymmetry and transitivity of row-mask relation."""
+    for i in range(n):
+        if not (rows[i] >> i) & 1:
+            return False
+    for i in range(n):
+        ri = rows[i]
+        t = ri & ~(1 << i)
+        while t:
+            lsb = t & -t
+            t ^= lsb
+            j = lsb.bit_length() - 1
+            if (rows[j] >> i) & 1:
+                return False
+            if rows[j] & ~ri:
+                return False
+    return True
+
+
+def _relabel(rows, perm):
+    """The order matrix with element ``i`` renamed ``perm[i]``."""
+    new = [0] * len(rows)
+    for i, row in enumerate(rows):
+        acc = 0
+        while row:
+            lsb = row & -row
+            row ^= lsb
+            acc |= 1 << perm[lsb.bit_length() - 1]
+        new[perm[i]] = acc
+    return tuple(new)
 
 
 def canonical_key(n, rows):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.canonical_key(n, rows)
-    return _py.canonical_key(n, rows)
+    """Lexicographically minimal relabeling of the order matrix.
+
+    Minimizes the tuple of row masks over all permutations; the result is a
+    complete isomorphism invariant for labeled posets.
+    """
+    return min(_relabel(rows, perm) for perm in permutations(range(n)))
+
+
+def iso_class_keys(n):
+    """Canonical keys of the posets on n points, one per isomorphism class, ascending.
+
+    Every n-point poset is an (n-1)-point poset plus a maximal element whose
+    strict down-set is an order ideal of it (Brinkmann & McKay, "Posets on up
+    to 16 points", Order 19, 2002), so the classes grow one point at a time.
+    """
+    keys = {()}
+    for m in range(n):
+        top = 1 << m
+        grown = set()
+        for up in keys:
+            for ideal in order_ideals(m, up, _down_rows(m, up)):
+                rows = tuple(r | top if (ideal >> i) & 1 else r for i, r in enumerate(up))
+                grown.add(canonical_key(m + 1, rows + (top,)))
+        keys = grown
+    return sorted(keys)
 
 
 def enumerate_labeled_orders(n):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.enumerate_labeled_orders(n)
-    return _py.enumerate_labeled_orders(n)
+    """All partial orders on n labeled points, as sorted tuples of row masks.
+
+    Each labeled order is a relabeling of exactly one class key, so the orbits
+    of the keys under all permutations cover every labeled order.
+    """
+    perms = list(permutations(range(n)))
+    return sorted({_relabel(key, perm) for key in iso_class_keys(n) for perm in perms})
+
+
+def _down_rows(n, up):
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    return tuple(down)
+
+
+def _bits(mask):
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        yield lsb.bit_length() - 1
 
 
 def z_contains(sys_id, n, up, down, mask):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.z_contains(sys_id, n, up, down, mask)
-    return _py.z_contains(sys_id, n, up, down, mask)
+    """Membership of a nonempty carrier subset in the given subset system."""
+    if mask == 0:
+        return False
+    if sys_id == SYS_FINITE:
+        return True
+    if sys_id == SYS_SINGLETONS:
+        return mask & (mask - 1) == 0
+    if sys_id == SYS_CHAINS:
+        for i in _bits(mask):
+            if mask & ~(up[i] | down[i]):
+                return False
+        return True
+    if sys_id == SYS_DIRECTED:
+        elems = list(_bits(mask))
+        for a in range(len(elems)):
+            ua = up[elems[a]]
+            for b in range(a, len(elems)):
+                if not (ua & up[elems[b]] & mask):
+                    return False
+        return True
+    if sys_id == SYS_CONNECTED:
+        start = mask & -mask
+        comp = start
+        frontier = start
+        while frontier:
+            nxt = 0
+            for i in _bits(frontier):
+                nxt |= (up[i] | down[i]) & mask & ~comp
+            comp |= nxt
+            frontier = nxt
+        return comp == mask
+    raise ValueError(f"unknown system id {sys_id}")
 
 
 def z_member_masks(sys_id, n, up, down):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.z_member_masks(sys_id, n, up, down)
-    return _py.z_member_masks(sys_id, n, up, down)
+    """All members of Z(P), ascending by mask value."""
+    full = (1 << n) - 1
+    if sys_id == SYS_FINITE:
+        return list(range(1, full + 1))
+    if sys_id == SYS_SINGLETONS:
+        return [1 << i for i in range(n)]
+    if sys_id == SYS_DIRECTED:
+        # a finite subset is directed iff it contains a maximum, which is unique
+        out = []
+        for m in range(n):
+            base = down[m] & ~(1 << m)
+            top = 1 << m
+            sub = base
+            while True:
+                out.append(sub | top)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & base
+        out.sort()
+        return out
+    if sys_id == SYS_CHAINS:
+        # grow each chain along its unique increasing enumeration
+        out = []
+        stack = [(1 << i, i) for i in range(n - 1, -1, -1)]
+        while stack:
+            mask, last = stack.pop()
+            out.append(mask)
+            t = up[last] & ~(1 << last)
+            for j in _bits(t):
+                stack.append((mask | (1 << j), j))
+        out.sort()
+        return out
+    if sys_id == SYS_CONNECTED:
+        return [m for m in range(1, full + 1) if z_contains(sys_id, n, up, down, m)]
+    raise ValueError(f"unknown system id {sys_id}")
 
 
 def order_ideals(n, up, down):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.order_ideals(n, up, down)
-    return _py.order_ideals(n, up, down)
+    """All lower sets of the poset, ascending by mask value."""
+    ideals = [0]
+    for x in _topo_order(n, up):
+        need = down[x] & ~(1 << x)
+        bit = 1 << x
+        ideals.extend([i | bit for i in ideals if need & ~i == 0])
+    ideals.sort()
+    return ideals
+
+
+def _topo_order(n, up):
+    # ascending by number of elements above; ties by index
+    return sorted(range(n), key=lambda i: (-bin(up[i]).count("1"), i))
 
 
 def absorbing_ideals(ideals, constraints):
-    if _c is not None and (not ideals or max(ideals).bit_length() <= _C_MAX_N):
-        return _c.absorbing_ideals(ideals, constraints)
-    return _py.absorbing_ideals(ideals, constraints)
+    """Filter lower sets A by: for every (s, c), s ⊆ A implies c ⊆ A."""
+    out = []
+    for a in ideals:
+        ok = True
+        for s, c in constraints:
+            if s & ~a == 0 and c & ~a:
+                ok = False
+                break
+        if ok:
+            out.append(a)
+    return out
 

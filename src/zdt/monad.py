@@ -75,9 +75,6 @@ def gamma_lattice(P, system):
 def check_gamma_lattice(L):
     """Completeness plus prealgebraicity of a computed Γ-lattice."""
     for fam in range(1 << L.poset.n):
-        union = 0
-        for i in ps.bits(fam):
-            union |= L.elements[i]
         s = ps.sup_of(L.poset, fam)
         if s is None or L.sup(fam) != s:
             return CheckResult.fails(subfamily=fam, reason="sup mismatch")

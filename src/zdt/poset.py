@@ -473,12 +473,8 @@ def enumerate_posets(n, mode="up_to_iso", cap=ENUM_CAP):
     if mode not in ("labeled", "up_to_iso"):
         raise ValueError(f"unknown mode {mode!r}")
     labels = default_labels(n)
-    rows_list = _labeled_orders(n)
-    if mode == "labeled":
-        for rows in rows_list:
-            yield FinitePoset(labels, rows, _trusted=True)
-        return
-    for rows in _iso_representatives(n):
+    rows_list = _labeled_orders(n) if mode == "labeled" else _iso_representatives(n)
+    for rows in rows_list:
         yield FinitePoset(labels, rows, _trusted=True)
 
 
@@ -489,7 +485,7 @@ def _labeled_orders(n):
 
 @lru_cache(maxsize=8)
 def _iso_representatives(n):
-    return sorted({kernels.canonical_key(n, rows) for rows in _labeled_orders(n)})
+    return kernels.iso_class_keys(n)
 
 
 def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):

@@ -147,26 +147,26 @@ def weakly_meet(P, name):
     return True
 
 
-def labeled_order_count(n):
+def labeled_orders(n):
     """Filter candidate reflexive relations for the three axioms.
 
-    Full scan of all off-diagonal assignments through n = 4; at n = 5 the
-    antisymmetry axiom is applied per unordered pair while generating (three
-    states per pair), which enumerates exactly the reflexive antisymmetric
-    relations and then filters transitivity.
+    Returns the set of orders as tuples of row masks (bit ``j`` of row ``i``
+    set when ``i <= j``).  Full scan of all off-diagonal assignments through
+    n = 4; at n = 5 the antisymmetry axiom is applied per unordered pair while
+    generating (three states per pair), which enumerates exactly the reflexive
+    antisymmetric relations and then filters transitivity.
     """
+    out = set()
     if n <= 4:
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        count = 0
         for bits in product((False, True), repeat=len(cells)):
             rel = [[i == j for j in range(n)] for i in range(n)]
             for (i, j), b in zip(cells, bits):
                 rel[i][j] = b
             if _is_order(n, rel):
-                count += 1
-        return count
+                out.add(_rows(n, rel))
+        return out
     pairs = list(combinations(range(n), 2))
-    count = 0
     for states in product((0, 1, 2), repeat=len(pairs)):
         rel = [[i == j for j in range(n)] for i in range(n)]
         for (i, j), s in zip(pairs, states):
@@ -175,8 +175,12 @@ def labeled_order_count(n):
             elif s == 2:
                 rel[j][i] = True
         if _is_transitive(n, rel):
-            count += 1
-    return count
+            out.add(_rows(n, rel))
+    return out
+
+
+def _rows(n, rel):
+    return tuple(to_mask(j for j in range(n) if rel[i][j]) for i in range(n))
 
 
 def _is_order(n, rel):

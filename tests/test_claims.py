@@ -63,6 +63,12 @@ def test_run_claim_deterministic_across_jobs():
         assert solo == multi
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_claim_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        cl.run_claim("lemma-wmc", 2, jobs=jobs)
+
+
 def test_witness_cap_and_exact_counts():
     reports = cl.run_claim(
         "thm-local-wmc", 5, systems=("finite",), witness_cap=3

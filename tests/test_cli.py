@@ -148,6 +148,16 @@ def test_search_jobs_deterministic(capsys):
     assert capsys.readouterr().out == solo
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+def test_search_rejects_bad_jobs_at_parse_time(jobs, capsys):
+    argv = ["search", "--claim", "lemma-wmc", "--max-size", "2", "--jobs", jobs]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert cli.main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_search_unknown_claim():
     assert cli.main(["search", "--claim", "no-such", "--max-size", "2"]) == 2
 
