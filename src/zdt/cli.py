@@ -224,7 +224,7 @@ def build_parser():
 
     p = sub.add_parser("search", help="verify one claim over enumerated posets")
     p.add_argument("--claim", required=True)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("--system", default=None, choices=sorted(zs.SYSTEMS))
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--labeled", action="store_true")

@@ -316,11 +316,6 @@ def has_separation(P, system):
     return separation_witness(P, system) is None
 
 
-def separation_check(P, system):
-    w = separation_witness(P, system)
-    return CheckResult.holds() if w is None else CheckResult.fails(**w)
-
-
 # -- beneath relation ---------------------------------------------------
 
 
@@ -346,6 +341,16 @@ def beneath(P, system, x, y):
 
 def beneath_set(P, system, y):
     return _beneath_all(P, system)[y]
+
+
+def preserves_beneath(f, system):
+    """x ≺_Z y in the domain implies f(x) ≺_Z f(y) in the codomain."""
+    ben_dom = _beneath_all(f.dom, system)
+    ben_cod = _beneath_all(f.cod, system)
+    for y in range(f.dom.n):
+        if f.image(ben_dom[y]) & ~ben_cod[f(y)]:
+            return False
+    return True
 
 
 def delta_z_witness(P, system):

@@ -7,7 +7,7 @@ adjoint) and g : S -> T (upper adjoint) with d(a) <= y iff a <= g(y).
 from __future__ import annotations
 
 from zdt import poset as ps, topology as tp
-from zdt.continuity import beneath, is_delta_z_continuous
+from zdt.continuity import is_delta_z_continuous, preserves_beneath
 from zdt.reports import CheckResult
 
 
@@ -126,13 +126,7 @@ def upper_preserves_closed_cuts(gc, system):
 
 def lower_preserves_beneath(gc, system):
     """x ≺_Z y in T implies d(x) ≺_Z d(y) in S."""
-    d = gc.lower
-    T, S = gc.t, gc.s
-    for x in range(T.n):
-        for y in range(T.n):
-            if beneath(T, system, x, y) and not beneath(S, system, d(x), d(y)):
-                return False
-    return True
+    return preserves_beneath(gc.lower, system)
 
 
 def galois_lemma_suite(gc, system):

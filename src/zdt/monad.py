@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from zdt import poset as ps, topology as tp
-from zdt.continuity import kz_compacts, prealgebraic_witness
+from zdt.continuity import kz_compacts, prealgebraic_witness, preserves_beneath
 from zdt.errors import SupMissingError, ZdtError
 from zdt.galois import upper_adjoint_of
 from zdt.reports import CheckResult
@@ -73,8 +73,14 @@ def gamma_lattice(P, system):
 
 
 def check_gamma_lattice(L):
-    """Completeness plus prealgebraicity of a computed Γ-lattice."""
-    for fam in range(1 << L.poset.n):
+    """Completeness plus prealgebraicity of a computed Γ-lattice.
+
+    Every subfamily needs a lattice sup equal to the closure of its union.
+    The empty family, the singletons and the pairs suffice: closure(A ∪ B) =
+    closure(closure(A) ∪ B), and the upper bounds of A ∪ {b} are those of
+    {sup A, b}, so a family's sups reduce to a pair's by induction on its size.
+    """
+    for fam in _small_families(L.poset.n):
         s = ps.sup_of(L.poset, fam)
         if s is None or L.sup(fam) != s:
             return CheckResult.fails(subfamily=fam, reason="sup mismatch")
@@ -82,6 +88,16 @@ def check_gamma_lattice(L):
     if w is not None:
         return CheckResult.fails(**w)
     return CheckResult.holds()
+
+
+def _small_families(n):
+    """The families of at most two of n elements, as ascending masks."""
+    yield 0
+    for j in range(n):
+        top = 1 << j
+        yield top
+        for i in range(j):
+            yield top | (1 << i)
 
 
 @lru_cache(maxsize=512)
@@ -252,24 +268,22 @@ def union_sup_check(P, system):
     return CheckResult.holds()
 
 
-MEDIATOR_SEARCH_LIMIT = 100_000
-
-
 def verify_adjunction(P, system, L=None):
     """Triangle identities and the universal property of the unit.
 
     ``L`` defaults to the Γ-lattice of P itself.  The mediator for a
-    continuous f into the compacts of L is A ↦ sup f(A); uniqueness is brute
-    forced among monotone candidates when the search space is small and
-    otherwise follows from sup-determination on principal ideals (every
-    lattice element is the closure of the union of its principal ideals),
-    which is verified.
+    continuous f into the compacts of L is A ↦ sup f(A).  It is unique once
+    every element of Γ^Z(P) is the sup of the principal ideals inside it: any
+    rival mediator has an upper adjoint, so it preserves every join, and it
+    agrees with the mediator on principal ideals, where both factor f.  That
+    sup-determination does not depend on f, so it is checked once and
+    reported at the first f whose mediator passes the other checks.
     """
+    LP = gamma_lattice(P, system)
     if L is None:
-        L = gamma_lattice(P, system)
+        L = LP
 
     # triangle at P: counit after Γ^Z(unit) is the identity on Γ^Z(P)
-    LP = gamma_lattice(P, system)
     D1 = delta_object(P, system)
     g_eta = gamma_map(eta(P, system), system)
     gamma_d1 = gamma_lattice(D1.poset, system)
@@ -298,68 +312,32 @@ def verify_adjunction(P, system, L=None):
 
     # universal property of the unit
     kq = sub  # compacts of L as a subposet
+    # every element of Γ^Z(P) is the sup of the principal ideals inside it
+    principal = [LP.index[P.down[p]] for p in range(P.n)]
+    sup_determined = all(
+        LP.sup(sum(1 << principal[p] for p in ps.bits(a))) == i
+        for i, a in enumerate(LP.elements)
+    )
     for f in ps.enumerate_monotone_maps(P, kq.poset, cap=max(P.n, kq.poset.n)):
         if not tp.is_sigma_z_continuous(f, system):
             continue
         mediator = []
-        ok = True
         for a in LP.elements:
             s = ps.sup_of(L.poset, kq.to_parent(f.image(a)))
             if s is None:
-                ok = False
-                break
+                return CheckResult.fails(part="mediator", reason="sup missing")
             mediator.append(s)
-        if not ok:
-            return CheckResult.fails(part="mediator", reason="sup missing")
         fbar = ps.MonotoneMap(LP.poset, L.poset, tuple(mediator))
         for p in range(P.n):
-            if fbar(LP.index[P.down[p]]) != kq.embed[f(p)]:
+            if fbar(principal[p]) != kq.embed[f(p)]:
                 return CheckResult.fails(part="mediator", reason="does not factor f")
         if upper_adjoint_of(fbar) is None:
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
-        if not _preserves_beneath(fbar, system):
+        if not preserves_beneath(fbar, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
-        res = _mediator_unique(P, system, LP, L, kq, f, fbar)
-        if res is not None:
-            return res
-    return CheckResult.holds()
-
-
-def _preserves_beneath(f, system):
-    from zdt.continuity import beneath
-
-    for x in range(f.dom.n):
-        for y in range(f.dom.n):
-            if beneath(f.dom, system, x, y) and not beneath(
-                f.cod, system, f(x), f(y)
-            ):
-                return False
-    return True
-
-
-def _mediator_unique(P, system, LP, L, kq, f, fbar):
-    pinned = {LP.index[P.down[p]]: kq.embed[f(p)] for p in range(P.n)}
-    if L.poset.n ** LP.poset.n <= MEDIATOR_SEARCH_LIMIT:
-        cap = max(LP.poset.n, L.poset.n)
-        for h in ps.enumerate_monotone_maps(LP.poset, L.poset, cap=cap):
-            if h.table == fbar.table:
-                continue
-            if any(h(i) != v for i, v in pinned.items()):
-                continue
-            if upper_adjoint_of(h) is None:
-                continue
-            if not _preserves_beneath(h, system):
-                continue
-            return CheckResult.fails(part="uniqueness", other=h.table)
-        return None
-    # sup-determination: every element is the sup of its principal ideals
-    for i, a in enumerate(LP.elements):
-        idx_mask = 0
-        for p in ps.bits(a):
-            idx_mask |= 1 << LP.index[P.down[p]]
-        if LP.sup(idx_mask) != i:
+        if not sup_determined:
             return CheckResult.fails(part="uniqueness", reason="sup-determination")
-    return None
+    return CheckResult.holds()
 
 
 def verify_monad_laws(P, system, naturality_size=3):

@@ -212,3 +212,84 @@ def monotone_map_count(P, Q):
         ):
             count += 1
     return count
+
+
+def beneath_pairs(P, name):
+    """All (x, y) with x beneath y, from one pass over the closed sets."""
+    cuts = [(A, cut(P, A)) for A in gamma(P, name) if A]
+    return frozenset(
+        (x, y)
+        for x in elements(P)
+        for y in elements(P)
+        if all(x in A for A, c in cuts if y in c)
+    )
+
+
+def monotone_tables(P, Q, pinned):
+    """Every monotone table P -> Q taking the ``pinned`` values (a dict from
+    element to value), by backtracking; each choice is checked against every
+    value already fixed."""
+    table = dict(pinned)
+
+    def fits(i, v):
+        for j, w in table.items():
+            if P.leq(i, j) and not Q.leq(v, w):
+                return False
+            if P.leq(j, i) and not Q.leq(w, v):
+                return False
+        return True
+
+    if not all(fits(i, v) for i, v in pinned.items()):
+        return
+    free = [i for i in elements(P) if i not in table]
+
+    def extend(k):
+        if k == len(free):
+            yield tuple(table[i] for i in elements(P))
+            return
+        i = free[k]
+        for v in elements(Q):
+            if fits(i, v):
+                table[i] = v
+                yield from extend(k + 1)
+                del table[i]
+
+    yield from extend(0)
+
+
+def has_upper_adjoint(P, Q, table):
+    """Each {p : table[p] <= q} has a greatest element."""
+    for q in elements(Q):
+        below = [p for p in elements(P) if Q.leq(table[p], q)]
+        if not any(all(P.leq(b, m) for b in below) for m in below):
+            return False
+    return True
+
+
+def mediators(P, Q, pinned, beneath_p, beneath_q):
+    """The brute-force mediator search: every monotone P -> Q that takes the
+    pinned values, has an upper adjoint and maps beneath pairs to beneath
+    pairs."""
+    return [
+        t
+        for t in monotone_tables(P, Q, pinned)
+        if has_upper_adjoint(P, Q, t)
+        and all((t[x], t[y]) in beneath_q for x, y in beneath_p)
+    ]
+
+
+def sup_walk_holds(L, name):
+    """Every one of the 2^|L| subfamilies of a Γ-lattice has a lattice sup,
+    and that sup is the closure of the family's union in the base poset."""
+    P, K = L.base, L.poset
+    closed = gamma(P, name)
+    sets = [to_set(m) for m in L.elements]
+    ups = [up(K, {k}) for k in elements(K)]
+    for fam in subsets(K):
+        union = frozenset().union(*(sets[i] for i in fam))
+        hull = frozenset(elements(P)).intersection(*(A for A in closed if union <= A))
+        bounds = frozenset(elements(K)).intersection(*(ups[i] for i in fam))
+        least = [m for m in bounds if bounds <= ups[m]]
+        if not least or sets[least[0]] != hull:
+            return False
+    return True

@@ -89,6 +89,31 @@ def test_scope_restriction_and_override():
     assert sum(r.fails for r in reports) > 0
 
 
+def test_mixed_scope_runs_every_given_system_in_order():
+    # an out-of-scope system given next to an in-scope one runs as well
+    reports = cl.run_claim("thm-main-s3", 2, systems=("singletons", "finite"))
+    assert [r.population for r in reports] == [
+        "singletons n=1", "singletons n=2", "finite n=1", "finite n=2",
+    ]
+    assert sum(r.fails for r in reports[:2]) > 0
+    assert all(r.ok for r in reports[2:])
+
+
+def test_run_claim_rejects_unknown_system_before_enumerating(monkeypatch):
+    def enumerate_posets(*args, **kwargs):
+        raise AssertionError("enumerated posets for an invalid request")
+
+    monkeypatch.setattr(cl.ps, "enumerate_posets", enumerate_posets)
+    with pytest.raises(ValueError, match="unknown system 'nonsense'"):
+        cl.run_claim("lemma-wmc", 2, systems=("finite", "nonsense"))
+
+
+@pytest.mark.parametrize("max_size, min_size", [(0, 1), (-1, 1), (2, 3)])
+def test_run_claim_rejects_max_size_below_min_size(max_size, min_size):
+    with pytest.raises(ValueError, match="max_size"):
+        cl.run_claim("lemma-wmc", max_size, min_size=min_size)
+
+
 # -- recorded findings ----------------------------------------------------
 
 

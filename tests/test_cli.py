@@ -158,6 +158,18 @@ def test_search_rejects_bad_jobs_at_parse_time(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_search_rejects_bad_max_size_at_parse_time(size, capsys):
+    argv = ["search", "--claim", "lemma-wmc", "--max-size", size]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--max-size" in captured.err
+    assert captured.out == ""
+
+
 def test_search_unknown_claim():
     assert cli.main(["search", "--claim", "no-such", "--max-size", "2"]) == 2
 

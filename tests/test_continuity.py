@@ -193,6 +193,20 @@ def test_beneath_against_oracle():
                     )
 
 
+def test_preserves_beneath_against_oracle():
+    posets = list(small_posets(3))
+    outcomes = set()
+    for name, system in SYSTEMS.items():
+        ben = {P: oracles.beneath_pairs(P, name) for P in posets}
+        for P in posets:
+            for Q in posets:
+                for f in ps.enumerate_monotone_maps(P, Q):
+                    expected = all((f(x), f(y)) in ben[Q] for x, y in ben[P])
+                    assert ct.preserves_beneath(f, system) == expected, (name, f)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_beneath_finite_collapses_to_order():
     for P in small_posets(4):
         for x in range(P.n):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from zdt import fixtures as fx, monad as md, poset as ps
-from zdt import continuity as ct
+import oracles
+from zdt import fixtures as fx, monad as md, poset as ps, topology as tp
 from zdt.errors import ZdtError
 from zdt.reports import Status
 from zdt.systems import CHAINS, DIRECTED, FINITE, SYSTEMS
@@ -23,10 +23,33 @@ def test_gamma_lattice_shapes(anti2, vee):
     assert md.gamma_lattice(one, FINITE).poset.n == 2
 
 
-def test_gamma_lattice_invariants():
-    for P in small_posets(3):
+def _sup_check_matches_the_walk(posets):
+    for P in posets:
         for system in SYSTEMS.values():
-            assert md.check_gamma_lattice(md.gamma_lattice(P, system)).status is Status.HOLDS
+            L = md.gamma_lattice(P, system)
+            res = md.check_gamma_lattice(L)
+            assert res.status is Status.HOLDS, (P, system.name, res.witness)
+            assert oracles.sup_walk_holds(L, system.name), (P, system.name)
+
+
+def test_gamma_lattice_invariants():
+    _sup_check_matches_the_walk(small_posets(3))
+
+
+@pytest.mark.slow
+def test_gamma_lattice_sup_check_against_the_walk_n4():
+    _sup_check_matches_the_walk(ps.enumerate_posets(4))
+
+
+def test_gamma_lattice_check_fails_on_a_tampered_order(anti2):
+    # the Boolean square reordered as a 4-chain: the chain's sup of the two
+    # atoms is one of them, while the closure of their union is the top
+    L = md.gamma_lattice(anti2, DIRECTED)
+    tampered = md.GammaLattice(L.base, L.system, L.elements, fx.chain(4))
+    assert not oracles.sup_walk_holds(tampered, DIRECTED.name)
+    res = md.check_gamma_lattice(tampered)
+    assert res.status is Status.FAILS
+    assert res.witness["reason"] == "sup mismatch"
 
 
 def test_gamma_lattice_sups_are_closures(vee):
@@ -96,6 +119,32 @@ def test_adjunction_small():
         for system in SYSTEMS.values():
             res = md.verify_adjunction(P, system)
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
+
+
+@pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+def test_mediator_search_finds_no_competitor(n):
+    # the brute-force search over every monotone candidate pinned on the
+    # principal ideals, with an upper adjoint and preserving beneath, finds
+    # the sup mediator and nothing else
+    searched = 0
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            LP = md.gamma_lattice(P, system)
+            _, kq = md.epsilon(LP.poset, system)
+            ben = oracles.beneath_pairs(LP.poset, system.name)
+            sets = [oracles.to_set(a) for a in LP.elements]
+            cap = max(P.n, kq.poset.n)
+            for f in ps.enumerate_monotone_maps(P, kq.poset, cap=cap):
+                if not tp.is_sigma_z_continuous(f, system):
+                    continue
+                pinned = {LP.index[P.down[p]]: kq.embed[f(p)] for p in range(P.n)}
+                fbar = tuple(
+                    oracles.sup(LP.poset, {kq.embed[f(p)] for p in a}) for a in sets
+                )
+                found = oracles.mediators(LP.poset, LP.poset, pinned, ben, ben)
+                assert found == [fbar], (P, system.name, f.table)
+                searched += 1
+    assert searched > 0
 
 
 def test_adjunction_against_a_foreign_lattice():
