@@ -10,6 +10,7 @@ size <= INNER_SIZE.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,9 +106,10 @@ def _eval_lemma_lh(P, system):
 def _eval_cor_zcpo_lh(P, system):
     if not is_zcpo(P, system):
         return CheckResult.inapplicable(reason="not a zcpo")
-    if tp.is_lower_hereditary(P, system):
+    w = tp.lower_hereditary_witness(P, system)
+    if w is None:
         return CheckResult.holds()
-    return CheckResult.fails(**tp.lower_hereditary_witness(P, system))
+    return CheckResult.fails(**w)
 
 
 def _eval_thm_local_wmc(P, system):
@@ -121,11 +123,11 @@ def _eval_thm_local_wmc(P, system):
 
 
 def _rel_dd_in_system(P, system):
+    """Every relative waybelow set ↟_Z^x y is a member of Z(↓x)."""
     for x in range(P.n):
         sub = ps.principal_down_subposet(P, x)
-        for y in ps.bits(P.down[x]):
-            rel = ct.relative_dd_set(P, system, x, y)
-            if not system.contains(sub.poset, sub.to_sub(rel)):
+        for sy in range(sub.poset.n):
+            if not system.contains(sub.poset, ct.dd_set(sub.poset, system, sy)):
                 return False
     return True
 
@@ -638,9 +640,10 @@ def run_claim(
             for P in posets:
                 cells.append((report, P))
                 tasks.append((claim_id, name, P.labels, P.up))
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            outcomes = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
     else:
         outcomes = [_worker(t) for t in tasks]
     from zdt.reports import Status

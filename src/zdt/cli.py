@@ -22,21 +22,6 @@ def _load(path):
     return P
 
 
-PROPERTY_CHECKS = {
-    "weak-s-cont": ct.weak_s_z_witness,
-    "s-cont": ct.s_z_witness,
-    "quasicont": ct.quasicontinuity_witness,
-    "weakly-meet": ct.weakly_meet_witness,
-    "meet": ct.meet_witness,
-    "locally-weakly-meet": ct.locally_weakly_meet_witness,
-    "delta-cont": ct.delta_z_witness,
-    "prealgebraic": ct.prealgebraic_witness,
-    "zcpo": None,  # handled below
-    "delta-cpo": None,
-    "lower-hereditary": tp.lower_hereditary_witness,
-}
-
-
 def _zcpo_witness(P, system):
     for d in system.members(P):
         if ps.sup_of(P, d) is None:
@@ -51,15 +36,25 @@ def _delta_cpo_witness(P, system):
     return None
 
 
+PROPERTY_CHECKS = {
+    "weak-s-cont": ct.weak_s_z_witness,
+    "s-cont": ct.s_z_witness,
+    "quasicont": ct.quasicontinuity_witness,
+    "weakly-meet": ct.weakly_meet_witness,
+    "meet": ct.meet_witness,
+    "locally-weakly-meet": ct.locally_weakly_meet_witness,
+    "delta-cont": ct.delta_z_witness,
+    "prealgebraic": ct.prealgebraic_witness,
+    "zcpo": _zcpo_witness,
+    "delta-cpo": _delta_cpo_witness,
+    "lower-hereditary": tp.lower_hereditary_witness,
+}
+
+
 def cmd_check(args):
     P = _load(args.poset)
     system = zs.get_system(args.system)
-    if args.property == "zcpo":
-        witness = _zcpo_witness(P, system)
-    elif args.property == "delta-cpo":
-        witness = _delta_cpo_witness(P, system)
-    else:
-        witness = PROPERTY_CHECKS[args.property](P, system)
+    witness = PROPERTY_CHECKS[args.property](P, system)
     if witness is None:
         print(f"{args.property} holds on {os.path.basename(args.poset)} ({args.system})")
         return 0

@@ -290,24 +290,19 @@ def uu_eq_wbabove_check(P, system):
 
 
 def separation_witness(P, system):
-    """A pair x ≰ y that no disjoint (σ^Z, ω) open pair separates, if any."""
-    sigma_opens = tp.gamma_subbasis(P, system).opens
-    omega_opens = tp.lower_topology(P).opens
+    """A pair x ≰ y that no disjoint (σ^Z, ω) open pair separates, if any.
+
+    The ω-open sets are the lower sets, so ↓y is the least one around y, and
+    a σ^Z-open U ∋ x misses some ω-open V ∋ y iff it misses ↓y.  Such a U
+    exists iff x lies outside the subbasic closure of ↓y.  (↓y is itself
+    subbasic closed, so every finite poset separates; the check stays
+    literal to the definition.)
+    """
+    gamma = tp.gamma_subbasis(P, system)
+    hulls = [gamma.closure(P.down[y]) for y in range(P.n)]
     for x in range(P.n):
         for y in range(P.n):
-            if P.leq(x, y):
-                continue
-            found = False
-            for u in sigma_opens:
-                if not (u >> x) & 1:
-                    continue
-                for v in omega_opens:
-                    if (v >> y) & 1 and u & v == 0:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            if not P.leq(x, y) and (hulls[y] >> x) & 1:
                 return {"above": P.labels[x], "below": P.labels[y]}
     return None
 

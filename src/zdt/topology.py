@@ -117,18 +117,17 @@ def sigma_subbasis(P, system):
 
 @lru_cache(maxsize=256)
 def sigma_topology(P, system):
-    """Γ_Z(P): close Γ^Z(P) under finite unions and intersections to a fixpoint."""
-    family = set(gamma_subbasis(P, system).closed)
-    changed = True
-    while changed:
-        changed = False
-        fam = sorted(family)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                for new in (a | b, a & b):
-                    if new not in family:
-                        family.add(new)
-                        changed = True
+    """Γ_Z(P): the closed sets of the topology σ^Z(P) generates.
+
+    These are the finite unions of members of Γ^Z(P).  That family is
+    already intersection-closed: by distributivity
+    (a_1 ∪ … ∪ a_k) ∩ (b_1 ∪ … ∪ b_m) = ⋃ a_i ∩ b_j, and every a_i ∩ b_j is
+    in Γ^Z(P), a closure system.  So one union pass gives the least family
+    closed under finite unions and intersections.
+    """
+    family = {0}
+    for c in gamma_subbasis(P, system).closed:
+        family |= {u | c for u in family}
     return TopologyFamily(P, "topology-closed", tuple(sorted(family)))
 
 
@@ -147,22 +146,14 @@ def interior_subbasic(P, system, mask):
 
 @lru_cache(maxsize=256)
 def lower_topology(P):
-    """ω(P): closed sets generated by the principal filters ↑x."""
-    unions = {0}
-    for x in range(P.n):
-        unions |= {u | P.up[x] for u in unions}
-    family = set(unions)
-    family.add(P.full)
-    changed = True
-    while changed:
-        changed = False
-        fam = sorted(family)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if a & b not in family:
-                    family.add(a & b)
-                    changed = True
-    return TopologyFamily(P, "lower-topology-closed", tuple(sorted(family)))
+    """ω(P): closed sets generated by the principal filters ↑x.
+
+    On a finite poset these are exactly the upper sets: every upper set U is
+    the finite union of the ↑x with x ∈ U, and upper sets are closed under
+    intersection.
+    """
+    family = kernels.order_ideals(P.n, P.down, P.up)
+    return TopologyFamily(P, "lower-topology-closed", tuple(family))
 
 
 FAMILY_KINDS = {
@@ -206,25 +197,25 @@ def map_preserves_closures(f, system):
 # -- lower hereditariness ------------------------------------------------
 
 
-def trace_family(P, system, a_mask):
-    """{B ∩ A : B ∈ Γ^Z(P)} in the subposet coordinates of A."""
-    sub = ps.restrict(P, a_mask)
-    traces = {sub.to_sub(b & a_mask) for b in gamma_subbasis(P, system).closed}
-    return sub, tuple(sorted(traces))
-
-
 def is_lower_hereditary(P, system):
     return lower_hereditary_witness(P, system) is None
 
 
 def lower_hereditary_witness(P, system):
-    """First subbasic closed A whose trace family differs from Γ^Z(A), if any."""
-    for a in gamma_subbasis(P, system).closed:
+    """First subbasic closed A whose trace family differs from Γ^Z(A), if any.
+
+    The traces {B ∩ A : B ∈ Γ^Z(P)} are exactly the members of Γ^Z(P)
+    inside A: each B ∩ A is one, because Γ^Z(P) is intersection-closed and
+    holds A, and each member B ⊆ A is its own trace.
+    """
+    closed = gamma_subbasis(P, system).closed
+    for a in closed:
         if a == 0:
             continue
-        sub, traces = trace_family(P, system, a)
+        sub = ps.restrict(P, a)
+        traces = tuple(sorted(sub.to_sub(b) for b in closed if b & ~a == 0))
         own = gamma_subbasis(sub.poset, system).closed
-        if tuple(sorted(own)) != traces:
+        if own != traces:
             return {
                 "closed_set": P.names(a),
                 "trace_only": [

@@ -293,3 +293,81 @@ def sup_walk_holds(L, name):
         if not least or sets[least[0]] != hull:
             return False
     return True
+
+
+def _fixpoint(family, ops):
+    """Close a set of frozensets under the binary ``ops`` by repeated passes."""
+    family = set(family)
+    changed = True
+    while changed:
+        changed = False
+        fam = list(family)
+        for a in fam:
+            for b in fam:
+                for op in ops:
+                    new = op(a, b)
+                    if new not in family:
+                        family.add(new)
+                        changed = True
+    return family
+
+
+def sigma_topology(P, name):
+    """Γ^Z(P) closed under binary unions and intersections to a fixpoint."""
+    return _fixpoint(gamma(P, name), (frozenset.union, frozenset.intersection))
+
+
+def lower_topology(P):
+    """The closed sets of ω(P): all unions of principal filters ↑x, plus the
+    carrier, closed under binary intersections to a fixpoint."""
+    unions = {frozenset()}
+    for x in elements(P):
+        unions |= {u | up(P, {x}) for u in unions}
+    unions.add(frozenset(elements(P)))
+    return _fixpoint(unions, (frozenset.intersection,))
+
+
+def separation_failure(P, name):
+    """First (x, y), x-major, with x not below y such that no σ^Z-open U ∋ x
+    is disjoint from an ω-open V ∋ y; None when every such pair separates."""
+    carrier = frozenset(elements(P))
+    sigma_opens = [carrier - A for A in gamma(P, name)]
+    omega_opens = [carrier - C for C in lower_topology(P)]
+    for x in elements(P):
+        for y in elements(P):
+            if P.leq(x, y):
+                continue
+            if not any(
+                x in U and y in V and not U & V
+                for U in sigma_opens
+                for V in omega_opens
+            ):
+                return x, y
+    return None
+
+
+def gamma_within(P, name, A):
+    """Γ^Z of the subposet A, in the coordinates of P: the subsets C of A
+    that hold the relative cut of every member S ⊆ C.  A member of Z(A) is a
+    member of Z(P) inside A, since every system's predicate reads only the
+    order among the elements of S."""
+    mem = [S for S in members(P, name) if S <= A]
+    out = []
+    for C in subsets(P):
+        if C <= A and all(not S <= C or relative_cut(P, S, A) <= C for S in mem):
+            out.append(C)
+    return out
+
+
+def lower_hereditary_failure(P, name):
+    """First nonempty A ∈ Γ^Z(P), by mask, whose traces {B ∩ A : B ∈ Γ^Z(P)}
+    differ from Γ^Z(A), as (A, trace-only sets, subposet-only sets)."""
+    closed = gamma(P, name)
+    for A in sorted(closed, key=to_mask):
+        if not A:
+            continue
+        traces = {B & A for B in closed}
+        own = set(gamma_within(P, name, A))
+        if traces != own:
+            return A, traces - own, own - traces
+    return None

@@ -63,6 +63,36 @@ def test_run_claim_deterministic_across_jobs():
         assert solo == multi
 
 
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(100_000, 2, 2), (100_000, 64, 8), (2, 2, 2), (2, 1, None), (4, None, None)],
+)
+def test_run_claim_clamps_workers(monkeypatch, jobs, cpus, workers):
+    # the pool is replaced by one that records its size and maps in-process,
+    # so no worker process starts; 8 tasks cap the pool at 8
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cl.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: cpus)
+    run = lambda j: cl.format_reports(cl.run_claim("lemma-wmc", 3, systems=("finite",), jobs=j))
+    pooled = run(jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert pooled == run(1)
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_run_claim_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs"):

@@ -164,13 +164,21 @@ def test_separation(chain3, fan3):
     assert ct.has_separation(chain3, FINITE)
     one = ps.from_order_pairs(["x"], [])
     assert ct.has_separation(one, FINITE)
-    # computed data: the fan separates too (pairs split by a third minimal's
-    # open and a complement of a principal filter), and in fact every poset
-    # through size 3 does, for every built-in system
+    # every poset separates, for every system: ↓y is subbasic closed and
+    # ω-open, so for x ≰ y the σ^Z-open P∖↓y holds x and misses ↓y ∋ y
     assert ct.has_separation(fan3, FINITE)
     for P in small_posets(3):
         for system in SYSTEMS.values():
             assert ct.has_separation(P, system)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_separation_against_walk_oracle(n):
+    # both sides find no failure, as the proof in test_separation says
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            assert oracles.separation_failure(P, name) is None
+            assert ct.separation_witness(P, system) is None
 
 
 def test_beneath_examples(vee, diamond):

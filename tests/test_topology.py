@@ -1,8 +1,12 @@
 """Closed families, closures, interiors, and map continuity."""
 
+import pytest
+
 import oracles
 from zdt import fixtures as fx, poset as ps, topology as tp
 from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, SINGLETONS, SYSTEMS
+
+UP_TO_SIZE_5 = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
 
 
 def small_posets(max_n=4):
@@ -73,6 +77,7 @@ def test_gamma_is_closure_system_of_lower_sets():
                 assert ps.is_lower_set(P, a)
                 for b in closed:
                     assert a & b in closed
+            assert all(d in closed for d in P.down)
 
 
 def test_sigma_members_are_upper_and_union_closed():
@@ -92,6 +97,14 @@ def test_directed_gamma_is_all_lower_sets():
         assert list(tp.gamma_subbasis(P, DIRECTED).closed) == expected
         # the subbasis is already a topology in this case
         assert tp.sigma_topology(P, DIRECTED).closed == tp.gamma_subbasis(P, DIRECTED).closed
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_sigma_topology_against_fixpoint_oracle(n):
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            expected = sorted(oracles.to_mask(a) for a in oracles.sigma_topology(P, name))
+            assert list(tp.sigma_topology(P, system).closed) == expected
 
 
 def test_topology_generation(vee):
@@ -165,6 +178,13 @@ def test_lower_topology(chain3, anti2, vee):
     ]
 
 
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_lower_topology_against_fixpoint_oracle(n):
+    for P in ps.enumerate_posets(n):
+        expected = sorted(oracles.to_mask(c) for c in oracles.lower_topology(P))
+        assert list(tp.lower_topology(P).closed) == expected
+
+
 def test_sigma_continuity_basics(vee):
     ident = ps.MonotoneMap.identity(vee)
     assert tp.is_sigma_z_continuous(ident, FINITE)
@@ -210,6 +230,22 @@ def test_lower_hereditary(fan3, twin):
     w = tp.lower_hereditary_witness(twin, FINITE)
     assert w["closed_set"] == ("a", "b", "c")
     assert ("a", "b") in w["trace_only"]
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_lower_hereditary_against_trace_oracle(n):
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            w = tp.lower_hereditary_witness(P, system)
+            expected = oracles.lower_hereditary_failure(P, name)
+            if expected is None:
+                assert w is None, (P, name)
+                continue
+            a, trace_only, own_only = expected
+            names = lambda sets: {P.names(oracles.to_mask(s)) for s in sets}
+            assert w["closed_set"] == P.names(oracles.to_mask(a))
+            assert set(w["trace_only"]) == names(trace_only)
+            assert set(w["subposet_only"]) == names(own_only)
 
 
 def test_lh_conditions_patterns(chain3):
