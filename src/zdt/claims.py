@@ -18,7 +18,7 @@ from zdt import continuity as ct, galois as gl, io as zio, monad as md
 from zdt import poset as ps, topology as tp
 from zdt.errors import SizeCapError, SupMissingError, UnknownClaimError
 from zdt.reports import CheckResult, ClaimReport
-from zdt.systems import SYSTEMS, get_system, is_zcpo
+from zdt.systems import SYSTEMS, first_member, get_system, is_zcpo
 
 INNER_SIZE = 3
 ALL_SYSTEMS = ("singletons", "chains", "directed", "finite", "connected")
@@ -259,18 +259,23 @@ def _eval_lemma_galois_beneath(P, system):
 def _eval_lemma_kz_zcpo(P, system):
     if not is_zcpo(P, system):
         return CheckResult.inapplicable(reason="not a zcpo")
+    # Checked on the member ideals of Z(K), K the compacts: a member S ⊆ K
+    # has the upper bounds of its down-closure in K, in K and in P alike.
     k = ct.kz_compacts(P, system)
     sub = ps.restrict(P, k)
-    for d in system.members(sub.poset):
+    failing = {}
+    for d in system.member_ideals(sub.poset):
         s_sub = ps.sup_of(sub.poset, d)
-        s_par = ps.sup_of(P, sub.to_parent(d))
         if s_sub is None:
-            return CheckResult.fails(member=sub.poset.names(d), reason="no sup")
-        if sub.embed[s_sub] != s_par:
-            return CheckResult.fails(
-                member=sub.poset.names(d), reason="sup disagrees with ambient sup"
-            )
-    return CheckResult.holds()
+            failing[d] = "no sup"
+        elif sub.embed[s_sub] != ps.sup_of(P, sub.to_parent(d)):
+            failing[d] = "sup disagrees with ambient sup"
+    if not failing:
+        return CheckResult.holds()
+    m = first_member(sub.poset, system, failing)
+    return CheckResult.fails(
+        member=sub.poset.names(m), reason=failing[ps.down_set(sub.poset, m)]
+    )
 
 
 def _guarded(f, *args):

@@ -22,13 +22,6 @@ def _load(path):
     return P
 
 
-def _zcpo_witness(P, system):
-    for d in system.members(P):
-        if ps.sup_of(P, d) is None:
-            return {"member": P.names(d), "reason": "no supremum"}
-    return None
-
-
 def _delta_cpo_witness(P, system):
     for a in md.delta_object(P, system).sets:
         if ps.sup_of(P, a) is None:
@@ -45,7 +38,7 @@ PROPERTY_CHECKS = {
     "locally-weakly-meet": ct.locally_weakly_meet_witness,
     "delta-cont": ct.delta_z_witness,
     "prealgebraic": ct.prealgebraic_witness,
-    "zcpo": _zcpo_witness,
+    "zcpo": zs.zcpo_witness,
     "delta-cpo": _delta_cpo_witness,
     "lower-hereditary": tp.lower_hereditary_witness,
 }

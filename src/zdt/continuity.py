@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from zdt import poset as ps, topology as tp
+from zdt import poset as ps, systems as zs, topology as tp
 from zdt.errors import NotBelowError
 from zdt.reports import CheckResult
 
 
 @lru_cache(maxsize=512)
 def _member_cut_pairs(P, system):
-    return tuple((s, ps.cut(P, s)) for s in system.members(P))
+    """(I, I^δ) for every I in I_Z(P); a member S has the cut of ↓S."""
+    return tuple((d, ps.cut(P, d)) for d in system.member_ideals(P))
 
 
 def way_below_sets(P, system, a_mask, b_mask):
@@ -30,6 +31,7 @@ def way_below_sets(P, system, a_mask, b_mask):
 
 @lru_cache(maxsize=200_000)
 def _wb(P, system, up_a, up_b):
+    # a member S meets the up-set ↑A iff ↓S does, and S^δ = (↓S)^δ
     for s, c in _member_cut_pairs(P, system):
         if c & up_b and not s & up_a:
             return False
@@ -107,7 +109,7 @@ def is_weak_s_z_continuous(P, system):
 @lru_cache(maxsize=512)
 def _member_ideals(P, system):
     """I_Z(P) = {↓S : S ∈ Z(P)}."""
-    return frozenset(ps.down_set(P, s) for s in system.members(P))
+    return frozenset(system.member_ideals(P))
 
 
 def s_z_witness(P, system):
@@ -156,35 +158,59 @@ def is_s_z_quasicontinuous(P, system, cap=ps.FINP_CAP):
 # -- meet continuity ----------------------------------------------------
 
 
-def _meet_closure_witness(P, system, closure):
-    """First (x, D) with x ∈ D^δ and x outside closure(↓x ∩ ↓D), or None."""
-    members = [(d, ps.cut(P, d), ps.down_set(P, d)) for d in system.members(P)]
+def _meet_closure_failure(P, system, closure):
+    """The first x with some member D, x ∈ D^δ and x outside closure(↓x ∩ ↓D),
+    and every member ideal ↓D that fails at x; None when no x fails.
+
+    Both conditions read D only through ↓D, since D^δ = (↓D)^δ.
+    """
+    pairs = _member_cut_pairs(P, system)
     for x in range(P.n):
-        for d, cut_mask, dd_mask in members:
-            if not (cut_mask >> x) & 1:
-                continue
-            if (dd_mask >> x) & 1:
-                continue  # x ∈ ↓D lands inside the closed-over set at once
-            meet_part = P.down[x] & dd_mask
-            if not (closure(P, system, meet_part) >> x) & 1:
-                return {"element": P.labels[x], "member": P.names(d)}
+        failing = {
+            d
+            for d, cut_mask in pairs
+            if (cut_mask >> x) & 1
+            # x ∈ ↓D lands inside the closed-over set at once
+            and not (d >> x) & 1
+            and not (closure(P, system, P.down[x] & d) >> x) & 1
+        }
+        if failing:
+            return x, failing
     return None
 
 
+def _failure_witness(P, system, failure):
+    """Name the element of an (x, failing ideals) failure and the first
+    member in mask order whose down-set fails there: the pair an x-major,
+    mask-order search over Z(P) would stop at."""
+    if failure is None:
+        return None
+    x, ideals = failure
+    return {
+        "element": P.labels[x],
+        "member": P.names(zs.first_member(P, system, ideals)),
+    }
+
+
 def weakly_meet_witness(P, system):
-    return _meet_closure_witness(P, system, tp.closure_subbasic)
+    """First (x, D), x-major and D in mask order, with x ∈ D^δ and x outside
+    the subbasic closure of ↓x ∩ ↓D, or None."""
+    failure = _meet_closure_failure(P, system, tp.closure_subbasic)
+    return _failure_witness(P, system, failure)
 
 
 def is_weakly_meet(P, system):
-    return weakly_meet_witness(P, system) is None
+    return _meet_closure_failure(P, system, tp.closure_subbasic) is None
 
 
 def meet_witness(P, system):
-    return _meet_closure_witness(P, system, tp.closure_topological)
+    """As ``weakly_meet_witness``, with the closure of the generated topology."""
+    failure = _meet_closure_failure(P, system, tp.closure_topological)
+    return _failure_witness(P, system, failure)
 
 
 def is_meet(P, system):
-    return meet_witness(P, system) is None
+    return _meet_closure_failure(P, system, tp.closure_topological) is None
 
 
 def weakly_meet_upsets_witness(P, system):
@@ -215,6 +241,28 @@ def is_locally_weakly_meet(P, system):
     return locally_weakly_meet_witness(P, system) is None
 
 
+def _distribution_failure(P, system, meets):
+    """The first x with some member ideal I, x ∧ sup I ≠ sup {x ∧ e : e ∈ I},
+    and every such I; None when meets distribute over all member sups.
+
+    Checked on I_Z(P) in place of Z(P): sup S = sup ↓S, and each x ∧ e with
+    e ∈ ↓S lies below x ∧ s for some s ∈ S, so {x ∧ e : e ∈ ↓S} has the same
+    upper bounds, hence the same sup, as {x ∧ e : e ∈ S}.
+    """
+    sups = [(d, ps.sup_of(P, d)) for d in system.member_ideals(P)]
+    for x in range(P.n):
+        failing = set()
+        for d, sup_d in sups:
+            image = 0
+            for e in ps.bits(d):
+                image |= 1 << meets[x, e]
+            if ps.sup_of(P, image) != meets[x, sup_d]:
+                failing.add(d)
+        if failing:
+            return x, failing
+    return None
+
+
 def semilattice_meet_check(P, system):
     """On Z-complete meet-semilattices: weak meet continuity ⟺ meets distribute.
 
@@ -229,32 +277,18 @@ def semilattice_meet_check(P, system):
                     reason=f"no meet for {P.labels[i]},{P.labels[j]}"
                 )
             meets[i, j] = meets[j, i] = m
-    sups = {}
-    for d in system.members(P):
-        s = ps.sup_of(P, d)
-        if s is None:
-            return CheckResult.inapplicable(reason=f"no sup for member {P.names(d)}")
-        sups[d] = s
-    law = True
-    law_witness = None
-    for x in range(P.n):
-        for d, sup_d in sups.items():
-            lhs = meets[x, sup_d]
-            image = 0
-            for e in ps.bits(d):
-                image |= 1 << meets[x, e]
-            rhs = ps.sup_of(P, image)
-            if rhs != lhs:
-                law = False
-                law_witness = {"element": P.labels[x], "member": P.names(d)}
-                break
-        if not law:
-            break
+    missing = zs.zcpo_witness(P, system)
+    if missing is not None:
+        return CheckResult.inapplicable(reason=f"no sup for member {missing['member']}")
+    failure = _distribution_failure(P, system, meets)
+    law = failure is None
     wm = is_weakly_meet(P, system)
     if wm == law:
         return CheckResult.holds()
     return CheckResult.fails(
-        weakly_meet=wm, distribution_law=law, law_witness=law_witness
+        weakly_meet=wm,
+        distribution_law=law,
+        law_witness=_failure_witness(P, system, failure),
     )
 
 

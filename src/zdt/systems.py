@@ -31,6 +31,31 @@ class SubsetSystem:
         """Z(P) as an ascending tuple of masks."""
         return _members(self, P)
 
+    def member_ideals(self, P):
+        """I_Z(P) = {↓S : S ∈ Z(P)} as an ascending tuple, without Z(P).
+
+        The checkers read a member S only through ↓S: S meets an up-set iff
+        ↓S does, and S and ↓S have the same upper bounds, hence the same cut
+        and the same sup.  The distinct ↓S have closed forms:
+
+        * singletons, chains, directed: a finite member has a greatest
+          element, so the down-closures are exactly the principal ideals;
+        * finite, connected: a down-set D equals ↓D, so the down-closures
+          are exactly the down-sets that are members: every nonempty one for
+          finite; for connected, ↓S is connected when S is, since every
+          e ∈ ↓S lies below some point of S.
+        """
+        sys_id = self.sys_id
+        if sys_id in (kernels.SYS_SINGLETONS, kernels.SYS_CHAINS, kernels.SYS_DIRECTED):
+            return tuple(sorted(set(P.down)))
+        if sys_id not in (kernels.SYS_FINITE, kernels.SYS_CONNECTED):
+            raise ValueError(f"no closed form of I_Z(P) for system id {sys_id}")
+        return tuple(
+            d
+            for d in kernels.order_ideals(P.n, P.up, P.down)
+            if kernels.z_contains(sys_id, P.n, P.up, P.down, d)
+        )
+
     def __repr__(self):
         return f"SubsetSystem({self.name})"
 
@@ -68,9 +93,32 @@ def z_contains(system, P, mask):
     return system.contains(P, mask)
 
 
+def first_member(P, system, ideals):
+    """The first member S of Z(P) in mask order with ↓S in ``ideals``.
+
+    Checkers decide on I_Z(P) and call this only to name a failing member.
+    When the failing ideals are those of the first failing element, it is the
+    member a search over Z(P) in mask order would stop at.
+    """
+    for s in system.members(P):
+        if ps.down_set(P, s) in ideals:
+            return s
+
+
+def zcpo_witness(P, system):
+    """The first member of Z(P), in mask order, without a supremum in P.
+
+    sup S = sup ↓S, so the sups are taken over I_Z(P) only.
+    """
+    missing = {d for d in system.member_ideals(P) if ps.sup_of(P, d) is None}
+    if not missing:
+        return None
+    return {"member": P.names(first_member(P, system, missing)), "reason": "no supremum"}
+
+
 def is_zcpo(P, system):
     """True iff every member of Z(P) has a supremum in P."""
-    return all(ps.sup_of(P, m) is not None for m in system.members(P))
+    return zcpo_witness(P, system) is None
 
 
 # -- bounded diagnostics ------------------------------------------------

@@ -4,16 +4,8 @@ The subbasic closed family Γ^Z(P) consists of the subsets A absorbing cuts of
 their Z-subsets: for all S ∈ Z(P), S ⊆ A implies S^δ ⊆ A.  Since singletons
 always belong to Z(P), members are necessarily lower sets, so candidates range
 over order ideals.  The constraint "S ⊆ A ⇒ S^δ ⊆ A" depends on S only through
-↓S (ideals contain S iff they contain ↓S, and S^δ = (↓S)^δ), letting each
-system contribute one constraint per distinct down-closure:
-
-* singletons, chains, directed: finite members contain their maximum, so the
-  down-closures are exactly the principal ideals (whose cuts never escape);
-* finite: every nonempty ideal;
-* connected: the order-connected nonempty ideals (S and ↓S share both
-  connectivity witnesses and bounds).
-
-Tests verify these generators against brute-force enumeration of Z(P).
+↓S (ideals contain S iff they contain ↓S, and S^δ = (↓S)^δ), so each member
+ideal in I_Z(P) (``SubsetSystem.member_ideals``) contributes one constraint.
 """
 
 from __future__ import annotations
@@ -78,30 +70,12 @@ class TopologyFamily:
         return f"TopologyFamily({self.kind}, {len(self.closed)} closed sets)"
 
 
-def down_closure_family(P, system):
-    """The distinct sets ↓S for S ∈ Z(P), without enumerating Z(P)."""
-    name = system.name
-    if name in ("singletons", "chains", "directed"):
-        return sorted(set(P.down))
-    ideals = kernels.order_ideals(P.n, P.up, P.down)
-    if name == "finite":
-        return [d for d in ideals if d]
-    if name == "connected":
-        return [
-            d
-            for d in ideals
-            if d and kernels.z_contains(kernels.SYS_CONNECTED, P.n, P.up, P.down, d)
-        ]
-    # unknown systems fall back to brute enumeration
-    return sorted({ps.down_set(P, s) for s in system.members(P)})
-
-
 @lru_cache(maxsize=512)
 def gamma_subbasis(P, system):
     """Γ^Z(P): the subbasic closed family (a closure system of lower sets)."""
     ideals = kernels.order_ideals(P.n, P.up, P.down)
     constraints = []
-    for d in down_closure_family(P, system):
+    for d in system.member_ideals(P):
         c = ps.cut(P, d)
         if c & ~d:
             constraints.append((d, c))
@@ -178,8 +152,12 @@ def is_sigma_z_continuous(f, system):
 
 
 def map_preserves_cuts(f, system):
-    """f(D^δ) ⊆ f(D)^δ for every member D of Z(dom)."""
-    for d in system.members(f.dom):
+    """f(D^δ) ⊆ f(D)^δ for every member D of Z(dom).
+
+    Checked on I_Z(dom): D^δ = (↓D)^δ, and f(D)^δ = f(↓D)^δ, because
+    f(D) ⊆ f(↓D) ⊆ ↓f(D) for monotone f, so both have the same upper bounds.
+    """
+    for d in system.member_ideals(f.dom):
         if f.image(ps.cut(f.dom, d)) & ~ps.cut(f.cod, f.image(d)):
             return False
     return True
@@ -228,13 +206,28 @@ def lower_hereditary_witness(P, system):
     return None
 
 
+def _relative_cuts_agree(P, system, ambients):
+    """Relative cuts in each lower set A equal the cuts in P, over Z(A).
+
+    Checked on I_Z(A): both cuts read a member S of Z(A) only through its
+    upper bounds in P, which S shares with its down-closure in A.
+    """
+    for a in ambients:
+        sub = ps.restrict(P, a)
+        for m in system.member_ideals(sub.poset):
+            pm = sub.to_parent(m)
+            if ps.relative_cut(P, pm, a) != ps.cut(P, pm):
+                return False
+    return True
+
+
 def lh_conditions(P, system):
     """The five lower-hereditariness conditions, each as a bool.
 
     (1) lower hereditary; (2) every inclusion ↓x → P is σ^Z-continuous;
     (3) relative cuts over ↓x agree with cuts for members of Z(↓x);
     (4) same over every subbasic closed ambient set; (5) upper-bound sets of
-    members are filtered.
+    members are filtered (checked on I_Z(P): S and ↓S share upper bounds).
     """
     c1 = is_lower_hereditary(P, system)
 
@@ -246,32 +239,12 @@ def lh_conditions(P, system):
             c2 = False
             break
 
-    c3 = True
-    for x in range(P.n):
-        sub = ps.principal_down_subposet(P, x)
-        for m in system.members(sub.poset):
-            pm = sub.to_parent(m)
-            if ps.relative_cut(P, pm, P.down[x]) != ps.cut(P, pm):
-                c3 = False
-                break
-        if not c3:
-            break
-
-    c4 = True
-    for a in gamma_subbasis(P, system).closed:
-        if a == 0:
-            continue
-        sub = ps.restrict(P, a)
-        for m in system.members(sub.poset):
-            pm = sub.to_parent(m)
-            if ps.relative_cut(P, pm, a) != ps.cut(P, pm):
-                c4 = False
-                break
-        if not c4:
-            break
-
+    c3 = _relative_cuts_agree(P, system, P.down)
+    c4 = _relative_cuts_agree(
+        P, system, (a for a in gamma_subbasis(P, system).closed if a)
+    )
     c5 = all(
-        ps.is_filtered(P, ps.upper_bounds(P, d)) for d in system.members(P)
+        ps.is_filtered(P, ps.upper_bounds(P, d)) for d in system.member_ideals(P)
     )
     return {"1": c1, "2": c2, "3": c3, "4": c4, "5": c5}
 

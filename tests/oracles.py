@@ -71,6 +71,20 @@ def sup(P, A):
     return None
 
 
+def inf(P, A):
+    lb = lower_bounds(P, A)
+    for m in lb:
+        if all(P.leq(other, m) for other in lb):
+            return m
+    return None
+
+
+def is_filtered(P, A):
+    return bool(A) and all(
+        any(P.leq(c, a) and P.leq(c, b) for c in A) for a in A for b in A
+    )
+
+
 def is_chain(P, S):
     return all(P.leq(a, b) or P.leq(b, a) for a in S for b in S)
 
@@ -138,13 +152,119 @@ def beneath(P, name, x, y):
 
 
 def weakly_meet(P, name):
+    return meet_failure(P, name, gamma(P, name)) is None
+
+
+# -- member loops --------------------------------------------------------
+#
+# The package's checkers read the member ideals ↓S in place of the members.
+# The functions below loop over the members themselves, in mask order, as the
+# reference for the checkers' values and witnesses.
+
+
+def members_by_mask(P, name):
+    return sorted(members(P, name), key=to_mask)
+
+
+def _hull(P, family, M):
+    return frozenset(elements(P)).intersection(*(A for A in family if M <= A))
+
+
+def meet_failure(P, name, family):
+    """First (x, S), x-major and S in mask order, with x ∈ S^δ and x outside
+    the least set of ``family`` holding ↓x ∩ ↓S; None when there is none."""
+    mem = [(S, cut(P, S)) for S in members_by_mask(P, name)]
     for x in elements(P):
-        for D in members(P, name):
-            if x in cut(P, D):
-                meet_part = down(P, {x}) & down(P, D)
-                if x not in closure(P, name, meet_part):
-                    return False
-    return True
+        for S, c in mem:
+            if x in c and x not in _hull(P, family, down(P, {x}) & down(P, S)):
+                return x, S
+    return None
+
+
+def zcpo_failure(P, name):
+    """The first member of Z(P) in mask order without a sup, or None."""
+    for S in members_by_mask(P, name):
+        if sup(P, S) is None:
+            return S
+    return None
+
+
+def semilattice_check(P, name):
+    """(status, witness) of the semilattice lemma: inapplicable without every
+    binary meet or every member sup; otherwise it holds iff weak meet
+    continuity agrees with x ∧ sup S = sup {x ∧ e : e ∈ S} for all x and S,
+    and on failure names the law's first (x, S), x-major, S in mask order."""
+    for i in elements(P):
+        for j in elements(P):
+            if j >= i and inf(P, {i, j}) is None:
+                return "inapplicable", {
+                    "reason": f"no meet for {P.labels[i]},{P.labels[j]}"
+                }
+    missing = zcpo_failure(P, name)
+    if missing is not None:
+        return "inapplicable", {
+            "reason": f"no sup for member {P.names(to_mask(missing))}"
+        }
+    law = distribution_failure(P, name)
+    wm = weakly_meet(P, name)
+    if wm == (law is None):
+        return "holds", None
+    return "fails", {
+        "weakly_meet": wm,
+        "distribution_law": law is None,
+        "law_witness": law,
+    }
+
+
+def distribution_failure(P, name):
+    """The first (x, S), x-major and S in mask order, with
+    x ∧ sup S ≠ sup {x ∧ e : e ∈ S}, as a witness dict; None if none."""
+    for x in elements(P):
+        for S in members_by_mask(P, name):
+            image = frozenset(inf(P, {x, e}) for e in S)
+            if inf(P, {x, sup(P, S)}) != sup(P, image):
+                return {"element": P.labels[x], "member": P.names(to_mask(S))}
+    return None
+
+
+def preserves_cuts(P, Q, table, name):
+    """f(S^δ) ⊆ f(S)^δ for every member S of Z(P), f given by its table."""
+    image = lambda A: frozenset(table[a] for a in A)
+    return all(image(cut(P, S)) <= cut(Q, image(S)) for S in members(P, name))
+
+
+def lh_cut_conditions(P, name):
+    """Conditions (3)-(5) of the lower-hereditariness lemma: relative cuts in
+    every ↓x, then in every nonempty A ∈ Γ^Z(P), equal the cuts in P for the
+    members inside (the members of Z(A), as ``gamma_within`` says); and the
+    upper-bound set of every member is filtered."""
+    mem = members(P, name)
+
+    def agree(A):
+        return all(
+            relative_cut(P, S, A) == cut(P, S) for S in mem if S <= A
+        )
+
+    return {
+        "3": all(agree(down(P, {x})) for x in elements(P)),
+        "4": all(agree(A) for A in gamma(P, name) if A),
+        "5": all(is_filtered(P, upper_bounds(P, S)) for S in mem),
+    }
+
+
+def compact_sup_failure(P, name, K):
+    """The first member S of Z(K), in mask order, whose sup in the subposet K
+    is missing or differs from its sup in P, with the reason; else None."""
+    for S in members_by_mask(P, name):
+        if not S <= K:
+            continue
+        ub = upper_bounds(P, S) & K
+        least = [m for m in ub if all(P.leq(m, o) for o in ub)]
+        if not least:
+            return S, "no sup"
+        if least[0] != sup(P, S):
+            return S, "sup disagrees with ambient sup"
+    return None
 
 
 def labeled_orders(n):

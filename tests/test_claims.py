@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from zdt import claims as cl, continuity as ct, poset as ps, topology as tp
 from zdt import fixtures as fx
 from zdt.errors import UnknownClaimError
@@ -199,6 +200,57 @@ def test_interior_and_lifting_lemmas_full_depth():
 def test_compacts_of_zcpos_full_depth():
     reports = cl.run_claim("lemma-kz-zcpo", 5, systems=("finite", "directed"))
     assert all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_compacts_lemma_against_member_loop_oracle(n, monkeypatch):
+    evaluate = cl.get_claim("lemma-kz-zcpo").evaluate
+
+    def expected(P, name, K):
+        if oracles.zcpo_failure(P, name) is not None:
+            return "inapplicable", {"reason": "not a zcpo"}
+        failure = oracles.compact_sup_failure(P, name, K)
+        if failure is None:
+            return "holds", None
+        S, reason = failure
+        return "fails", {"member": P.names(oracles.to_mask(S)), "reason": reason}
+
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            ben = oracles.beneath_pairs(P, name)
+            K = frozenset(x for x in range(P.n) if (x, x) in ben)
+            res = evaluate(P, system)
+            assert (res.status.value, res.witness) == expected(P, name, K), (P, name)
+    # the lemma holds on every poset, so swap the compacts for every nonempty
+    # subset to reach both failure witnesses
+    reasons = set()
+    for P in ps.enumerate_posets(n):
+        for K in range(1, P.full + 1):
+            monkeypatch.setattr(ct, "kz_compacts", lambda P, system: K)
+            for name, system in SYSTEMS.items():
+                res = evaluate(P, system)
+                want = expected(P, name, oracles.to_set(K))
+                assert (res.status.value, res.witness) == want, (P, name, K)
+                if want[0] == "fails":
+                    reasons.add(want[1]["reason"])
+    assert ("no sup" in reasons, "sup disagrees with ambient sup" in reasons) == (
+        n >= 3,
+        n >= 4,
+    )
+
+
+GAMMA_WMC_N5 = [
+    "CLAIM prop-gamma-wmc directed n=5 holds=62 fails=0 inapplicable=1",
+    "CLAIM prop-gamma-wmc connected n=5 holds=62 fails=0 inapplicable=1",
+]
+
+
+def test_gamma_lattice_weak_meet_transfer_n5_counts():
+    # recorded with the member-loop checkers, which spent minutes on the
+    # 24-element Γ-lattices that checking member ideals decides at once
+    reports = cl.run_claim("prop-gamma-wmc", 5, systems=("directed", "connected"))
+    lines = [r.summary_line() for r in reports if r.population.endswith("n=5")]
+    assert lines == GAMMA_WMC_N5
 
 
 def test_gamma_lattice_weak_meet_transfer_small():

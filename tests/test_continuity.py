@@ -9,8 +9,19 @@ from zdt.reports import Status
 from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, SINGLETONS, SYSTEMS
 
 
+UP_TO_SIZE_5 = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+
+
 def small_posets(max_n=4):
     return (P for n in range(1, max_n + 1) for P in ps.enumerate_posets(n))
+
+
+def named(P, failure):
+    """The witness dict of an oracle's (element, member) failure."""
+    if failure is None:
+        return None
+    x, S = failure
+    return {"element": P.labels[x], "member": P.names(oracles.to_mask(S))}
 
 
 def test_way_below_examples(chain3, fan3):
@@ -112,6 +123,49 @@ def test_weakly_meet_against_oracle():
     for P in small_posets(3):
         for name, system in SYSTEMS.items():
             assert ct.is_weakly_meet(P, system) == oracles.weakly_meet(P, name)
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_meet_witnesses_against_member_loop_oracle(n):
+    seen = set()
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            checks = (
+                (ct.weakly_meet_witness, ct.is_weakly_meet, oracles.gamma(P, name)),
+                (ct.meet_witness, ct.is_meet, oracles.sigma_topology(P, name)),
+            )
+            for witness, holds, family in checks:
+                expected = named(P, oracles.meet_failure(P, name, family))
+                assert witness(P, system) == expected, (P, name, witness)
+                assert holds(P, system) == (expected is None)
+                seen.add(expected is None)
+    assert seen == ({True} if n < 3 else {True, False})
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_semilattice_check_against_member_loop_oracle(n, monkeypatch):
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            res = ct.semilattice_meet_check(P, system)
+            expected = oracles.semilattice_check(P, name)
+            assert (res.status.value, res.witness) == expected, (P, name)
+    # the check never fails on a poset, so force the weak meet side to True
+    # to reach the law witness wherever the law fails
+    monkeypatch.setattr(ct, "is_weakly_meet", lambda P, system: True)
+    law_failures = 0
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            res = ct.semilattice_meet_check(P, system)
+            if res.status is Status.INAPPLICABLE:
+                continue
+            law = oracles.distribution_failure(P, name)
+            assert res.witness == (
+                None
+                if law is None
+                else {"weakly_meet": True, "distribution_law": False, "law_witness": law}
+            ), (P, name)
+            law_failures += law is not None
+    assert (law_failures > 0) == (n == 5)
 
 
 def test_weakly_meet_upsets_equivalence():

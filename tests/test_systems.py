@@ -38,6 +38,26 @@ def test_members_match_oracle():
             assert list(system.members(P)) == expected
 
 
+def test_member_ideals_need_a_builtin_system(vee):
+    with pytest.raises(ValueError, match="no closed form"):
+        zs.SubsetSystem("custom", 99).member_ideals(vee)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_zcpo_witness_against_member_loop_oracle(n):
+    outcomes = set()
+    for P in ps.enumerate_posets(n):
+        for name, system in zs.SYSTEMS.items():
+            S = oracles.zcpo_failure(P, name)
+            expected = None
+            if S is not None:
+                expected = {"member": P.names(oracles.to_mask(S)), "reason": "no supremum"}
+            assert zs.zcpo_witness(P, system) == expected, (P, name)
+            assert zs.is_zcpo(P, system) == (S is None)
+            outcomes.add(S is None)
+    assert outcomes == ({True} if n == 1 else {True, False})
+
+
 def test_contains_agrees_with_members():
     for P in small_posets(4, "up_to_iso"):
         for system in zs.SYSTEMS.values():

@@ -60,11 +60,20 @@ def test_sigma_matches_its_direct_definition():
             assert direct == sorted(tp.sigma_subbasis(P, system).opens)
 
 
-def test_down_closure_family_matches_members():
-    for P in small_posets(4):
-        for name, system in SYSTEMS.items():
+def assert_member_ideals_match_members(posets):
+    for P in posets:
+        for system in SYSTEMS.values():
             expected = sorted({ps.down_set(P, s) for s in system.members(P)})
-            assert sorted(tp.down_closure_family(P, system)) == expected
+            assert list(system.member_ideals(P)) == expected
+
+
+def test_down_closure_family_matches_members():
+    assert_member_ideals_match_members(small_posets(4))
+
+
+@pytest.mark.slow
+def test_down_closure_family_matches_members_n5():
+    assert_member_ideals_match_members(ps.enumerate_posets(5))
 
 
 def test_gamma_is_closure_system_of_lower_sets():
@@ -207,6 +216,19 @@ def test_continuity_iff_cut_preservation():
                         assert tp.map_preserves_closures(f, system)
 
 
+def test_map_preserves_cuts_against_member_loop_oracle():
+    posets = list(small_posets(3))
+    outcomes = set()
+    for P in posets:
+        for Q in posets:
+            for f in ps.enumerate_monotone_maps(P, Q):
+                for name, system in SYSTEMS.items():
+                    expected = oracles.preserves_cuts(P, Q, f.table, name)
+                    assert tp.map_preserves_cuts(f, system) == expected, (f, name)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_continuity_lemma_on_larger_domains():
     # spot coverage for 4-element domains and codomains
     fours = list(ps.enumerate_posets(4))[:6]
@@ -259,3 +281,16 @@ def test_lh_conditions_patterns(chain3):
             c = tp.lh_conditions(P, system)
             assert (not c["5"]) or c["1"]
             assert c["1"] == c["2"] == c["3"] == c["4"]
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_lh_conditions_against_member_loop_oracle(n):
+    outcomes = set()
+    for P in ps.enumerate_posets(n):
+        for name, system in SYSTEMS.items():
+            c = tp.lh_conditions(P, system)
+            expected = oracles.lh_cut_conditions(P, name)
+            assert {k: c[k] for k in expected} == expected, (P, name)
+            outcomes.update(expected.items())
+    if n >= 4:
+        assert outcomes == {(k, v) for k in "345" for v in (True, False)}
