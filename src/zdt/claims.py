@@ -17,7 +17,7 @@ from functools import lru_cache
 from zdt import continuity as ct, galois as gl, io as zio, monad as md
 from zdt import poset as ps, topology as tp
 from zdt.errors import SizeCapError, SupMissingError, UnknownClaimError
-from zdt.reports import CheckResult, ClaimReport
+from zdt.reports import CheckResult, ClaimReport, Status
 from zdt.systems import SYSTEMS, first_member, get_system, is_zcpo
 
 INNER_SIZE = 3
@@ -651,8 +651,6 @@ def run_claim(
             outcomes = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
     else:
         outcomes = [_worker(t) for t in tasks]
-    from zdt.reports import Status
-
     for (report, P), (status, witness) in zip(cells, outcomes):
         report.record(CheckResult(Status(status), witness), P)
     return reports

@@ -22,13 +22,6 @@ def _load(path):
     return P
 
 
-def _delta_cpo_witness(P, system):
-    for a in md.delta_object(P, system).sets:
-        if ps.sup_of(P, a) is None:
-            return {"closed_set": P.names(a), "reason": "no supremum"}
-    return None
-
-
 PROPERTY_CHECKS = {
     "weak-s-cont": ct.weak_s_z_witness,
     "s-cont": ct.s_z_witness,
@@ -39,7 +32,7 @@ PROPERTY_CHECKS = {
     "delta-cont": ct.delta_z_witness,
     "prealgebraic": ct.prealgebraic_witness,
     "zcpo": zs.zcpo_witness,
-    "delta-cpo": _delta_cpo_witness,
+    "delta-cpo": md.delta_cpo_witness,
     "lower-hereditary": tp.lower_hereditary_witness,
 }
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from zdt import poset as ps, topology as tp
 from zdt.continuity import kz_compacts, prealgebraic_witness, preserves_beneath
 from zdt.errors import SupMissingError, ZdtError
-from zdt.galois import upper_adjoint_of
 from zdt.reports import CheckResult
 from zdt.systems import family_poset
 
@@ -190,9 +189,17 @@ def mu(P, system):
 # -- delta-cpos and Eilenberg-Moore algebras -----------------------------
 
 
+def delta_cpo_witness(P, system):
+    """The first compact closed set, as a subset of P, without a supremum in P."""
+    for a in delta_object(P, system).sets:
+        if ps.sup_of(P, a) is None:
+            return {"closed_set": P.names(a), "reason": "no supremum"}
+    return None
+
+
 def is_delta_cpo(P, system):
     """Every compact closed set, as a subset of P, has a supremum in P."""
-    return all(ps.sup_of(P, a) is not None for a in delta_object(P, system).sets)
+    return delta_cpo_witness(P, system) is None
 
 
 def em_structure_map(P, system):
@@ -268,16 +275,62 @@ def union_sup_check(P, system):
     return CheckResult.holds()
 
 
+def join_table(L_poset):
+    """The bottom and the binary-join table of a finite lattice, by index.
+
+    Raises SupMissingError when the order lacks a bottom or some binary join,
+    i.e. when it is not a lattice.
+    """
+    bottom = ps.sup_of(L_poset, 0)
+    join = [
+        [ps.sup_of(L_poset, (1 << i) | (1 << j)) for j in range(L_poset.n)]
+        for i in range(L_poset.n)
+    ]
+    if bottom is None or any(None in row for row in join):
+        raise SupMissingError("the lattice lacks a bottom or a binary join")
+    return bottom, join
+
+
+def preserves_joins(table, dom, cod):
+    """True iff ``table`` sends the bottom to the bottom and every binary join
+    to the join of the images; ``dom`` and ``cod`` are ``join_table`` results.
+
+    Between finite lattices these are exactly the maps with an upper adjoint
+    (Davey & Priestley, *Introduction to Lattices and Order*, 7.34): a lower
+    adjoint preserves every join, the empty one included; conversely, for a
+    join-preserving m the set {a : m(a) ≤ y} holds the bottom and is closed
+    under binary joins, so its join is its greatest element, the value of the
+    upper adjoint at y.  Joins commute and are idempotent, so the pairs i > j
+    suffice.
+    """
+    bottom, join = dom
+    cod_bottom, cod_join = cod
+    if table[bottom] != cod_bottom:
+        return False
+    for i, row in enumerate(join):
+        images = cod_join[table[i]]
+        for j in range(i):
+            if table[row[j]] != images[table[j]]:
+                return False
+    return True
+
+
 def verify_adjunction(P, system, L=None):
     """Triangle identities and the universal property of the unit.
 
     ``L`` defaults to the Γ-lattice of P itself.  The mediator for a
-    continuous f into the compacts of L is A ↦ sup f(A).  It is unique once
-    every element of Γ^Z(P) is the sup of the principal ideals inside it: any
-    rival mediator has an upper adjoint, so it preserves every join, and it
-    agrees with the mediator on principal ideals, where both factor f.  That
-    sup-determination does not depend on f, so it is checked once and
-    reported at the first f whose mediator passes the other checks.
+    continuous f into the compacts of L is A ↦ sup f(A), folded over L's join
+    table.  It is unique once every element of Γ^Z(P) is the sup of the
+    principal ideals inside it: any rival mediator has an upper adjoint, so it
+    preserves every join, and it agrees with the mediator on principal
+    ideals, where both factor f.  That sup-determination does not depend on
+    f, so it is checked once and reported at the first f whose mediator
+    passes the other checks.
+
+    The mediator has an upper adjoint iff it preserves the bottom and binary
+    joins (Davey & Priestley 7.34), which ``preserves_joins`` checks on the
+    tables.  That check also makes the mediator monotone: a ≤ b gives
+    m(b) = m(a ∨ b) = m(a) ∨ m(b) ≥ m(a).
     """
     LP = gamma_lattice(P, system)
     if L is None:
@@ -318,21 +371,26 @@ def verify_adjunction(P, system, L=None):
         LP.sup(sum(1 << principal[p] for p in ps.bits(a))) == i
         for i, a in enumerate(LP.elements)
     )
+    joins_l = join_table(L.poset)
+    joins_p = joins_l if L is LP else join_table(LP.poset)
+    bottom, join = joins_l
+    points = [tuple(ps.bits(a)) for a in LP.elements]
     for f in ps.enumerate_monotone_maps(P, kq.poset, cap=max(P.n, kq.poset.n)):
         if not tp.is_sigma_z_continuous(f, system):
             continue
+        values = [kq.embed[v] for v in f.table]
         mediator = []
-        for a in LP.elements:
-            s = ps.sup_of(L.poset, kq.to_parent(f.image(a)))
-            if s is None:
-                return CheckResult.fails(part="mediator", reason="sup missing")
+        for pts in points:
+            s = bottom
+            for p in pts:
+                s = join[s][values[p]]
             mediator.append(s)
-        fbar = ps.MonotoneMap(LP.poset, L.poset, tuple(mediator))
         for p in range(P.n):
-            if fbar(principal[p]) != kq.embed[f(p)]:
+            if mediator[principal[p]] != values[p]:
                 return CheckResult.fails(part="mediator", reason="does not factor f")
-        if upper_adjoint_of(fbar) is None:
+        if not preserves_joins(mediator, joins_p, joins_l):
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
+        fbar = ps.MonotoneMap(LP.poset, L.poset, tuple(mediator), _trusted=True)
         if not preserves_beneath(fbar, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
         if not sup_determined:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from zdt import kernels, poset as ps
+from zdt.reports import CheckResult
 
 
 class TopologyFamily:
@@ -251,8 +252,6 @@ def lh_conditions(P, system):
 
 def lemma_lh_conditions(P, system):
     """Evaluate the five conditions and the implication pattern (5)⇒(1)⇔(2)⇔(3)⇔(4)."""
-    from zdt.reports import CheckResult
-
     c = lh_conditions(P, system)
     if (not c["5"] or c["1"]) and c["1"] == c["2"] == c["3"] == c["4"]:
         return CheckResult.holds()

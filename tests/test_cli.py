@@ -12,6 +12,12 @@ order b<c
 end
 """
 
+ANTI2 = """\
+poset anti2
+elements a b
+end
+"""
+
 FAN3 = """\
 poset fan3
 elements a b x t
@@ -26,6 +32,13 @@ end
 def vee_file(tmp_path):
     p = tmp_path / "vee.poset"
     p.write_text(VEE)
+    return str(p)
+
+
+@pytest.fixture
+def anti2_file(tmp_path):
+    p = tmp_path / "anti2.poset"
+    p.write_text(ANTI2)
     return str(p)
 
 
@@ -48,6 +61,19 @@ def test_check_fails_with_witness(fan3_file, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "fails" in out and "element" in out
+
+
+def test_check_delta_cpo_fails_with_witness(anti2_file, capsys):
+    # the empty compact closed set has no supremum: anti2 has no bottom
+    code = cli.main(["check", "--poset", anti2_file, "--system", "directed",
+                     "--property", "delta-cpo"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == [
+        "delta-cpo fails on anti2.poset (directed)",
+        "  closed_set = {}",
+        "  reason = no supremum",
+    ]
 
 
 def test_check_all_properties_run(vee_file):

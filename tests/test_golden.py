@@ -8,17 +8,12 @@ from pathlib import Path
 
 from zdt import claims as cl
 
+# every claim at its default depth
 GOLDEN = Path(__file__).parent / "golden" / "registry.txt"
-# every claim at its default depth, except the n=4 cells of thm-adjunction,
-# which cost about 30 s
-MAX_SIZE = {"thm-adjunction": 3}
 
 
 def registry_reports():
-    return "".join(
-        cl.format_reports(cl.run_claim(c.id, MAX_SIZE.get(c.id)))
-        for c in cl.registry()
-    )
+    return "".join(cl.format_reports(cl.run_claim(c.id)) for c in cl.registry())
 
 
 def test_registry_reports_match_golden():

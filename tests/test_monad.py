@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from zdt import fixtures as fx, monad as md, poset as ps, topology as tp
+from zdt import fixtures as fx, galois as gl, monad as md, poset as ps, topology as tp
 from zdt.errors import ZdtError
 from zdt.reports import Status
 from zdt.systems import CHAINS, DIRECTED, FINITE, SYSTEMS
@@ -112,13 +112,36 @@ def test_mu_against_union_prediction(wedge):
         assert m.dom == d2.poset and m.cod == d1.poset
 
 
-def test_adjunction_small():
-    one = ps.from_order_pairs(["x"], [])
-    assert md.verify_adjunction(one, DIRECTED).status is Status.HOLDS
-    for P in small_posets(3):
+def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
+    # every mediator verify_adjunction builds goes through its join check,
+    # and the search for an upper adjoint of the same table, as a validated
+    # map, must agree
+    join_check = md.preserves_joins
+    outcomes = []
+    for P in posets:
         for system in SYSTEMS.values():
+            LP = md.gamma_lattice(P, system).poset
+
+            def compared(table, dom, cod, LP=LP):
+                found = join_check(table, dom, cod)
+                fbar = ps.MonotoneMap(LP, LP, tuple(table))
+                assert found == (gl.upper_adjoint_of(fbar) is not None), table
+                outcomes.append(found)
+                return found
+
+            monkeypatch.setattr(md, "preserves_joins", compared)
             res = md.verify_adjunction(P, system)
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
+    assert outcomes and all(outcomes)
+
+
+def test_adjunction_small(monkeypatch):
+    _adjunction_holds_with_joins_against_adjoints(small_posets(3), monkeypatch)
+
+
+@pytest.mark.slow
+def test_adjunction_joins_against_adjoints_n4(monkeypatch):
+    _adjunction_holds_with_joins_against_adjoints(ps.enumerate_posets(4), monkeypatch)
 
 
 @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
@@ -145,6 +168,26 @@ def test_mediator_search_finds_no_competitor(n):
                 assert found == [fbar], (P, system.name, f.table)
                 searched += 1
     assert searched > 0
+
+
+def test_join_check_equals_the_upper_adjoint_search():
+    # Davey & Priestley 7.34 on every monotone map between the Γ-lattices of
+    # at most 5 elements of the posets up to n=3, up to iso, over every system
+    small = {}
+    for P in small_posets(3):
+        for system in SYSTEMS.values():
+            L = md.gamma_lattice(P, system).poset
+            if L.n <= 5:
+                small.setdefault(ps.canonical_form(L).up, L)
+    lattices = [(L, md.join_table(L)) for L in small.values()]
+    outcomes = {True: 0, False: 0}
+    for T, joins_t in lattices:
+        for S, joins_s in lattices:
+            for d in ps.enumerate_monotone_maps(T, S):
+                found = md.preserves_joins(d.table, joins_t, joins_s)
+                assert found == (gl.upper_adjoint_of(d) is not None), (T, S, d.table)
+                outcomes[found] += 1
+    assert outcomes == {True: 1393, False: 2788}
 
 
 def test_adjunction_against_a_foreign_lattice():
