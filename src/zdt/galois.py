@@ -47,15 +47,12 @@ def check_galois(gc):
 
 
 def upper_adjoint_of(d):
-    """g with d ⊣ g, i.e. g(y) = max{a : d(a) <= y}, or None if some max is missing."""
+    """g with d ⊣ g, i.e. g(y) = max{a : d(a) <= y}, the greatest point of the
+    preimage of ↓y, or None if some max is missing."""
     T, S = d.dom, d.cod
     table = []
     for y in range(S.n):
-        cands = 0
-        for a in range(T.n):
-            if S.leq(d(a), y):
-                cands |= 1 << a
-        top = ps.greatest_of(T, cands)
+        top = ps.greatest_of(T, d.preimage(S.down[y]))
         if top is None:
             return None
         table.append(top)
@@ -63,15 +60,12 @@ def upper_adjoint_of(d):
 
 
 def lower_adjoint_of(g):
-    """d with d ⊣ g, i.e. d(a) = min{y : a <= g(y)}, or None."""
+    """d with d ⊣ g, i.e. d(a) = min{y : a <= g(y)}, the least point of the
+    preimage of ↑a, or None."""
     S, T = g.dom, g.cod
     table = []
     for a in range(T.n):
-        cands = 0
-        for y in range(S.n):
-            if T.leq(a, g(y)):
-                cands |= 1 << y
-        bot = ps.least_of(S, cands)
+        bot = ps.least_of(S, g.preimage(T.up[a]))
         if bot is None:
             return None
         table.append(bot)

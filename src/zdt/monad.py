@@ -42,9 +42,12 @@ class GammaLattice:
 
 
 class DeltaObject:
-    """The Z-compact members of Γ^Z(P), still ordered by inclusion."""
+    """The Z-compact members of Γ^Z(P), still ordered by inclusion.
 
-    __slots__ = ("base", "system", "sets", "poset", "index")
+    ``points[i]`` lists the points of P in ``sets[i]``.
+    """
+
+    __slots__ = ("base", "system", "sets", "poset", "index", "points")
 
     def __init__(self, base, system, sets, poset):
         self.base = base
@@ -52,6 +55,7 @@ class DeltaObject:
         self.sets = sets
         self.poset = poset
         self.index = {m: i for i, m in enumerate(sets)}
+        self.points = tuple(tuple(ps.bits(m)) for m in sets)
 
     def __repr__(self):
         return f"DeltaObject({self.base!r}, {self.system.name}, {len(self.sets)})"
@@ -131,18 +135,47 @@ def gamma_map(f, system):
     return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
 
 
+class _Closures(dict):
+    """Closures in one closed family by mask, each computed on first lookup."""
+
+    __slots__ = ("family",)
+
+    def __init__(self, family):
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, mask):
+        val = self[mask] = self.family.closure(mask)
+        return val
+
+
+def _delta_table(values, points, closures, index):
+    """δ on a function table: for each set, given by its points, the index of
+    the closure of its image, or None where that closure is not in ``index``.
+
+    ``closures`` maps an image mask of the codomain to its closure.
+    """
+    table = []
+    for pts in points:
+        image = 0
+        for p in pts:
+            image |= 1 << values[p]
+        table.append(index.get(closures[image]))
+    return table
+
+
 def delta_map(f, system):
     """The endofunctor on morphisms; None plus witness when an image escapes
     the compacts (cannot happen for genuine σ^Z-continuous maps)."""
     DP = delta_object(f.dom, system)
     DQ = delta_object(f.cod, system)
-    table = []
-    for a in DP.sets:
-        val = tp.closure_subbasic(f.cod, system, f.image(a))
-        if val not in DQ.index:
-            return None, {"of": f.dom.names(a), "image_closure": f.cod.names(val)}
-        table.append(DQ.index[val])
-    return ps.MonotoneMap(DP.poset, DQ.poset, tuple(table)), None
+    closures = _Closures(tp.gamma_subbasis(f.cod, system))
+    table = _delta_table(f.table, DP.points, closures, DQ.index)
+    if None in table:
+        a = DP.sets[table.index(None)]
+        val = closures[f.image(a)]
+        return None, {"of": f.dom.names(a), "image_closure": f.cod.names(val)}
+    return ps.MonotoneMap(DP.poset, DQ.poset, table), None
 
 
 def epsilon(L_poset, system):
@@ -399,7 +432,12 @@ def verify_adjunction(P, system, L=None):
 
 
 def verify_monad_laws(P, system, naturality_size=3):
-    """Unit and associativity laws plus naturality on small codomains."""
+    """Unit and associativity laws plus naturality on small codomains.
+
+    Naturality reads every map as a function table; a ``MonotoneMap`` is
+    built only for a failure witness, or to raise the ``NotMonotoneError`` of
+    a δf or δδf that breaks a cover pair.
+    """
     D1 = delta_object(P, system)
     eta_p = eta(P, system)
     if not tp.is_sigma_z_continuous(eta_p, system):
@@ -428,23 +466,61 @@ def verify_monad_laws(P, system, naturality_size=3):
     if lhs.table != rhs.table:
         return CheckResult.fails(law="associativity")
 
+    # naturality of both, on tables: for each σ^Z-continuous f : P -> Q,
+    # δf ∘ η_P = η_Q ∘ f and δf ∘ μ_P = μ_Q ∘ δδf
+    is_closed_p = tp.gamma_subbasis(P, system).is_closed
+    DD1 = delta_object(D1.poset, system)
+    covers_d1 = ps.covers(D1.poset)
+    covers_dd1 = ps.covers(DD1.poset)
     for n in range(1, naturality_size + 1):
         for Q in ps.enumerate_posets(n):
-            eta_q = eta(Q, system)
-            mu_q = mu(Q, system)
-            for f in ps.enumerate_monotone_maps(P, Q):
-                if not tp.is_sigma_z_continuous(f, system):
+            eta_q = eta(Q, system).table
+            mu_q = mu(Q, system).table
+            gamma_q = tp.gamma_subbasis(Q, system)
+            closed_q = [tuple(ps.bits(a)) for a in gamma_q.closed]
+            closures_q = [gamma_q.closure(m) for m in range(1 << Q.n)]
+            DQ = delta_object(Q, system)
+            DDQ = delta_object(DQ.poset, system)
+            closures_dq = _Closures(tp.gamma_subbasis(DQ.poset, system))
+            for f in ps.monotone_tables(P, Q):
+                if not _preimages_closed(f, Q.n, closed_q, is_closed_p):
                     continue
-                df, bad = delta_map(f, system)
-                if df is None:
+                df = _delta_table(f, D1.points, closures_q, DQ.index)
+                if None in df:
+                    _, bad = delta_map(ps.MonotoneMap(P, Q, f, _trusted=True), system)
                     return CheckResult.fails(law="functoriality", **bad)
-                if df.compose(eta_p).table != eta_q.compose(f).table:
-                    return CheckResult.fails(law="unit naturality", map=f.table)
-                ddf, bad = delta_map(df, system)
-                if ddf is None:
+                _require_monotone(df, D1.poset, DQ.poset, covers_d1)
+                if [df[e] for e in eta_p.table] != [eta_q[v] for v in f]:
+                    return CheckResult.fails(law="unit naturality", map=f)
+                ddf = _delta_table(df, DD1.points, closures_dq, DDQ.index)
+                if None in ddf:
+                    df_map = ps.MonotoneMap(D1.poset, DQ.poset, df, _trusted=True)
+                    _, bad = delta_map(df_map, system)
                     return CheckResult.fails(law="functoriality", **bad)
-                if df.compose(mu_p).table != mu_q.compose(ddf).table:
-                    return CheckResult.fails(
-                        law="multiplication naturality", map=f.table
-                    )
+                _require_monotone(ddf, DD1.poset, DDQ.poset, covers_dd1)
+                if [df[m] for m in mu_p.table] != [mu_q[d] for d in ddf]:
+                    return CheckResult.fails(law="multiplication naturality", map=f)
     return CheckResult.holds()
+
+
+def _preimages_closed(values, n_cod, closed_points, is_closed):
+    """σ^Z-continuity of a function table: the preimage of every closed set
+    of the codomain, given by its points, passes the domain's ``is_closed``."""
+    fibres = [0] * n_cod
+    for p, v in enumerate(values):
+        fibres[v] |= 1 << p
+    for pts in closed_points:
+        pre = 0
+        for q in pts:
+            pre |= fibres[q]
+        if not is_closed(pre):
+            return False
+    return True
+
+
+def _require_monotone(table, dom, cod, cover_pairs):
+    """Raise the validating constructor's NotMonotoneError, which names the
+    first broken pair, unless ``table`` keeps every cover pair of ``dom`` in
+    order; by transitivity that makes it monotone."""
+    if not ps.monotone_on_covers(table, cover_pairs, cod):
+        ps.MonotoneMap(dom, cod, table)

@@ -447,6 +447,16 @@ def covers(P):
     return out
 
 
+def monotone_on_covers(table, cover_pairs, cod):
+    """True iff ``table`` keeps each of its domain's ``cover_pairs`` in order
+    in ``cod``; by transitivity, exactly when it is monotone."""
+    up = cod.up
+    for i, j in cover_pairs:
+        if not (up[table[i]] >> table[j]) & 1:
+            return False
+    return True
+
+
 # -- enumeration -------------------------------------------------------
 
 
@@ -494,33 +504,39 @@ def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):
     return len(_labeled_orders(n) if mode == "labeled" else _iso_representatives(n))
 
 
-def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
-    """All monotone tables P -> Q, in lexicographic table order."""
+def monotone_tables(P, Q, cap=ENUM_CAP + 2):
+    """All monotone tables P -> Q as tuples, in lexicographic order.
+
+    The values allowed at point i are the v above the value of every earlier
+    point below i and below the value of every earlier point above it: the
+    intersection of those points' ``Q.up`` and ``Q.down`` rows.
+    """
     if P.n > cap or Q.n > cap:
         raise SizeCapError("enumerate_monotone_maps", max(P.n, Q.n), cap)
-    if P.n == 0:
-        yield MonotoneMap(P, Q, (), _trusted=True)
-        return
+    below = [tuple(bits(P.down[i] & ((1 << i) - 1))) for i in range(P.n)]
+    above = [tuple(bits(P.up[i] & ((1 << i) - 1))) for i in range(P.n)]
     table = [0] * P.n
-
-    def fits(i, v):
-        for j in range(i):
-            if P.leq(j, i) and not Q.leq(table[j], v):
-                return False
-            if P.leq(i, j) and not Q.leq(v, table[j]):
-                return False
-        return True
 
     def rec(i):
         if i == P.n:
-            yield MonotoneMap(P, Q, tuple(table), _trusted=True)
+            yield tuple(table)
             return
-        for v in range(Q.n):
-            if fits(i, v):
-                table[i] = v
-                yield from rec(i + 1)
+        allowed = Q.full
+        for j in below[i]:
+            allowed &= Q.up[table[j]]
+        for j in above[i]:
+            allowed &= Q.down[table[j]]
+        for v in bits(allowed):
+            table[i] = v
+            yield from rec(i + 1)
 
     yield from rec(0)
+
+
+def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
+    """All monotone maps P -> Q, in lexicographic table order."""
+    for table in monotone_tables(P, Q, cap):
+        yield MonotoneMap(P, Q, table, _trusted=True)
 
 
 def enumerate_order_embeddings(P, Q, cap=ENUM_CAP + 2):

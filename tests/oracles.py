@@ -2,7 +2,8 @@
 
 Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
-internals; tests compare the fast implementations against these.
+internals; tests compare the fast implementations against these.  The one
+exception, ``monad_naturality_failure``, says why in its docstring.
 """
 
 from itertools import chain, combinations, product
@@ -490,4 +491,41 @@ def lower_hereditary_failure(P, name):
         own = set(gamma_within(P, name, A))
         if traces != own:
             return A, traces - own, own - traces
+    return None
+
+
+def monad_naturality_failure(P, system, naturality_size):
+    """The witness of the first failure of the monad's naturality at P, or
+    None: the loop over maps that ``monad.verify_monad_laws`` ran before it
+    read tables, over every σ^Z-continuous f from P to each poset of at most
+    ``naturality_size`` points.
+
+    Unlike the rest of this module, it deliberately uses the package's own
+    objects (``eta``, ``mu``, ``delta_map``, ``MonotoneMap.compose`` and
+    ``is_sigma_z_continuous``), so that a test can hold the table loop to
+    the object loop it replaced, patched functions and raised errors
+    included.  ``test_delta_map_against_closure_oracle`` checks ``delta_map``
+    itself against ``closure``.
+    """
+    from zdt import monad as md, poset as ps, topology as tp
+
+    eta_p = md.eta(P, system)
+    mu_p = md.mu(P, system)
+    for n in range(1, naturality_size + 1):
+        for Q in ps.enumerate_posets(n):
+            eta_q = md.eta(Q, system)
+            mu_q = md.mu(Q, system)
+            for f in ps.enumerate_monotone_maps(P, Q):
+                if not tp.is_sigma_z_continuous(f, system):
+                    continue
+                df, bad = md.delta_map(f, system)
+                if df is None:
+                    return {"law": "functoriality", **bad}
+                if df.compose(eta_p).table != eta_q.compose(f).table:
+                    return {"law": "unit naturality", "map": f.table}
+                ddf, bad = md.delta_map(df, system)
+                if ddf is None:
+                    return {"law": "functoriality", **bad}
+                if df.compose(mu_p).table != mu_q.compose(ddf).table:
+                    return {"law": "multiplication naturality", "map": f.table}
     return None

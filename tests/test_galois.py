@@ -1,5 +1,6 @@
 """Galois connections: adjoint computation and the cut/beneath lemmas."""
 
+import oracles
 from zdt import fixtures as fx, galois as gl, poset as ps
 from zdt.reports import Status
 from zdt.systems import DIRECTED, FINITE, SYSTEMS
@@ -44,6 +45,30 @@ def test_adjoint_construction_yields_connections():
                 assert gl.check_galois(gc)
                 # and the lower adjoint of g recovers d
                 assert gl.lower_adjoint_of(g).table == d.table
+
+
+def test_adjoints_against_the_oracle():
+    # on every monotone table between posets with n <= 3: an upper adjoint
+    # exists iff the oracle finds a greatest point below each y, and a lower
+    # adjoint iff the table has an upper adjoint between the duals
+    posets = small_posets(3)
+    found = {True: 0, False: 0}
+    for T in posets:
+        for S in posets:
+            for table in oracles.monotone_tables(T, S, {}):
+                d = ps.MonotoneMap(T, S, table)
+                g = gl.upper_adjoint_of(d)
+                assert (g is not None) == oracles.has_upper_adjoint(T, S, table)
+                if g is not None:
+                    assert gl.check_galois(gl.GaloisConnection(d, g))
+                lower = gl.lower_adjoint_of(d)
+                assert (lower is not None) == oracles.has_upper_adjoint(
+                    ps.dual(T), ps.dual(S), table
+                )
+                if lower is not None:
+                    assert gl.check_galois(gl.GaloisConnection(lower, d))
+                found[g is not None] += 1
+    assert found[True] and found[False]
 
 
 def test_failing_pair_detected(chain3):

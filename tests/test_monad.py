@@ -1,11 +1,13 @@
 """Gamma lattices, delta objects, adjunction, monad laws, EM algebras."""
 
+import itertools
+
 import pytest
 
 import oracles
 from zdt import fixtures as fx, galois as gl, monad as md, poset as ps, topology as tp
-from zdt.errors import ZdtError
-from zdt.reports import Status
+from zdt.errors import NotMonotoneError, ZdtError
+from zdt.reports import CheckResult, Status
 from zdt.systems import CHAINS, DIRECTED, FINITE, SYSTEMS
 
 
@@ -212,6 +214,149 @@ def test_monad_laws_directed_n4():
     for P in ps.enumerate_posets(4):
         res = md.verify_monad_laws(P, DIRECTED, naturality_size=2)
         assert res.status is Status.HOLDS, (P, res.witness)
+
+
+def _same_as_the_object_loop(P, system):
+    """verify_monad_laws at its default naturality size gives the object
+    loop's result, or raises the same NotMonotoneError; returns either."""
+    try:
+        want = oracles.monad_naturality_failure(P, system, 3)
+    except NotMonotoneError as err:
+        with pytest.raises(NotMonotoneError) as got:
+            md.verify_monad_laws(P, system)
+        assert str(got.value) == str(err)
+        return got.value
+    res = md.verify_monad_laws(P, system)
+    assert res == (CheckResult.holds() if want is None else CheckResult.fails(**want))
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_monad_naturality_against_the_object_loop(n):
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            res = _same_as_the_object_loop(P, system)
+            assert res.status is Status.HOLDS, (P, system.name, res.witness)
+
+
+def test_delta_map_against_closure_oracle():
+    # δf sends each compact set A to cl(f(A)), read off the oracle's Γ^Z(Q)
+    posets = list(small_posets(3))
+    for system in SYSTEMS.values():
+        for Q in posets:
+            DQ = md.delta_object(Q, system)
+            closed = oracles.gamma(Q, system.name)
+            for P in posets:
+                DP = md.delta_object(P, system)
+                for f in ps.enumerate_monotone_maps(P, Q):
+                    if not tp.is_sigma_z_continuous(f, system):
+                        continue
+                    df, bad = md.delta_map(f, system)
+                    assert bad is None and df.dom == DP.poset and df.cod == DQ.poset
+                    for A, v in zip(DP.sets, df.table):
+                        image = frozenset(f(p) for p in oracles.to_set(A))
+                        hull = frozenset(range(Q.n)).intersection(
+                            *(C for C in closed if image <= C)
+                        )
+                        assert DQ.sets[v] == oracles.to_mask(hull), (P, Q, f.table)
+
+
+# Each failure branch of the naturality loop, reached by patching the unit,
+# the multiplication or a closure at one codomain that P does not equal.
+
+
+def _poset(n, up):
+    return next(Q for Q in ps.enumerate_posets(n) if Q.up == up)
+
+
+POINT, CHAIN2, ANTI2 = _poset(1, (1,)), _poset(2, (1, 3)), _poset(2, (1, 2))
+CHAIN3, ANTI3 = _poset(3, (1, 3, 7)), _poset(3, (1, 2, 4))
+
+
+def _patch_table(monkeypatch, name, target, table):
+    real = getattr(md, name)
+
+    def patched(Q, system):
+        m = real(Q, system)
+        if Q != target:
+            return m
+        return ps.MonotoneMap(m.dom, m.cod, table, _trusted=True)
+
+    monkeypatch.setattr(md, name, patched)
+
+
+def _patch_closure(monkeypatch, base, closures):
+    real = tp.TopologyFamily.closure
+
+    def patched(family, mask):
+        if family.base == base and mask in closures:
+            return closures[mask]
+        return real(family, mask)
+
+    monkeypatch.setattr(tp.TopologyFamily, "closure", patched)
+
+
+def test_naturality_loop_unit_branch(monkeypatch):
+    # η of the 3-chain c < b < a is (3, 2, 1); only b's value moves, so the
+    # first map to fail sends the 2-chain's top to a and its bottom to b
+    _patch_table(monkeypatch, "eta", CHAIN3, (3, 1, 1))
+    res = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert res.witness == {"law": "unit naturality", "map": (0, 1)}
+
+
+def test_naturality_loop_skips_discontinuous_maps(monkeypatch):
+    # on `finite`, only the two constant maps from the 3-antichain to the
+    # 2-antichain are continuous; the first map onto b that is checked, and
+    # fails at the patched unit, is the constant one
+    _patch_table(monkeypatch, "eta", ANTI2, (1, 0))
+    res = _same_as_the_object_loop(ANTI3, FINITE)
+    assert res.witness == {"law": "unit naturality", "map": (1, 1, 1)}
+
+
+def test_naturality_loop_multiplication_branch(monkeypatch):
+    _patch_table(monkeypatch, "mu", POINT, (0, 0, 0))
+    res = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert res.witness == {"law": "multiplication naturality", "map": (0, 0)}
+
+
+def test_naturality_loop_escape_of_delta_f(monkeypatch):
+    # every nonempty image in the 2-antichain closes to the whole carrier,
+    # which is not compact
+    _patch_closure(monkeypatch, ANTI2, {1: 3, 2: 3, 3: 3})
+    res = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert res.witness == {
+        "law": "functoriality", "of": ("b",), "image_closure": ("a", "b")
+    }
+
+
+def test_naturality_loop_escape_of_delta_delta_f(monkeypatch):
+    DQ = md.delta_object(ANTI2, DIRECTED).poset
+    _patch_closure(monkeypatch, DQ, {m: DQ.full for m in range(1, 1 << DQ.n)})
+    res = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert res.witness["law"] == "functoriality"
+    assert res.witness["image_closure"] == DQ.labels
+
+
+def test_naturality_loop_non_monotone_delta_f(monkeypatch):
+    # in the 3-chain c < b < a, the image {a, b} closes to {c}: δf for
+    # f = (a, b) on the 2-chain b < a sends {b} ⊆ {a, b} to {b, c} ⊄ {c}
+    _patch_closure(monkeypatch, CHAIN3, {3: 4})
+    err = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert isinstance(err, NotMonotoneError)
+
+
+def test_monotone_on_covers_against_the_constructor():
+    posets = list(small_posets(3))
+    for P in posets:
+        covers = ps.covers(P)
+        for Q in posets:
+            for table in itertools.product(range(Q.n), repeat=P.n):
+                try:
+                    ps.MonotoneMap(P, Q, table)
+                    monotone = True
+                except NotMonotoneError:
+                    monotone = False
+                assert ps.monotone_on_covers(table, covers, Q) == monotone
 
 
 def test_em_uniqueness_search_handles_wide_delta_posets():

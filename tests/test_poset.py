@@ -180,6 +180,16 @@ def test_enumerate_monotone_maps_against_oracle():
             assert got == sorted(got, key=lambda m: m.table)
 
 
+def test_monotone_tables_against_backtracking_oracle():
+    # the same tables in the same lexicographic order, as maps and as tuples
+    posets = [p for n in (1, 2, 3) for p in ps.enumerate_posets(n)]
+    for P in posets:
+        for Q in posets:
+            want = list(oracles.monotone_tables(P, Q, {}))
+            assert list(ps.monotone_tables(P, Q)) == want, (P, Q)
+            assert [m.table for m in ps.enumerate_monotone_maps(P, Q)] == want
+
+
 def test_monotone_map_validation(chain3, anti2):
     with pytest.raises(NotMonotoneError):
         ps.MonotoneMap(chain3, fx.chain(2), (1, 0, 1))
