@@ -23,30 +23,40 @@ def _member_cut_pairs(P, system):
 def way_below_sets(P, system, a_mask, b_mask):
     """A ≪_Z B: every member whose cut meets ↑B itself meets ↑A.
 
-    Depends on the arguments only through their up-closures, which keys the
-    memo table.
+    A member S meets the up-set ↑A iff ↓S does, and S^δ = (↓S)^δ.  So
+    A ≪_Z B iff ↑B misses the union of the cuts of the member ideals that
+    miss ↑A.
     """
-    return _wb(P, system, ps.up_set(P, a_mask), ps.up_set(P, b_mask))
+    return not ps.up_set(P, b_mask) & _wb(P, system, ps.up_set(P, a_mask))
 
 
 @lru_cache(maxsize=200_000)
-def _wb(P, system, up_a, up_b):
-    # a member S meets the up-set ↑A iff ↓S does, and S^δ = (↓S)^δ
-    for s, c in _member_cut_pairs(P, system):
-        if c & up_b and not s & up_a:
-            return False
-    return True
+def _wb(P, system, up_a):
+    """⋃{D^δ : D ∈ I_Z(P), D ∩ ↑A = ∅}, the points x with A not ≪_Z x.
+
+    It depends on A only through ↑A, which keys the memo table.  It is a
+    union of lower sets, so it meets ↑B iff it meets B.
+    """
+    out = 0
+    for d, c in _member_cut_pairs(P, system):
+        if not d & up_a:
+            out |= c
+    return out
 
 
 @lru_cache(maxsize=512)
 def _dd_all(P, system):
-    """↟_Z x for every x, as a tuple of masks."""
+    """↟_Z x for every x, as a tuple of masks.
+
+    y ≪_Z x iff every member ideal D with x ∈ D^δ meets ↑y, and a lower set
+    D meets ↑y iff y ∈ D; so ↟_Z x = ⋂{D ∈ I_Z(P) : x ∈ D^δ}.
+    """
     out = []
     for x in range(P.n):
-        m = 0
-        for y in range(P.n):
-            if _wb(P, system, P.up[y], P.up[x]):
-                m |= 1 << y
+        m = P.full
+        for d, c in _member_cut_pairs(P, system):
+            if (c >> x) & 1:
+                m &= d
         out.append(m)
     return tuple(out)
 
@@ -57,12 +67,8 @@ def dd_set(P, system, x):
 
 
 def uu_set(P, system, a_mask):
-    """⇑_Z A = {x : A ≪_Z x}."""
-    out = 0
-    for x in range(P.n):
-        if way_below_sets(P, system, a_mask, 1 << x):
-            out |= 1 << x
-    return out
+    """⇑_Z A = {x : A ≪_Z x}, the points outside ``_wb`` of ↑A."""
+    return P.full & ~_wb(P, system, ps.up_set(P, a_mask))
 
 
 def wb_above(P, system, a_mask):
@@ -87,7 +93,9 @@ def relative_dd_set(P, system, x, y):
 def omega_z(P, system, x):
     """All nonempty finite F with F ≪_Z x, ascending."""
     return tuple(
-        f for f in range(1, P.full + 1) if way_below_sets(P, system, f, 1 << x)
+        f
+        for f in range(1, P.full + 1)
+        if not (_wb(P, system, ps.up_set(P, f)) >> x) & 1
     )
 
 

@@ -56,6 +56,10 @@ class SubsetSystem:
             if kernels.z_contains(sys_id, P.n, P.up, P.down, d)
         )
 
+    def __hash__(self):
+        # every cache is keyed by a system; equal systems share a sys_id
+        return self.sys_id
+
     def __repr__(self):
         return f"SubsetSystem({self.name})"
 

@@ -10,7 +10,6 @@ ideal in I_Z(P) (``SubsetSystem.member_ideals``) contributes one constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from zdt import kernels, poset as ps
@@ -180,46 +179,67 @@ def is_lower_hereditary(P, system):
     return lower_hereditary_witness(P, system) is None
 
 
+def _member_relative_cuts(P, system):
+    """(A, D, relcut_A(D)) for every nonempty A ∈ Γ^Z(P) and every D ∈ I_Z(P)
+    with D ⊆ A; A ascending, and D ascending within each A.
+
+    These pairs are all that Γ^Z(A) reads.  A is a lower set, so a member S
+    of Z(A) (a member of Z(P) inside A: each system's predicate reads only
+    the order among the points of S) has ↓_A S = ↓S, and S ⊆ A iff ↓S ⊆ A;
+    hence I_Z(A) = {D ∈ I_Z(P) : D ⊆ A}, and Γ^Z(A) is the set of lower
+    sets C ⊆ A with relcut_A(D) ⊆ C for each such D ⊆ C.
+    """
+    ideals = system.member_ideals(P)
+    for a in gamma_subbasis(P, system).closed:
+        if a:
+            for d in ideals:
+                if d & ~a == 0:
+                    yield a, d, ps.relative_cut(P, d, a)
+
+
+def _member_hulls(P, system):
+    """cl_Γ(D) for every D ∈ I_Z(P)."""
+    gamma = gamma_subbasis(P, system)
+    return {d: gamma.closure(d) for d in system.member_ideals(P)}
+
+
+def _trace_witness(P, system, a):
+    """The traces of A that are not in Γ^Z(A), and the reverse, on the subposet."""
+    closed = gamma_subbasis(P, system).closed
+    sub = ps.restrict(P, a)
+    traces = tuple(sorted(sub.to_sub(b) for b in closed if b & ~a == 0))
+    own = gamma_subbasis(sub.poset, system).closed
+    return {
+        "closed_set": P.names(a),
+        "trace_only": [sub.poset.names(m) for m in sorted(set(traces) - set(own))],
+        "subposet_only": [sub.poset.names(m) for m in sorted(set(own) - set(traces))],
+    }
+
+
 def lower_hereditary_witness(P, system):
-    """First subbasic closed A whose trace family differs from Γ^Z(A), if any.
+    """First nonempty A ∈ Γ^Z(P) whose trace family differs from Γ^Z(A), if any.
 
     The traces {B ∩ A : B ∈ Γ^Z(P)} are exactly the members of Γ^Z(P)
     inside A: each B ∩ A is one, because Γ^Z(P) is intersection-closed and
-    holds A, and each member B ⊆ A is its own trace.
+    holds A, and each member B ⊆ A is its own trace.  With I_Z(A) as in
+    ``_member_relative_cuts``:
+
+    * relcut_A(D) ⊇ cut(D): the upper bounds of D in A are some of those in
+      P, and cut(D) ⊆ A since A is Γ^Z-closed.  So every C ∈ Γ^Z(A) holds
+      cut(D) for each D ⊆ C, and Γ^Z(A) ⊆ traces(A);
+    * traces(A) ⊆ Γ^Z(A) iff relcut_A(D) ⊆ cl_Γ(D) for every D: if it holds,
+      a trace B ⊇ D holds cl_Γ(D), hence relcut_A(D); conversely cl_Γ(D) ⊆ A
+      is a trace that holds D.
+
+    So A fails iff some D ⊆ A has relcut_A(D) ⊄ cl_Γ(D), and then only the
+    trace side can differ.  The witness is built on the subposet, for the
+    failing A only.
     """
-    closed = gamma_subbasis(P, system).closed
-    for a in closed:
-        if a == 0:
-            continue
-        sub = ps.restrict(P, a)
-        traces = tuple(sorted(sub.to_sub(b) for b in closed if b & ~a == 0))
-        own = gamma_subbasis(sub.poset, system).closed
-        if own != traces:
-            return {
-                "closed_set": P.names(a),
-                "trace_only": [
-                    sub.poset.names(m) for m in sorted(set(traces) - set(own))
-                ],
-                "subposet_only": [
-                    sub.poset.names(m) for m in sorted(set(own) - set(traces))
-                ],
-            }
+    hull = _member_hulls(P, system)
+    for a, d, rel in _member_relative_cuts(P, system):
+        if rel & ~hull[d]:
+            return _trace_witness(P, system, a)
     return None
-
-
-def _relative_cuts_agree(P, system, ambients):
-    """Relative cuts in each lower set A equal the cuts in P, over Z(A).
-
-    Checked on I_Z(A): both cuts read a member S of Z(A) only through its
-    upper bounds in P, which S shares with its down-closure in A.
-    """
-    for a in ambients:
-        sub = ps.restrict(P, a)
-        for m in system.member_ideals(sub.poset):
-            pm = sub.to_parent(m)
-            if ps.relative_cut(P, pm, a) != ps.cut(P, pm):
-                return False
-    return True
 
 
 def lh_conditions(P, system):
@@ -229,21 +249,27 @@ def lh_conditions(P, system):
     (3) relative cuts over ↓x agree with cuts for members of Z(↓x);
     (4) same over every subbasic closed ambient set; (5) upper-bound sets of
     members are filtered (checked on I_Z(P): S and ↓S share upper bounds).
+
+    (1)-(4) come from one pass over ``_member_relative_cuts``.  (1) is the
+    test of ``lower_hereditary_witness`` over every A.  (2) is the same test
+    over the A in {↓x}: each ↓x is Γ^Z-closed (x bounds every D ⊆ ↓x, so
+    cut(D) ⊆ ↓x), the preimages of the inclusion are the traces B ∩ ↓x, and
+    it is continuous iff they all lie in Γ^Z(↓x).  (3) and (4) test
+    relcut_A(D) = cut(D), over {↓x} and over every A; both cuts read a
+    member only through its down-closure, which is the same in A and in P.
     """
-    c1 = is_lower_hereditary(P, system)
-
-    c2 = True
-    for x in range(P.n):
-        sub = ps.principal_down_subposet(P, x)
-        incl = ps.MonotoneMap(sub.poset, P, sub.embed, _trusted=True)
-        if not is_sigma_z_continuous(incl, system):
-            c2 = False
-            break
-
-    c3 = _relative_cuts_agree(P, system, P.down)
-    c4 = _relative_cuts_agree(
-        P, system, (a for a in gamma_subbasis(P, system).closed if a)
-    )
+    hull = _member_hulls(P, system)
+    cuts = {d: ps.cut(P, d) for d in hull}
+    principal = frozenset(P.down)
+    c1 = c2 = c3 = c4 = True
+    for a, d, rel in _member_relative_cuts(P, system):
+        traced = not rel & ~hull[d]
+        agrees = rel == cuts[d]
+        c1 = c1 and traced
+        c4 = c4 and agrees
+        if a in principal:
+            c2 = c2 and traced
+            c3 = c3 and agrees
     c5 = all(
         ps.is_filtered(P, ps.upper_bounds(P, d)) for d in system.member_ideals(P)
     )

@@ -2,8 +2,9 @@
 
 Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
-internals; tests compare the fast implementations against these.  The one
-exception, ``monad_naturality_failure``, says why in its docstring.
+internals; tests compare the fast implementations against these.  The two
+exceptions, ``lower_hereditary_witness`` and ``monad_naturality_failure``, say
+why in their docstrings.
 """
 
 from itertools import chain, combinations, product
@@ -139,10 +140,17 @@ def closure(P, name, M):
     return acc
 
 
-def way_below(P, name, A, B):
-    upB = up(P, B)
-    upA = up(P, A)
-    return all(not (cut(P, S) & upB) or (S & upA) for S in members(P, name))
+def way_below(P, name):
+    """Every pair (A, B) of subsets with A ≪_Z B: each member whose cut meets
+    ↑B meets ↑A."""
+    mem = [(S, cut(P, S)) for S in members(P, name)]
+    ups = {A: up(P, A) for A in subsets(P)}
+    return frozenset(
+        (A, B)
+        for A in ups
+        for B in ups
+        if all(not (c & ups[B]) or (S & ups[A]) for S, c in mem)
+    )
 
 
 def beneath(P, name, x, y):
@@ -491,6 +499,52 @@ def lower_hereditary_failure(P, name):
         own = set(gamma_within(P, name, A))
         if traces != own:
             return A, traces - own, own - traces
+    return None
+
+
+def inclusion_continuity(P, name):
+    """Condition (2) of the lower-hereditariness lemma: every inclusion
+    ↓x → P is σ^Z-continuous, that is, each preimage B ∩ ↓x of a closed
+    B ∈ Γ^Z(P) is in Γ^Z(↓x)."""
+    closed = gamma(P, name)
+    for x in elements(P):
+        A = down(P, {x})
+        own = set(gamma_within(P, name, A))
+        if any(B & A not in own for B in closed):
+            return False
+    return True
+
+
+def lower_hereditary_witness(P, system):
+    """The witness of the first nonempty A ∈ Γ^Z(P), by mask, whose traces
+    differ from Γ^Z of the subposet A, or None: the loop that
+    ``topology.lower_hereditary_witness`` ran before it read relative cuts,
+    building the subposet and its Γ^Z for every A.
+
+    Like ``monad_naturality_failure``, it uses the package's own objects
+    (``restrict``, ``gamma_subbasis`` on the subposet, ``names``), so that a
+    test can hold the new witness to the old one, list order included;
+    ``lower_hereditary_failure`` checks the same sets from the quantifiers.
+    """
+    from zdt import poset as ps, topology as tp
+
+    closed = tp.gamma_subbasis(P, system).closed
+    for a in closed:
+        if a == 0:
+            continue
+        sub = ps.restrict(P, a)
+        traces = tuple(sorted(sub.to_sub(b) for b in closed if b & ~a == 0))
+        own = tp.gamma_subbasis(sub.poset, system).closed
+        if own != traces:
+            return {
+                "closed_set": P.names(a),
+                "trace_only": [
+                    sub.poset.names(m) for m in sorted(set(traces) - set(own))
+                ],
+                "subposet_only": [
+                    sub.poset.names(m) for m in sorted(set(own) - set(traces))
+                ],
+            }
     return None
 
 

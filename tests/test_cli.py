@@ -28,6 +28,17 @@ end
 """
 
 
+TWIN = """\
+poset twin
+elements a b c d
+order a<c
+order a<d
+order b<c
+order b<d
+end
+"""
+
+
 @pytest.fixture
 def vee_file(tmp_path):
     p = tmp_path / "vee.poset"
@@ -73,6 +84,23 @@ def test_check_delta_cpo_fails_with_witness(anti2_file, capsys):
         "delta-cpo fails on anti2.poset (directed)",
         "  closed_set = {}",
         "  reason = no supremum",
+    ]
+
+
+def test_check_lower_hereditary_fails_with_witness(tmp_path, capsys):
+    # {a,b} is Γ^Z-closed in P but not in the vee-shaped closed set {a,b,c},
+    # where its relative cut grows to the whole subposet
+    twin = tmp_path / "twin.poset"
+    twin.write_text(TWIN)
+    code = cli.main(["check", "--poset", str(twin), "--system", "finite",
+                     "--property", "lower-hereditary"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == [
+        "lower-hereditary fails on twin.poset (finite)",
+        "  closed_set = {a,b,c}",
+        "  subposet_only = {}",
+        "  trace_only = {('a', 'b')}",
     ]
 
 

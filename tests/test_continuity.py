@@ -34,14 +34,36 @@ def test_way_below_examples(chain3, fan3):
                 assert ct.way_below_sets(P, DIRECTED, 1 << y, 1 << x) == P.leq(y, x)
 
 
-def test_way_below_against_oracle():
-    for P in small_posets(3):
+def assert_way_below_readers_match_oracle(posets):
+    # way_below_sets, dd_set, uu_set and omega_z all read _wb; each is held
+    # to the oracle's quantifier over the members themselves
+    for P in posets:
+        subsets = range(P.full + 1)
         for name, system in SYSTEMS.items():
-            for a in range(P.full + 1):
-                for b in range(P.full + 1):
-                    assert ct.way_below_sets(P, system, a, b) == oracles.way_below(
-                        P, name, oracles.to_set(a), oracles.to_set(b)
-                    )
+            pairs = oracles.way_below(P, name)
+            wb = lambda a, b: (oracles.to_set(a), oracles.to_set(b)) in pairs
+            for a in subsets:
+                for b in subsets:
+                    assert ct.way_below_sets(P, system, a, b) == wb(a, b), (P, name)
+                assert ct.uu_set(P, system, a) == oracles.to_mask(
+                    x for x in range(P.n) if wb(a, 1 << x)
+                )
+            for x in range(P.n):
+                assert ct.dd_set(P, system, x) == oracles.to_mask(
+                    y for y in range(P.n) if wb(1 << y, 1 << x)
+                )
+                assert ct.omega_z(P, system, x) == tuple(
+                    f for f in subsets if f and wb(f, 1 << x)
+                )
+
+
+def test_way_below_against_oracle():
+    assert_way_below_readers_match_oracle(small_posets(4))
+
+
+@pytest.mark.slow
+def test_way_below_against_oracle_n5():
+    assert_way_below_readers_match_oracle(ps.enumerate_posets(5))
 
 
 def test_way_below_order_compatibility():

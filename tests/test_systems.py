@@ -43,6 +43,15 @@ def test_member_ideals_need_a_builtin_system(vee):
         zs.SubsetSystem("custom", 99).member_ideals(vee)
 
 
+def test_system_hash_is_its_id():
+    # the caches key on systems: equal systems must hash equal, and the
+    # built-ins must not collide
+    for system in zs.SYSTEMS.values():
+        twin = zs.SubsetSystem(system.name, system.sys_id)
+        assert twin == system and hash(twin) == hash(system) == system.sys_id
+    assert len({hash(s) for s in zs.SYSTEMS.values()}) == 5
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_zcpo_witness_against_member_loop_oracle(n):
     outcomes = set()

@@ -259,6 +259,8 @@ def test_lower_hereditary_against_trace_oracle(n):
     for P in ps.enumerate_posets(n):
         for name, system in SYSTEMS.items():
             w = tp.lower_hereditary_witness(P, system)
+            # whole dicts, list order included, against the subposet loop
+            assert w == oracles.lower_hereditary_witness(P, system), (P, name)
             expected = oracles.lower_hereditary_failure(P, name)
             if expected is None:
                 assert w is None, (P, name)
@@ -288,9 +290,12 @@ def test_lh_conditions_against_member_loop_oracle(n):
     outcomes = set()
     for P in ps.enumerate_posets(n):
         for name, system in SYSTEMS.items():
-            c = tp.lh_conditions(P, system)
-            expected = oracles.lh_cut_conditions(P, name)
-            assert {k: c[k] for k in expected} == expected, (P, name)
+            expected = {
+                "1": oracles.lower_hereditary_failure(P, name) is None,
+                "2": oracles.inclusion_continuity(P, name),
+                **oracles.lh_cut_conditions(P, name),
+            }
+            assert tp.lh_conditions(P, system) == expected, (P, name)
             outcomes.update(expected.items())
     if n >= 4:
-        assert outcomes == {(k, v) for k in "345" for v in (True, False)}
+        assert outcomes == {(k, v) for k in "12345" for v in (True, False)}
