@@ -122,22 +122,22 @@ def _eval_thm_local_wmc(P, system):
     return CheckResult.fails(weakly_meet=w, locally=loc)
 
 
-def _rel_dd_in_system(P, system):
+def _principal_downs(P):
+    """The posets ↓x, one per element x of P, built once per instance."""
+    return tuple(ps.principal_down_subposet(P, x).poset for x in range(P.n))
+
+
+def _rel_dd_in_system(downs, system):
     """Every relative waybelow set ↟_Z^x y is a member of Z(↓x)."""
-    for x in range(P.n):
-        sub = ps.principal_down_subposet(P, x)
-        for sy in range(sub.poset.n):
-            if not system.contains(sub.poset, ct.dd_set(sub.poset, system, sy)):
+    for D in downs:
+        for y in range(D.n):
+            if not system.contains(D, ct.dd_set(D, system, y)):
                 return False
     return True
 
 
-def _down_sets_continuous(P, system):
-    for x in range(P.n):
-        sub = ps.principal_down_subposet(P, x)
-        if not ct.is_s_z_continuous(sub.poset, system):
-            return False
-    return True
+def _down_sets_continuous(downs, system):
+    return all(ct.is_s_z_continuous(D, system) for D in downs)
 
 
 def _dd_in_system(P, system):
@@ -151,9 +151,10 @@ def _eval_prop_down_cont(P, system):
         return CheckResult.inapplicable(reason="topology not lower hereditary")
     if not ct.is_weak_s_z_continuous(P, system):
         return CheckResult.inapplicable(reason="not weak s_Z-continuous")
-    if not _rel_dd_in_system(P, system):
+    downs = _principal_downs(P)
+    if not _rel_dd_in_system(downs, system):
         return CheckResult.inapplicable(reason="relative waybelow set not a member")
-    if _down_sets_continuous(P, system):
+    if _down_sets_continuous(downs, system):
         return CheckResult.holds()
     return CheckResult.fails(reason="some principal ideal is not continuous")
 
@@ -161,7 +162,7 @@ def _eval_prop_down_cont(P, system):
 def _eval_prop_up_cont(P, system):
     if not tp.is_lower_hereditary(P, system):
         return CheckResult.inapplicable(reason="topology not lower hereditary")
-    if not _down_sets_continuous(P, system):
+    if not _down_sets_continuous(_principal_downs(P), system):
         return CheckResult.inapplicable(reason="principal ideals not all continuous")
     if not _dd_in_system(P, system):
         return CheckResult.inapplicable(reason="waybelow set not a member")
@@ -173,8 +174,9 @@ def _eval_prop_up_cont(P, system):
 def _eval_thm_s4_equiv(P, system):
     if not tp.is_lower_hereditary(P, system):
         return CheckResult.inapplicable(reason="topology not lower hereditary")
-    side1 = ct.is_s_z_continuous(P, system) and _rel_dd_in_system(P, system)
-    side2 = _down_sets_continuous(P, system) and _dd_in_system(P, system)
+    downs = _principal_downs(P)
+    side1 = ct.is_s_z_continuous(P, system) and _rel_dd_in_system(downs, system)
+    side2 = _down_sets_continuous(downs, system) and _dd_in_system(P, system)
     if side1 == side2:
         return CheckResult.holds()
     return CheckResult.fails(global_side=side1, local_side=side2)

@@ -123,7 +123,11 @@ def z_contains(sys_id, n, up, down, mask):
     if sys_id == SYS_SINGLETONS:
         return mask & (mask - 1) == 0
     if sys_id == SYS_CHAINS:
-        for i in _bits(mask):
+        m = mask
+        while m:
+            lsb = m & -m
+            m ^= lsb
+            i = lsb.bit_length() - 1
             if mask & ~(up[i] | down[i]):
                 return False
         return True
@@ -141,10 +145,13 @@ def z_contains(sys_id, n, up, down, mask):
         frontier = start
         while frontier:
             nxt = 0
-            for i in _bits(frontier):
-                nxt |= (up[i] | down[i]) & mask & ~comp
-            comp |= nxt
-            frontier = nxt
+            while frontier:
+                lsb = frontier & -frontier
+                frontier ^= lsb
+                i = lsb.bit_length() - 1
+                nxt |= up[i] | down[i]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
         return comp == mask
     raise ValueError(f"unknown system id {sys_id}")
 

@@ -48,7 +48,7 @@ class FinitePoset:
     vouches for it with ``_trusted``.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "_hash", "_index")
+    __slots__ = ("n", "full", "labels", "up", "down", "_hash", "_index")
 
     def __init__(self, labels, leq_rows, *, _trusted=False):
         labels = tuple(labels)
@@ -71,6 +71,7 @@ class FinitePoset:
                 row ^= lsb
                 down[lsb.bit_length() - 1] |= 1 << i
         self.n = n
+        self.full = (1 << n) - 1
         self.labels = labels
         self.up = up
         self.down = tuple(down)
@@ -78,10 +79,6 @@ class FinitePoset:
         self._index = {lbl: i for i, lbl in enumerate(labels)}
 
     # -- basics --------------------------------------------------------
-
-    @property
-    def full(self):
-        return (1 << self.n) - 1
 
     def leq(self, i, j):
         return bool((self.up[i] >> j) & 1)
@@ -129,12 +126,18 @@ class Subposet:
         if carrier_mask & ~parent.full:
             raise NotASubsetError("carrier not a subset of the parent")
         embed = tuple(bits(carrier_mask))
-        rows = []
+        pos = [0] * parent.n  # parent index -> subposet index
         for k, i in enumerate(embed):
+            pos[i] = k
+        up = parent.up
+        rows = []
+        for i in embed:
+            m = up[i] & carrier_mask
             row = 0
-            for l, j in enumerate(embed):
-                if parent.leq(i, j):
-                    row |= 1 << l
+            while m:
+                lsb = m & -m
+                m ^= lsb
+                row |= 1 << pos[lsb.bit_length() - 1]
             rows.append(row)
         self.parent = parent
         self.carrier = carrier_mask
@@ -212,16 +215,21 @@ class MonotoneMap:
         return self.table[i]
 
     def image(self, mask):
+        table = self.table
         out = 0
-        for i in bits(mask):
-            out |= 1 << self.table[i]
+        while mask:
+            lsb = mask & -mask
+            mask ^= lsb
+            out |= 1 << table[lsb.bit_length() - 1]
         return out
 
     def preimage(self, mask):
         out = 0
-        for i, v in enumerate(self.table):
+        bit = 1
+        for v in self.table:
             if (mask >> v) & 1:
-                out |= 1 << i
+                out |= bit
+            bit <<= 1
         return out
 
     def compose(self, other):
@@ -306,6 +314,10 @@ def fin_poset(P, cap=FINP_CAP):
 
 
 # -- subset operators --------------------------------------------------
+#
+# The operators below are the innermost loops of every claim, so each walks
+# its mask inline (lowest set bit first) instead of through ``bits``, and
+# tests ``mask & ~P.full`` itself, calling ``_check_subset`` only to raise.
 
 
 def bits(mask):
@@ -321,65 +333,115 @@ def _check_subset(P, mask):
 
 
 def up_set(P, mask):
-    _check_subset(P, mask)
+    if mask & ~P.full:
+        _check_subset(P, mask)
+    up = P.up
     out = 0
-    for i in bits(mask):
-        out |= P.up[i]
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out |= up[lsb.bit_length() - 1]
     return out
 
 
 def down_set(P, mask):
-    _check_subset(P, mask)
+    if mask & ~P.full:
+        _check_subset(P, mask)
+    down = P.down
     out = 0
-    for i in bits(mask):
-        out |= P.down[i]
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out |= down[lsb.bit_length() - 1]
     return out
 
 
 def upper_bounds(P, mask):
-    _check_subset(P, mask)
     out = P.full
-    for i in bits(mask):
-        out &= P.up[i]
+    if mask & ~out:
+        _check_subset(P, mask)
+    up = P.up
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out &= up[lsb.bit_length() - 1]
     return out
 
 
 def lower_bounds(P, mask):
-    _check_subset(P, mask)
     out = P.full
-    for i in bits(mask):
-        out &= P.down[i]
+    if mask & ~out:
+        _check_subset(P, mask)
+    down = P.down
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out &= down[lsb.bit_length() - 1]
     return out
 
 
 def cut(P, mask):
     """E^ul: lower bounds of the upper bounds (equals ↓sup E when sup exists)."""
-    return lower_bounds(P, upper_bounds(P, mask))
+    full = P.full
+    if mask & ~full:
+        _check_subset(P, mask)
+    up = P.up
+    bound = full
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        bound &= up[lsb.bit_length() - 1]
+    down = P.down
+    out = full
+    while bound:
+        lsb = bound & -bound
+        bound ^= lsb
+        out &= down[lsb.bit_length() - 1]
+    return out
 
 
 def relative_cut(P, e_mask, a_mask):
     """Cut of E relative to an ambient subset A containing it."""
-    _check_subset(P, a_mask)
+    if a_mask & ~P.full:
+        _check_subset(P, a_mask)
     if e_mask & ~a_mask:
         raise NotASubsetError("E must be a subset of A")
-    bound = upper_bounds(P, e_mask) & a_mask
+    up = P.up
+    bound = a_mask
+    while e_mask:
+        lsb = e_mask & -e_mask
+        e_mask ^= lsb
+        bound &= up[lsb.bit_length() - 1]
+    down = P.down
     out = a_mask
-    for m in bits(bound):
-        out &= P.down[m]
+    while bound:
+        lsb = bound & -bound
+        bound ^= lsb
+        out &= down[lsb.bit_length() - 1]
     return out
 
 
 def least_of(P, mask):
     """The least element of a subset, or None."""
-    for i in bits(mask):
-        if mask & ~P.up[i] == 0:
+    up = P.up
+    m = mask
+    while m:
+        lsb = m & -m
+        m ^= lsb
+        i = lsb.bit_length() - 1
+        if mask & ~up[i] == 0:
             return i
     return None
 
 
 def greatest_of(P, mask):
-    for i in bits(mask):
-        if mask & ~P.down[i] == 0:
+    down = P.down
+    m = mask
+    while m:
+        lsb = m & -m
+        m ^= lsb
+        i = lsb.bit_length() - 1
+        if mask & ~down[i] == 0:
             return i
     return None
 

@@ -65,6 +65,33 @@ def relative_cut(P, E, A):
     return frozenset(p for p in A if all(P.leq(p, m) for m in bound))
 
 
+def least(P, A):
+    for m in A:
+        if all(P.leq(m, a) for a in A):
+            return m
+    return None
+
+
+def greatest(P, A):
+    for m in A:
+        if all(P.leq(a, m) for a in A):
+            return m
+    return None
+
+
+def image(table, A):
+    return frozenset(table[a] for a in A)
+
+
+def preimage(table, B):
+    return frozenset(i for i, v in enumerate(table) if v in B)
+
+
+def restricted_order(P, C):
+    """The pairs (i, j) of elements of C with i <= j in P."""
+    return frozenset((i, j) for i in C for j in C if P.leq(i, j))
+
+
 def sup(P, A):
     ub = upper_bounds(P, A)
     for m in ub:

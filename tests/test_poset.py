@@ -1,10 +1,12 @@
 """Core order operators against hand values and the frozenset oracle."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from zdt import fixtures as fx, poset as ps
+from zdt import fixtures as fx, monad as md, poset as ps
 from zdt.errors import (
     AntisymmetryError,
     DuplicateLabelError,
@@ -14,6 +16,7 @@ from zdt.errors import (
     SizeCapError,
     UnknownLabelError,
 )
+from zdt.systems import CHAINS, DIRECTED
 
 
 def test_from_order_pairs_closes_transitively(chain3):
@@ -254,3 +257,128 @@ def test_cut_equals_principal_of_sup_when_sup_exists():
             s = ps.sup_of(P, e)
             if s is not None:
                 assert ps.cut(P, e) == P.down[s]
+
+
+# -- inlined operators against the frozenset oracles ----------------------
+
+SET_OPERATORS = (
+    (ps.up_set, oracles.up),
+    (ps.down_set, oracles.down),
+    (ps.upper_bounds, oracles.upper_bounds),
+    (ps.lower_bounds, oracles.lower_bounds),
+    (ps.cut, oracles.cut),
+)
+ELEMENT_OPERATORS = (
+    (ps.least_of, oracles.least),
+    (ps.greatest_of, oracles.greatest),
+    (ps.sup_of, oracles.sup),
+    (ps.inf_of, oracles.inf),
+)
+
+
+def _labeled(max_n):
+    return (p for n in range(1, max_n + 1) for p in ps.enumerate_posets(n, "labeled"))
+
+
+def _operators_match_oracles(P):
+    """Every operator on every mask A, and relative_cut on every E ⊆ A."""
+    for a in range(P.full + 1):
+        A = oracles.to_set(a)
+        for op, oracle in SET_OPERATORS:
+            assert op(P, a) == oracles.to_mask(oracle(P, A)), (op.__name__, P, a)
+        for op, oracle in ELEMENT_OPERATORS:
+            assert op(P, a) == oracle(P, A), (op.__name__, P, a)
+        e = a
+        while True:
+            want = oracles.relative_cut(P, oracles.to_set(e), A)
+            assert ps.relative_cut(P, e, a) == oracles.to_mask(want), (P, e, a)
+            if e == 0:
+                break
+            e = (e - 1) & a
+
+
+def test_operators_against_oracles_labeled_n4():
+    for P in _labeled(4):
+        _operators_match_oracles(P)
+
+
+@pytest.mark.slow
+def test_operators_against_oracles_n5():
+    for P in ps.enumerate_posets(5):
+        _operators_match_oracles(P)
+
+
+def test_operators_against_oracles_on_gamma_lattices():
+    # the operators' widest inputs: Γ-lattices over ten and nine points
+    peak = ps.from_order_pairs("abcd", [("d", "a"), ("d", "b")])
+    for P, system in ((peak, CHAINS), (fx.fan3(), DIRECTED)):
+        L = md.gamma_lattice(P, system).poset
+        assert L.n > 8
+        _operators_match_oracles(L)
+
+
+def test_map_image_and_preimage_against_oracle():
+    posets = list(_labeled(3))
+    for P in posets:
+        for Q in posets:
+            for f in ps.enumerate_monotone_maps(P, Q):
+                for a in range(P.full + 1):
+                    want = oracles.image(f.table, oracles.to_set(a))
+                    assert f.image(a) == oracles.to_mask(want), (f, a)
+                for b in range(Q.full + 1):
+                    want = oracles.preimage(f.table, oracles.to_set(b))
+                    assert f.preimage(b) == oracles.to_mask(want), (f, b)
+
+
+def test_subposet_rows_against_oracle():
+    for P in _labeled(4):
+        for c in range(P.full + 1):
+            sub = ps.restrict(P, c)
+            C = oracles.to_set(c)
+            assert sub.embed == tuple(sorted(C))
+            assert sub.poset.labels == tuple(P.labels[i] for i in sub.embed)
+            k = sub.poset.n
+            got = frozenset(
+                (sub.embed[x], sub.embed[y])
+                for x in range(k)
+                for y in range(k)
+                if sub.poset.leq(x, y)
+            )
+            assert got == oracles.restricted_order(P, C), (P, c)
+
+
+# -- out-of-carrier masks -------------------------------------------------
+
+MASK_CHECKED = (
+    ps.up_set, ps.down_set, ps.upper_bounds, ps.lower_bounds, ps.cut,
+    ps.min_of_upset, ps.is_filtered,
+)
+OUT_OF_CARRIER_POSETS = (fx.chain(3), fx.antichain(2), fx.diamond(), fx.fan3())
+
+
+def _outside_masks(P):
+    outside = 1 << P.n
+    return (outside, outside | 1, outside | P.full)
+
+
+def _carrier_message(P, mask):
+    return re.escape(f"mask {bin(mask)} outside carrier of size {P.n}")
+
+
+@pytest.mark.parametrize("op", MASK_CHECKED, ids=lambda op: op.__name__)
+def test_out_of_carrier_mask_raises(op):
+    for P in OUT_OF_CARRIER_POSETS:
+        for mask in _outside_masks(P):
+            with pytest.raises(NotASubsetError, match=_carrier_message(P, mask)):
+                op(P, mask)
+
+
+def test_relative_cut_out_of_carrier_raises_on_either_argument():
+    for P in OUT_OF_CARRIER_POSETS:
+        for mask in _outside_masks(P):
+            with pytest.raises(NotASubsetError, match="E must be a subset of A"):
+                ps.relative_cut(P, mask, P.full)
+            with pytest.raises(NotASubsetError, match=_carrier_message(P, mask)):
+                ps.relative_cut(P, 0, mask)
+            with pytest.raises(NotASubsetError, match=_carrier_message(P, mask)):
+                ps.relative_cut(P, mask, mask)
