@@ -84,17 +84,23 @@ def _eval_thm_main_s3(P, system):
 
 
 def _eval_lemma_sigma_cont(P, system):
+    member_cuts = ct._member_cut_pairs(P, system)
+    closures = list(enumerate(tp.closure_table(P, system)))
     for Q in _inner_posets():
-        for f in ps.enumerate_monotone_maps(P, Q):
-            c1 = tp.is_sigma_z_continuous(f, system)
-            c2 = tp.map_preserves_cuts(f, system)
+        continuous = tp.sigma_z_continuity(P, Q, system)
+        cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
+        closures_q = tp.closure_table(Q, system)
+        for f in ps.monotone_tables(P, Q):
+            c1 = continuous(f)
+            images = tp.subset_images(f)
+            c2 = tp.preserves_hulls(images, member_cuts, cuts_q)
             if c1 != c2:
                 return CheckResult.fails(
-                    cod=repr(Q), table=f.table, continuous=c1, preserves_cuts=c2
+                    cod=repr(Q), table=f, continuous=c1, preserves_cuts=c2
                 )
-            if c2 and not tp.map_preserves_closures(f, system):
+            if c2 and not tp.preserves_hulls(images, closures, closures_q):
                 return CheckResult.fails(
-                    cod=repr(Q), table=f.table, reason="closure image escapes"
+                    cod=repr(Q), table=f, reason="closure image escapes"
                 )
     return CheckResult.holds()
 
@@ -313,18 +319,20 @@ def _eval_thm_em(P, system):
     dcpo = md.is_delta_cpo(P, system)
     if dcpo != (xi is not None):
         return CheckResult.fails(delta_cpo=dcpo, structure_map=xi is not None)
+    em_laws = md.em_laws(P, system)
     if xi is not None:
-        res = md.em_check(P, xi, system)
+        res = em_laws(xi.table)
         if not res.ok:
             return res
     if P.n ** d.poset.n <= EM_SEARCH_LIMIT:
         survivors = []
         cap = max(P.n, d.poset.n)
-        for cand in ps.enumerate_monotone_maps(d.poset, P, cap=cap):
-            if not tp.is_sigma_z_continuous(cand, system):
+        continuous = tp.sigma_z_continuity(d.poset, P, system)
+        for cand in ps.monotone_tables(d.poset, P, cap=cap):
+            if not continuous(cand):
                 continue
-            if md.em_check(P, cand, system).ok:
-                survivors.append(cand.table)
+            if em_laws(cand).ok:
+                survivors.append(cand)
         if xi is None and survivors:
             return CheckResult.fails(
                 reason="structure map on a non-delta-cpo", tables=survivors
@@ -337,22 +345,27 @@ def _eval_thm_em(P, system):
 def _eval_prop_em_morph(P, system):
     if not md.is_delta_cpo(P, system):
         return CheckResult.inapplicable(reason="domain not a delta-cpo")
-    xi_p = md.em_structure_map(P, system)
+    # ξ_P's table holds sup A for each compact A; both sides read it
+    xi_p = md.em_structure_map(P, system).table
+    compacts = md.delta_object(P, system).sets
     for Q in _inner_posets():
         if not md.is_delta_cpo(Q, system):
             continue
-        xi_q = md.em_structure_map(Q, system)
-        for f in ps.enumerate_monotone_maps(P, Q):
-            if not tp.is_sigma_z_continuous(f, system):
+        xi_q = md.em_structure_map(Q, system).table
+        continuous = tp.sigma_z_continuity(P, Q, system)
+        delta = md.delta_tables(P, Q, system)
+        sups_q = [ps.sup_of(Q, m) for m in range(1 << Q.n)]
+        for f in ps.monotone_tables(P, Q):
+            if not continuous(f):
                 continue
-            eq = md.em_morphism_equation_witness(f, system) is None
-            df, bad = md.delta_map(f, system)
+            eq = md._sup_failure(f, xi_p, compacts, sups_q) is None
+            df, bad = delta(f)
             if df is None:
                 return CheckResult.fails(reason="functor ill-typed", **bad)
-            square = f.compose(xi_p).table == xi_q.compose(df).table
+            square = [f[s] for s in xi_p] == [xi_q[v] for v in df]
             if eq != square:
                 return CheckResult.fails(
-                    cod=repr(Q), table=f.table, equation=eq, square=square
+                    cod=repr(Q), table=f, equation=eq, square=square
                 )
     return CheckResult.holds()
 
@@ -601,10 +614,8 @@ def get_claim(claim_id):
 
 def _worker(task):
     claim_id, system_name, labels, rows = task
-    claim = get_claim(claim_id)
-    system = get_system(system_name)
     P = ps.FinitePoset(labels, rows, _trusted=True)
-    res = _guarded(claim.evaluate, P, system)
+    res = _guarded(get_claim(claim_id).evaluate, P, get_system(system_name))
     return res.status.value, res.witness
 
 
@@ -636,7 +647,6 @@ def run_claim(
         get_system(name)  # unknown names raise ValueError before any work
     reports = []
     cells = []
-    tasks = []
     for name in system_names:
         for n in range(min_size, max_size + 1):
             posets = list(ps.enumerate_posets(n, mode))
@@ -645,16 +655,18 @@ def run_claim(
             )
             reports.append(report)
             for P in posets:
-                cells.append((report, P))
-                tasks.append((claim_id, name, P.labels, P.up))
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+                cells.append((report, name, P))
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
+        tasks = [(claim_id, name, P.labels, P.up) for _, name, P in cells]
         with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        results = [CheckResult(Status(status), witness) for status, witness in outcomes]
     else:
-        outcomes = [_worker(t) for t in tasks]
-    for (report, P), (status, witness) in zip(cells, outcomes):
-        report.record(CheckResult(Status(status), witness), P)
+        # in process, each instance is evaluated on the poset enumerated here
+        results = [_guarded(claim.evaluate, P, get_system(name)) for _, name, P in cells]
+    for (report, _, P), res in zip(cells, results):
+        report.record(res, P)
     return reports
 
 

@@ -380,13 +380,16 @@ def beneath_set(P, system, y):
     return _beneath_all(P, system)[y]
 
 
-def preserves_beneath(f, system):
-    """x ≺_Z y in the domain implies f(x) ≺_Z f(y) in the codomain."""
-    ben_dom = _beneath_all(f.dom, system)
-    ben_cod = _beneath_all(f.cod, system)
-    for y in range(f.dom.n):
-        if f.image(ben_dom[y]) & ~ben_cod[f(y)]:
-            return False
+def preserves_beneath(table, dom, cod, system):
+    """x ≺_Z y in ``dom`` implies table[x] ≺_Z table[y] in ``cod``."""
+    ben_cod = _beneath_all(cod, system)
+    for below, v in zip(_beneath_all(dom, system), table):
+        allowed = ben_cod[v]
+        while below:
+            low = below & -below
+            below ^= low
+            if not (allowed >> table[low.bit_length() - 1]) & 1:
+                return False
     return True
 
 

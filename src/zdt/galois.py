@@ -59,19 +59,6 @@ def upper_adjoint_of(d):
     return ps.MonotoneMap(S, T, table, _trusted=True)
 
 
-def lower_adjoint_of(g):
-    """d with d ⊣ g, i.e. d(a) = min{y : a <= g(y)}, the least point of the
-    preimage of ↑a, or None."""
-    S, T = g.dom, g.cod
-    table = []
-    for a in range(T.n):
-        bot = ps.least_of(S, g.preimage(T.up[a]))
-        if bot is None:
-            return None
-        table.append(bot)
-    return ps.MonotoneMap(T, S, table, _trusted=True)
-
-
 def enumerate_galois_connections(T, S):
     """All connections (d, g) between the two posets, by d's table order."""
     for d in ps.enumerate_monotone_maps(T, S):
@@ -120,7 +107,7 @@ def upper_preserves_closed_cuts(gc, system):
 
 def lower_preserves_beneath(gc, system):
     """x ≺_Z y in T implies d(x) ≺_Z d(y) in S."""
-    return preserves_beneath(gc.lower, system)
+    return preserves_beneath(gc.lower.table, gc.t, gc.s, system)
 
 
 def galois_lemma_suite(gc, system):

@@ -135,47 +135,42 @@ def gamma_map(f, system):
     return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
 
 
-class _Closures(dict):
-    """Closures in one closed family by mask, each computed on first lookup."""
+def delta_tables(dom, cod, system):
+    """The endofunctor on function tables from ``dom`` to ``cod``: returns
+    ``delta(values)``, the table A ↦ cl(f(A)) on the compacts and None, or
+    None and a witness when some cl(f(A)) is not compact.  A table that
+    breaks a cover pair raises the validating constructor's error."""
+    DP, DQ = delta_object(dom, system), delta_object(cod, system)
+    family = tp.gamma_subbasis(cod, system)
+    covers = ps.covers(DP.poset)
+    closures = {}
 
-    __slots__ = ("family",)
+    def delta(values):
+        table = []
+        for a, pts in zip(DP.sets, DP.points):
+            image = 0
+            for p in pts:
+                image |= 1 << values[p]
+            closed = closures.get(image)
+            if closed is None:
+                closed = closures[image] = family.closure(image)
+            if closed not in DQ.index:
+                return None, {"of": dom.names(a), "image_closure": cod.names(closed)}
+            table.append(DQ.index[closed])
+        _require_monotone(table, DP.poset, DQ.poset, covers)
+        return table, None
 
-    def __init__(self, family):
-        super().__init__()
-        self.family = family
-
-    def __missing__(self, mask):
-        val = self[mask] = self.family.closure(mask)
-        return val
-
-
-def _delta_table(values, points, closures, index):
-    """δ on a function table: for each set, given by its points, the index of
-    the closure of its image, or None where that closure is not in ``index``.
-
-    ``closures`` maps an image mask of the codomain to its closure.
-    """
-    table = []
-    for pts in points:
-        image = 0
-        for p in pts:
-            image |= 1 << values[p]
-        table.append(index.get(closures[image]))
-    return table
+    return delta
 
 
 def delta_map(f, system):
     """The endofunctor on morphisms; None plus witness when an image escapes
     the compacts (cannot happen for genuine σ^Z-continuous maps)."""
-    DP = delta_object(f.dom, system)
-    DQ = delta_object(f.cod, system)
-    closures = _Closures(tp.gamma_subbasis(f.cod, system))
-    table = _delta_table(f.table, DP.points, closures, DQ.index)
-    if None in table:
-        a = DP.sets[table.index(None)]
-        val = closures[f.image(a)]
-        return None, {"of": f.dom.names(a), "image_closure": f.cod.names(val)}
-    return ps.MonotoneMap(DP.poset, DQ.poset, table), None
+    table, bad = delta_tables(f.dom, f.cod, system)(f.table)
+    if table is None:
+        return None, bad
+    DP, DQ = delta_object(f.dom, system), delta_object(f.cod, system)
+    return ps.MonotoneMap(DP.poset, DQ.poset, table, _trusted=True), None
 
 
 def epsilon(L_poset, system):
@@ -247,23 +242,32 @@ def em_structure_map(P, system):
     return ps.MonotoneMap(d.poset, P, tuple(table))
 
 
-def em_check(P, xi, system):
-    """Unit law, multiplication law, and σ^Z-continuity of a structure map."""
-    et = eta(P, system)
-    for p in range(P.n):
-        if xi(et(p)) != p:
-            return CheckResult.fails(law="unit", element=P.labels[p])
-    mu_p = mu(P, system)
-    dxi, bad = delta_map(xi, system)
-    if dxi is None:
-        return CheckResult.fails(law="multiplication", reason="δ(ξ) ill-typed", **bad)
-    lhs = xi.compose(mu_p)
-    rhs = xi.compose(dxi)
-    if lhs.table != rhs.table:
-        return CheckResult.fails(law="multiplication")
-    if not tp.is_sigma_z_continuous(xi, system):
-        return CheckResult.fails(law="continuity")
-    return CheckResult.holds()
+def em_laws(P, system):
+    """Unit law, multiplication law, and σ^Z-continuity of a structure map,
+    as a function of its table δ(P) -> P.  μ_P is built once, on the first
+    table that passes the unit law, the first that needs it."""
+    D1 = delta_object(P, system)
+    eta_p = eta(P, system).table
+    continuous = tp.sigma_z_continuity(D1.poset, P, system)
+    late = []
+
+    def check(xi):
+        for p, e in enumerate(eta_p):
+            if xi[e] != p:
+                return CheckResult.fails(law="unit", element=P.labels[p])
+        if not late:
+            late.extend((mu(P, system).table, delta_tables(D1.poset, P, system)))
+        mu_p, delta_xi = late
+        dxi, bad = delta_xi(xi)
+        if dxi is None:
+            return CheckResult.fails(law="multiplication", reason="δ(ξ) ill-typed", **bad)
+        if [xi[m] for m in mu_p] != [xi[d] for d in dxi]:
+            return CheckResult.fails(law="multiplication")
+        if not continuous(xi):
+            return CheckResult.fails(law="continuity")
+        return CheckResult.holds()
+
+    return check
 
 
 def is_em_morphism(f, system):
@@ -277,9 +281,19 @@ def is_em_morphism(f, system):
 
 
 def em_morphism_equation_witness(f, system):
-    for a in delta_object(f.dom, system).sets:
-        if f(ps.sup_of(f.dom, a)) != ps.sup_of(f.cod, f.image(a)):
-            return {"closed_set": f.dom.names(a)}
+    sets = delta_object(f.dom, system).sets
+    cod_sups = [ps.sup_of(f.cod, m) for m in range(1 << f.cod.n)]
+    i = _sup_failure(f.table, em_structure_map(f.dom, system).table, sets, cod_sups)
+    return None if i is None else {"closed_set": f.dom.names(sets[i])}
+
+
+def _sup_failure(table, sups, sets, cod_sups):
+    """The first i with f(sups[i]) ≠ sup f(sets[i]), read from ``cod_sups``
+    by mask, for f given by its ``table``; None if there is none."""
+    images = tp.subset_images(table)
+    for i, a in enumerate(sets):
+        if table[sups[i]] != cod_sups[images[a]]:
+            return i
     return None
 
 
@@ -397,7 +411,6 @@ def verify_adjunction(P, system, L=None):
             )
 
     # universal property of the unit
-    kq = sub  # compacts of L as a subposet
     # every element of Γ^Z(P) is the sup of the principal ideals inside it
     principal = [LP.index[P.down[p]] for p in range(P.n)]
     sup_determined = all(
@@ -408,10 +421,11 @@ def verify_adjunction(P, system, L=None):
     joins_p = joins_l if L is LP else join_table(LP.poset)
     bottom, join = joins_l
     points = [tuple(ps.bits(a)) for a in LP.elements]
-    for f in ps.enumerate_monotone_maps(P, kq.poset, cap=max(P.n, kq.poset.n)):
-        if not tp.is_sigma_z_continuous(f, system):
+    continuous = tp.sigma_z_continuity(P, sub.poset, system)
+    for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
+        if not continuous(f):
             continue
-        values = [kq.embed[v] for v in f.table]
+        values = [sub.embed[v] for v in f]
         mediator = []
         for pts in points:
             s = bottom
@@ -423,8 +437,7 @@ def verify_adjunction(P, system, L=None):
                 return CheckResult.fails(part="mediator", reason="does not factor f")
         if not preserves_joins(mediator, joins_p, joins_l):
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
-        fbar = ps.MonotoneMap(LP.poset, L.poset, tuple(mediator), _trusted=True)
-        if not preserves_beneath(fbar, system):
+        if not preserves_beneath(mediator, LP.poset, L.poset, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
         if not sup_determined:
             return CheckResult.fails(part="uniqueness", reason="sup-determination")
@@ -435,8 +448,8 @@ def verify_monad_laws(P, system, naturality_size=3):
     """Unit and associativity laws plus naturality on small codomains.
 
     Naturality reads every map as a function table; a ``MonotoneMap`` is
-    built only for a failure witness, or to raise the ``NotMonotoneError`` of
-    a δf or δδf that breaks a cover pair.
+    built only to raise the ``NotMonotoneError`` of a δf or δδf that breaks
+    a cover pair.
     """
     D1 = delta_object(P, system)
     eta_p = eta(P, system)
@@ -461,61 +474,32 @@ def verify_monad_laws(P, system, naturality_size=3):
     d_mu, bad = delta_map(mu_p, system)
     if d_mu is None:
         return CheckResult.fails(law="associativity", reason="δ(μ) ill-typed", **bad)
-    lhs = mu_p.compose(mu_d1)
-    rhs = mu_p.compose(d_mu)
-    if lhs.table != rhs.table:
+    if mu_p.compose(mu_d1).table != mu_p.compose(d_mu).table:
         return CheckResult.fails(law="associativity")
 
     # naturality of both, on tables: for each σ^Z-continuous f : P -> Q,
     # δf ∘ η_P = η_Q ∘ f and δf ∘ μ_P = μ_Q ∘ δδf
-    is_closed_p = tp.gamma_subbasis(P, system).is_closed
-    DD1 = delta_object(D1.poset, system)
-    covers_d1 = ps.covers(D1.poset)
-    covers_dd1 = ps.covers(DD1.poset)
     for n in range(1, naturality_size + 1):
         for Q in ps.enumerate_posets(n):
             eta_q = eta(Q, system).table
             mu_q = mu(Q, system).table
-            gamma_q = tp.gamma_subbasis(Q, system)
-            closed_q = [tuple(ps.bits(a)) for a in gamma_q.closed]
-            closures_q = [gamma_q.closure(m) for m in range(1 << Q.n)]
-            DQ = delta_object(Q, system)
-            DDQ = delta_object(DQ.poset, system)
-            closures_dq = _Closures(tp.gamma_subbasis(DQ.poset, system))
+            continuous = tp.sigma_z_continuity(P, Q, system)
+            delta = delta_tables(P, Q, system)
+            delta_delta = delta_tables(D1.poset, delta_object(Q, system).poset, system)
             for f in ps.monotone_tables(P, Q):
-                if not _preimages_closed(f, Q.n, closed_q, is_closed_p):
+                if not continuous(f):
                     continue
-                df = _delta_table(f, D1.points, closures_q, DQ.index)
-                if None in df:
-                    _, bad = delta_map(ps.MonotoneMap(P, Q, f, _trusted=True), system)
+                df, bad = delta(f)
+                if df is None:
                     return CheckResult.fails(law="functoriality", **bad)
-                _require_monotone(df, D1.poset, DQ.poset, covers_d1)
                 if [df[e] for e in eta_p.table] != [eta_q[v] for v in f]:
                     return CheckResult.fails(law="unit naturality", map=f)
-                ddf = _delta_table(df, DD1.points, closures_dq, DDQ.index)
-                if None in ddf:
-                    df_map = ps.MonotoneMap(D1.poset, DQ.poset, df, _trusted=True)
-                    _, bad = delta_map(df_map, system)
+                ddf, bad = delta_delta(df)
+                if ddf is None:
                     return CheckResult.fails(law="functoriality", **bad)
-                _require_monotone(ddf, DD1.poset, DDQ.poset, covers_dd1)
                 if [df[m] for m in mu_p.table] != [mu_q[d] for d in ddf]:
                     return CheckResult.fails(law="multiplication naturality", map=f)
     return CheckResult.holds()
-
-
-def _preimages_closed(values, n_cod, closed_points, is_closed):
-    """σ^Z-continuity of a function table: the preimage of every closed set
-    of the codomain, given by its points, passes the domain's ``is_closed``."""
-    fibres = [0] * n_cod
-    for p, v in enumerate(values):
-        fibres[v] |= 1 << p
-    for pts in closed_points:
-        pre = 0
-        for q in pts:
-            pre |= fibres[q]
-        if not is_closed(pre):
-            return False
-    return True
 
 
 def _require_monotone(table, dom, cod, cover_pairs):

@@ -467,14 +467,6 @@ def min_of_upset(P, mask):
     return out
 
 
-def max_of(P, mask):
-    out = 0
-    for i in bits(mask):
-        if P.up[i] & mask & ~(1 << i) == 0:
-            out |= 1 << i
-    return out
-
-
 def is_lower_set(P, mask):
     return down_set(P, mask) == mask if mask else True
 

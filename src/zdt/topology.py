@@ -142,32 +142,54 @@ FAMILY_KINDS = {
 # -- maps ---------------------------------------------------------------
 
 
+def closure_table(P, system):
+    """cl A for every subset A of P, by mask."""
+    gamma = gamma_subbasis(P, system)
+    return [gamma.closure(a) for a in range(1 << P.n)]
+
+
+def sigma_z_continuity(dom, cod, system):
+    """σ^Z-continuity of function tables from ``dom`` to ``cod``: each closed
+    set of ``cod`` pulls back, as the union of its points' fibres, closed."""
+    is_closed = gamma_subbasis(dom, system).is_closed
+    closed_points = [tuple(ps.bits(a)) for a in gamma_subbasis(cod, system).closed]
+
+    def continuous(table):
+        fibres = [0] * cod.n
+        for p, v in enumerate(table):
+            fibres[v] |= 1 << p
+        for pts in closed_points:
+            pre = 0
+            for q in pts:
+                pre |= fibres[q]
+            if not is_closed(pre):
+                return False
+        return True
+
+    return continuous
+
+
 def is_sigma_z_continuous(f, system):
     """Preimages of subbasic closed sets of the codomain are subbasic closed."""
-    dom_family = gamma_subbasis(f.dom, system)
-    for a in gamma_subbasis(f.cod, system).closed:
-        if not dom_family.is_closed(f.preimage(a)):
-            return False
-    return True
+    return sigma_z_continuity(f.dom, f.cod, system)(f.table)
 
 
-def map_preserves_cuts(f, system):
-    """f(D^δ) ⊆ f(D)^δ for every member D of Z(dom).
-
-    Checked on I_Z(dom): D^δ = (↓D)^δ, and f(D)^δ = f(↓D)^δ, because
-    f(D) ⊆ f(↓D) ⊆ ↓f(D) for monotone f, so both have the same upper bounds.
-    """
-    for d in system.member_ideals(f.dom):
-        if f.image(ps.cut(f.dom, d)) & ~ps.cut(f.cod, f.image(d)):
-            return False
-    return True
+def subset_images(table):
+    """The image of every subset of the domain of a function table, by mask."""
+    images = [0] * (1 << len(table))
+    for a in range(1, len(images)):
+        low = a & -a
+        images[a] = images[a ^ low] | 1 << table[low.bit_length() - 1]
+    return images
 
 
-def map_preserves_closures(f, system):
-    """f(cl A) ⊆ cl f(A) for every subset A of the domain."""
-    for a in range(1 << f.dom.n):
-        img_cl = f.image(closure_subbasic(f.dom, system, a))
-        if img_cl & ~closure_subbasic(f.cod, system, f.image(a)):
+def preserves_hulls(images, pairs, cod_hulls):
+    """f(H) ⊆ hull f(A) for each pair (A, H), with f's ``images`` and the
+    codomain's ``cod_hulls`` by mask.  Over (A, cl A) it is closure
+    preservation; over the (D, D^δ) of I_Z(dom) it is cut preservation on
+    Z(dom), as S^δ = (↓S)^δ and f(S)^δ = f(↓S)^δ (f(↓S) ⊆ ↓f(S))."""
+    for a, h in pairs:
+        if images[h] & ~cod_hulls[images[a]]:
             return False
     return True
 

@@ -2,9 +2,9 @@
 
 Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
-internals; tests compare the fast implementations against these.  The two
-exceptions, ``lower_hereditary_witness`` and ``monad_naturality_failure``, say
-why in their docstrings.
+internals; tests compare the fast implementations against these.  The
+exceptions are ``lower_hereditary_witness``, ``monad_naturality_failure`` and
+the slow paths at the end of the module, which say why in their docstrings.
 """
 
 from itertools import chain, combinations, product
@@ -582,13 +582,13 @@ def monad_naturality_failure(P, system, naturality_size):
     ``naturality_size`` points.
 
     Unlike the rest of this module, it deliberately uses the package's own
-    objects (``eta``, ``mu``, ``delta_map``, ``MonotoneMap.compose`` and
-    ``is_sigma_z_continuous``), so that a test can hold the table loop to
+    objects (``eta``, ``mu``, ``delta_map`` and ``MonotoneMap.compose``, with
+    ``map_sigma_continuous`` below), so that a test can hold the table loop to
     the object loop it replaced, patched functions and raised errors
     included.  ``test_delta_map_against_closure_oracle`` checks ``delta_map``
     itself against ``closure``.
     """
-    from zdt import monad as md, poset as ps, topology as tp
+    from zdt import monad as md, poset as ps
 
     eta_p = md.eta(P, system)
     mu_p = md.mu(P, system)
@@ -597,7 +597,7 @@ def monad_naturality_failure(P, system, naturality_size):
             eta_q = md.eta(Q, system)
             mu_q = md.mu(Q, system)
             for f in ps.enumerate_monotone_maps(P, Q):
-                if not tp.is_sigma_z_continuous(f, system):
+                if not map_sigma_continuous(f, system):
                     continue
                 df, bad = md.delta_map(f, system)
                 if df is None:
@@ -610,3 +610,175 @@ def monad_naturality_failure(P, system, naturality_size):
                 if df.compose(mu_p).table != mu_q.compose(ddf).table:
                     return {"law": "multiplication naturality", "map": f.table}
     return None
+
+
+# -- slow paths of the map layer -------------------------------------------
+#
+# The loops that the package ran on validated ``MonotoneMap`` objects before
+# its map claims read function tables.  Like ``monad_naturality_failure``,
+# they use the package's own objects (``preimage``, ``image``, ``compose``,
+# ``eta``, ``mu``, ``delta_map``), so that a test can hold each table loop to
+# the loop it replaced, patched functions and raised errors included.
+
+
+def lower_adjoint_of(g):
+    """d with d ⊣ g, i.e. d(a) = min{y : a <= g(y)}, the least point of the
+    preimage of ↑a, or None."""
+    from zdt import poset as ps
+
+    S, T = g.dom, g.cod
+    table = []
+    for a in range(T.n):
+        bot = ps.least_of(S, g.preimage(T.up[a]))
+        if bot is None:
+            return None
+        table.append(bot)
+    return ps.MonotoneMap(T, S, table, _trusted=True)
+
+
+def map_sigma_continuous(f, system):
+    """σ^Z-continuity through ``MonotoneMap.preimage`` on every closed set."""
+    from zdt import topology as tp
+
+    dom_family = tp.gamma_subbasis(f.dom, system)
+    for a in tp.gamma_subbasis(f.cod, system).closed:
+        if not dom_family.is_closed(f.preimage(a)):
+            return False
+    return True
+
+
+def map_preserves_beneath(f, system):
+    """x ≺_Z y in the domain implies f(x) ≺_Z f(y), on the map object."""
+    from zdt import continuity as ct
+
+    for y in range(f.dom.n):
+        if f.image(ct.beneath_set(f.dom, system, y)) & ~ct.beneath_set(
+            f.cod, system, f(y)
+        ):
+            return False
+    return True
+
+
+def map_preserves_cuts(f, system):
+    """f(D^δ) ⊆ f(D)^δ over the member ideals D of the domain, one
+    ``member_ideals`` call and two cuts per map."""
+    from zdt import poset as ps
+
+    for d in system.member_ideals(f.dom):
+        if f.image(ps.cut(f.dom, d)) & ~ps.cut(f.cod, f.image(d)):
+            return False
+    return True
+
+
+def map_preserves_closures(f, system):
+    """f(cl A) ⊆ cl f(A) over all 2^n subsets A, two closures per subset."""
+    from zdt import topology as tp
+
+    for a in range(1 << f.dom.n):
+        img_cl = f.image(tp.closure_subbasic(f.dom, system, a))
+        if img_cl & ~tp.closure_subbasic(f.cod, system, f.image(a)):
+            return False
+    return True
+
+
+def sigma_cont_lemma(P, system, codomains):
+    """``lemma-sigma-cont`` at P over the ``codomains``, on map objects."""
+    from zdt import poset as ps
+    from zdt.reports import CheckResult
+
+    for Q in codomains:
+        for f in ps.enumerate_monotone_maps(P, Q):
+            c1 = map_sigma_continuous(f, system)
+            c2 = map_preserves_cuts(f, system)
+            if c1 != c2:
+                return CheckResult.fails(
+                    cod=repr(Q), table=f.table, continuous=c1, preserves_cuts=c2
+                )
+            if c2 and not map_preserves_closures(f, system):
+                return CheckResult.fails(
+                    cod=repr(Q), table=f.table, reason="closure image escapes"
+                )
+    return CheckResult.holds()
+
+
+def em_check(P, xi, system):
+    """The unit, multiplication and continuity laws of a structure map, with
+    a fresh η, μ, δξ and two compositions per call."""
+    from zdt import monad as md
+    from zdt.reports import CheckResult
+
+    et = md.eta(P, system)
+    for p in range(P.n):
+        if xi(et(p)) != p:
+            return CheckResult.fails(law="unit", element=P.labels[p])
+    mu_p = md.mu(P, system)
+    dxi, bad = md.delta_map(xi, system)
+    if dxi is None:
+        return CheckResult.fails(law="multiplication", reason="δ(ξ) ill-typed", **bad)
+    if xi.compose(mu_p).table != xi.compose(dxi).table:
+        return CheckResult.fails(law="multiplication")
+    if not map_sigma_continuous(xi, system):
+        return CheckResult.fails(law="continuity")
+    return CheckResult.holds()
+
+
+def em_theorem(P, system, search_limit):
+    """``thm-em`` at P, below the lattice cap: the structure map passes
+    ``em_check``, and when P^|δ(P)| is at most ``search_limit`` it is the
+    only continuous candidate that does."""
+    from zdt import monad as md, poset as ps
+    from zdt.reports import CheckResult
+
+    d = md.delta_object(P, system)
+    xi = md.em_structure_map(P, system)
+    dcpo = md.is_delta_cpo(P, system)
+    if dcpo != (xi is not None):
+        return CheckResult.fails(delta_cpo=dcpo, structure_map=xi is not None)
+    if xi is not None:
+        res = em_check(P, xi, system)
+        if not res.ok:
+            return res
+    if P.n ** d.poset.n <= search_limit:
+        survivors = []
+        cap = max(P.n, d.poset.n)
+        for cand in ps.enumerate_monotone_maps(d.poset, P, cap=cap):
+            if map_sigma_continuous(cand, system) and em_check(P, cand, system).ok:
+                survivors.append(cand.table)
+        if xi is None and survivors:
+            return CheckResult.fails(
+                reason="structure map on a non-delta-cpo", tables=survivors
+            )
+        if xi is not None and survivors != [xi.table]:
+            return CheckResult.fails(reason="structure map not unique", tables=survivors)
+    return CheckResult.holds()
+
+
+def em_morphisms(P, system, codomains):
+    """``prop-em-morph`` at P over the ``codomains``: for a δ-cpo P, the sup
+    equation against the square f ∘ ξ_P = ξ_Q ∘ δf, built with ``compose``."""
+    from zdt import monad as md, poset as ps
+    from zdt.reports import CheckResult
+
+    if not md.is_delta_cpo(P, system):
+        return CheckResult.inapplicable(reason="domain not a delta-cpo")
+    xi_p = md.em_structure_map(P, system)
+    for Q in codomains:
+        if not md.is_delta_cpo(Q, system):
+            continue
+        xi_q = md.em_structure_map(Q, system)
+        for f in ps.enumerate_monotone_maps(P, Q):
+            if not map_sigma_continuous(f, system):
+                continue
+            eq = all(
+                f(ps.sup_of(P, a)) == ps.sup_of(Q, f.image(a))
+                for a in md.delta_object(P, system).sets
+            )
+            df, bad = md.delta_map(f, system)
+            if df is None:
+                return CheckResult.fails(reason="functor ill-typed", **bad)
+            square = f.compose(xi_p).table == xi_q.compose(df).table
+            if eq != square:
+                return CheckResult.fails(
+                    cod=repr(Q), table=f.table, equation=eq, square=square
+                )
+    return CheckResult.holds()

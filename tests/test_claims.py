@@ -6,7 +6,7 @@ import oracles
 from zdt import claims as cl, continuity as ct, poset as ps, topology as tp
 from zdt import fixtures as fx
 from zdt.errors import UnknownClaimError
-from zdt.reports import Status
+from zdt.reports import CheckResult, Status
 from zdt.systems import FINITE, SYSTEMS
 
 
@@ -62,6 +62,31 @@ def test_run_claim_deterministic_across_jobs():
         solo = cl.format_reports(cl.run_claim(claim_id, size, systems=systems, jobs=1))
         multi = cl.format_reports(cl.run_claim(claim_id, size, systems=systems, jobs=2))
         assert solo == multi
+
+
+def test_in_process_run_evaluates_the_enumerated_posets(monkeypatch):
+    # at jobs=1 every instance is built once, by the enumeration, and the
+    # evaluator receives that very poset
+    built = []
+    seen = []
+    init = ps.FinitePoset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    def evaluate(P, system):
+        seen.append(P)
+        return CheckResult.fails()
+
+    probe = cl.Claim("probe", "every instance fails", ("finite", "chains"), evaluate, 3)
+    monkeypatch.setattr(cl, "_CLAIMS", [probe])
+    monkeypatch.setattr(ps.FinitePoset, "__init__", counting)
+    reports = cl.run_claim("probe", witness_cap=8)
+    assert len(built) == len(seen) == 2 * (1 + 2 + 5)
+    recorded = [P for r in reports for P, _ in r.witnesses]
+    assert len(recorded) == len(seen)
+    assert all(a is b for a, b in zip(seen, recorded))
 
 
 @pytest.mark.parametrize(
@@ -267,13 +292,15 @@ def test_gamma_lattice_weak_meet_transfer_n4():
 @pytest.mark.slow
 def test_map_continuity_lemma_exhaustive_n4():
     posets = [P for n in (1, 2, 3, 4) for P in ps.enumerate_posets(n)]
-    for P in posets:
-        for Q in posets:
-            for f in ps.enumerate_monotone_maps(P, Q):
-                for system in SYSTEMS.values():
-                    assert tp.is_sigma_z_continuous(f, system) == tp.map_preserves_cuts(
-                        f, system
-                    )
+    for system in SYSTEMS.values():
+        for P in posets:
+            member_cuts = ct._member_cut_pairs(P, system)
+            for Q in posets:
+                continuous = tp.sigma_z_continuity(P, Q, system)
+                cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
+                for f in ps.monotone_tables(P, Q):
+                    images = tp.subset_images(f)
+                    assert continuous(f) == tp.preserves_hulls(images, member_cuts, cuts_q)
 
 
 def test_format_reports_round_trip(tmp_path):
@@ -311,3 +338,58 @@ def test_format_reports_round_trip(tmp_path):
         )
         == 0
     )
+
+
+# lemma-sigma-cont reads function tables; the object loop it replaced is
+# oracles.sigma_cont_lemma, and each failure branch is reached by patching the
+# closed family of one poset.
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_sigma_cont_lemma_against_the_object_loop(n):
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            want = oracles.sigma_cont_lemma(P, system, cl._inner_posets())
+            assert cl._eval_lemma_sigma_cont(P, system) == want, (P, system.name)
+
+
+def _chain2():
+    return next(Q for Q in ps.enumerate_posets(2) if Q.up == (1, 3))
+
+
+def _sigma_cont_both_ways(P, system):
+    res = cl._eval_lemma_sigma_cont(P, system)
+    assert res == oracles.sigma_cont_lemma(P, system, cl._inner_posets())
+    return res.witness
+
+
+def test_sigma_cont_lemma_continuity_branch(monkeypatch):
+    # the bottom {b} of the 2-chain b < a declared not closed: the identity
+    # on it, the first map with {b} as a preimage, is discontinuous while it
+    # still preserves cuts
+    chain2 = _chain2()
+    real = tp.TopologyFamily.is_closed
+    monkeypatch.setattr(
+        tp.TopologyFamily,
+        "is_closed",
+        lambda fam, mask: (fam.base != chain2 or mask != 2) and real(fam, mask),
+    )
+    assert _sigma_cont_both_ways(chain2, FINITE) == {
+        "cod": repr(chain2), "table": (0, 1), "continuous": False, "preserves_cuts": True
+    }
+
+
+def test_sigma_cont_lemma_closure_branch(monkeypatch):
+    # the top {a} of the 2-chain closes to the empty set: the constant map
+    # from the 2-antichain onto a sends the closure of {a, b} outside it
+    chain2 = _chain2()
+    anti2 = next(Q for Q in ps.enumerate_posets(2) if Q.up == (1, 2))
+    real = tp.TopologyFamily.closure
+    monkeypatch.setattr(
+        tp.TopologyFamily,
+        "closure",
+        lambda fam, mask: 0 if fam.base == chain2 and mask == 1 else real(fam, mask),
+    )
+    assert _sigma_cont_both_ways(anti2, FINITE) == {
+        "cod": repr(chain2), "table": (0, 0), "reason": "closure image escapes"
+    }

@@ -286,7 +286,9 @@ def test_preserves_beneath_against_oracle():
             for Q in posets:
                 for f in ps.enumerate_monotone_maps(P, Q):
                     expected = all((f(x), f(y)) in ben[Q] for x, y in ben[P])
-                    assert ct.preserves_beneath(f, system) == expected, (name, f)
+                    got = ct.preserves_beneath(f.table, P, Q, system)
+                    assert got == expected, (name, f)
+                    assert oracles.map_preserves_beneath(f, system) == expected
                     outcomes.add(expected)
     assert outcomes == {True, False}
 

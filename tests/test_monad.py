@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 import oracles
-from zdt import fixtures as fx, galois as gl, monad as md, poset as ps, topology as tp
-from zdt.errors import NotMonotoneError, ZdtError
+from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
+from zdt import monad as md, poset as ps, topology as tp
+from zdt.errors import NotMonotoneError, SupMissingError, ZdtError
 from zdt.reports import CheckResult, Status
 from zdt.systems import CHAINS, DIRECTED, FINITE, SYSTEMS
 
@@ -114,12 +115,31 @@ def test_mu_against_union_prediction(wedge):
         assert m.dom == d2.poset and m.cod == d1.poset
 
 
+def _beneath_against_objects(monkeypatch):
+    """Patch the adjunction's beneath check to hold each mediator's table to
+    the object check on the validated map; returns the list of outcomes."""
+    real = md.preserves_beneath
+    outcomes = []
+
+    def compared(table, dom, cod, system):
+        found = real(table, dom, cod, system)
+        fbar = ps.MonotoneMap(dom, cod, table)
+        assert found == oracles.map_preserves_beneath(fbar, system), table
+        outcomes.append(found)
+        return found
+
+    monkeypatch.setattr(md, "preserves_beneath", compared)
+    return outcomes
+
+
 def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
     # every mediator verify_adjunction builds goes through its join check,
     # and the search for an upper adjoint of the same table, as a validated
-    # map, must agree
+    # map, must agree; it also goes through the beneath check, once per map
+    # into the compacts that the object loop finds continuous
     join_check = md.preserves_joins
     outcomes = []
+    beneath = _beneath_against_objects(monkeypatch)
     for P in posets:
         for system in SYSTEMS.values():
             LP = md.gamma_lattice(P, system).poset
@@ -132,9 +152,15 @@ def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
                 return found
 
             monkeypatch.setattr(md, "preserves_joins", compared)
+            before = len(beneath)
             res = md.verify_adjunction(P, system)
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
+            _, kq = md.epsilon(LP, system)
+            maps = ps.enumerate_monotone_maps(P, kq.poset, cap=max(P.n, kq.poset.n))
+            continuous = sum(oracles.map_sigma_continuous(f, system) for f in maps)
+            assert len(beneath) - before == continuous, (P, system.name)
     assert outcomes and all(outcomes)
+    assert beneath == outcomes
 
 
 def test_adjunction_small(monkeypatch):
@@ -144,6 +170,25 @@ def test_adjunction_small(monkeypatch):
 @pytest.mark.slow
 def test_adjunction_joins_against_adjoints_n4(monkeypatch):
     _adjunction_holds_with_joins_against_adjoints(ps.enumerate_posets(4), monkeypatch)
+
+
+def test_adjunction_beneath_branch(monkeypatch):
+    # every pair of Γ^Z(P) declared beneath on the mediator's domain side:
+    # into a foreign lattice, the first mediator that takes two values not
+    # beneath each other fails, by the table check and the object check alike
+    P = fx.chain(2)
+    L = md.gamma_lattice(fx.vee(), DIRECTED)
+    LP = md.gamma_lattice(P, DIRECTED).poset
+    # warm every cache the run reads, so the patch reaches the check alone
+    assert md.verify_adjunction(P, DIRECTED, L=L).status is Status.HOLDS
+    real = ct._beneath_all
+    monkeypatch.setattr(
+        ct, "_beneath_all", lambda Q, system: (Q.full,) * Q.n if Q == LP else real(Q, system)
+    )
+    beneath = _beneath_against_objects(monkeypatch)
+    res = md.verify_adjunction(P, DIRECTED, L=L)
+    assert res.witness == {"part": "mediator", "reason": "beneath not preserved"}
+    assert beneath[-1] is False
 
 
 @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
@@ -363,9 +408,7 @@ def test_em_uniqueness_search_handles_wide_delta_posets():
     # chains on the 4-antichain produce a 9-element compact poset; the
     # uniqueness search must still run rather than bail on a size cap
     P = fx.antichain(4)
-    from zdt.claims import get_claim
-
-    res = get_claim("thm-em").evaluate(P, CHAINS)
+    res = cl.get_claim("thm-em").evaluate(P, CHAINS)
     assert res.status is Status.HOLDS
 
 
@@ -375,7 +418,7 @@ def test_delta_cpo_and_structure(anti2, wedge):
     assert md.is_delta_cpo(wedge, DIRECTED)
     xi = md.em_structure_map(wedge, DIRECTED)
     assert xi is not None
-    assert md.em_check(wedge, xi, DIRECTED).status is Status.HOLDS
+    assert md.em_laws(wedge, DIRECTED)(xi.table).status is Status.HOLDS
     # complete lattices always carry a structure map
     for P in (fx.diamond(), fx.chain(3)):
         for system in SYSTEMS.values():
@@ -412,3 +455,250 @@ def test_em_morphism_search_finds_violation():
     P, Q, f = found
     # such maps are never sigma-continuous structure-compatible squares either
     assert not md.is_em_morphism(f, DIRECTED)
+
+
+def test_em_morphism_equation_against_oracle():
+    # f(sup A) = sup f(A) over the compact A, with the sups from the oracle
+    outcomes = set()
+    posets = list(small_posets(3))
+    for system in SYSTEMS.values():
+        cpos = [P for P in posets if md.is_delta_cpo(P, system)]
+        for P in cpos:
+            compacts = md.delta_object(P, system).sets
+            for Q in cpos:
+                for f in ps.enumerate_monotone_maps(P, Q):
+                    want = None
+                    for A in compacts:
+                        S = oracles.to_set(A)
+                        if f(oracles.sup(P, S)) != oracles.sup(Q, oracles.image(f.table, S)):
+                            want = {"closed_set": P.names(A)}
+                            break
+                    assert md.em_morphism_equation_witness(f, system) == want
+                    outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+# thm-em and prop-em-morph read function tables; the object loops they
+# replaced are oracles.em_check, em_theorem and em_morphisms.
+
+
+def _outcome(fn):
+    """The result of ``fn()``, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except ZdtError as err:
+        return type(err).__name__, str(err)
+
+
+def _unit_tables(D1, eta_p, n):
+    """Every table from δ(P) to the n points of P that passes the unit law,
+    monotone or not."""
+    free = [i for i in range(D1.n) if i not in eta_p]
+    for values in itertools.product(range(n), repeat=len(free)):
+        table = [None] * D1.n
+        for p, e in enumerate(eta_p):
+            table[e] = p
+        for i, v in zip(free, values):
+            table[i] = v
+        yield tuple(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_em_laws_against_the_object_loop(n):
+    laws_seen = set()
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            if md.gamma_lattice(P, system).poset.n > cl.LATTICE_CAP:
+                continue
+            want = oracles.em_theorem(P, system, cl.EM_SEARCH_LIMIT)
+            assert cl._eval_thm_em(P, system) == want, (P, system.name)
+            D1 = md.delta_object(P, system).poset
+            eta_p = md.eta(P, system).table
+            if n ** (D1.n - P.n) > 5000:
+                continue
+            laws = md.em_laws(P, system)
+            for t in _unit_tables(D1, eta_p, n):
+                xi = ps.MonotoneMap(D1, P, t, _trusted=True)
+                got = _outcome(lambda: laws(t))
+                assert got == _outcome(lambda: oracles.em_check(P, xi, system)), t
+                laws_seen.add(got.witness and got.witness.get("reason", got.witness["law"]))
+    if n >= 2:
+        assert laws_seen == {None, "multiplication", "δ(ξ) ill-typed", "continuity"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_em_morphisms_against_the_object_loop(n):
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            want = oracles.em_morphisms(P, system, cl._inner_posets())
+            assert cl._eval_prop_em_morph(P, system) == want, (P, system.name)
+
+
+# Each failure branch of the two EM loops, reached by a patched table.
+
+
+def _thm_em_both_ways(P, system):
+    got = _outcome(lambda: cl._eval_thm_em(P, system))
+    assert got == _outcome(lambda: oracles.em_theorem(P, system, cl.EM_SEARCH_LIMIT))
+    return got
+
+
+def _em_morph_both_ways(P, system):
+    got = _outcome(lambda: cl._eval_prop_em_morph(P, system))
+    assert got == _outcome(lambda: oracles.em_morphisms(P, system, cl._inner_posets()))
+    return got
+
+
+def test_em_loop_unit_branch(monkeypatch):
+    # η of the 2-chain b < a is (2, 1); sending b to the top as well
+    _patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
+    res = _thm_em_both_ways(CHAIN2, DIRECTED)
+    assert res.witness == {"law": "unit", "element": "b"}
+
+
+def test_em_loop_multiplication_branch(monkeypatch):
+    _patch_table(monkeypatch, "mu", CHAIN2, (0, 0, 1, 1))
+    assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {"law": "multiplication"}
+
+
+def test_em_loop_ill_typed_delta_xi(monkeypatch):
+    # {b} closes to {a}, which is not a compact closed set
+    _patch_closure(monkeypatch, CHAIN2, {2: 1})
+    assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
+        "law": "multiplication",
+        "reason": "δ(ξ) ill-typed",
+        "of": ("s_empty",),
+        "image_closure": ("a",),
+    }
+
+
+def test_em_laws_non_monotone_delta_xi(monkeypatch):
+    # in the 3-chain c < b < a, {a} closes to {b, c} and {a, c} to {c}; the
+    # table sending ∅ to a and {c} to c has ξ{∅} = {a} and ξ{∅, {c}} = {a, c}
+    # under δ(ξ), which then breaks the first cover pair of δδ(P)
+    _patch_closure(monkeypatch, CHAIN3, {1: 6, 5: 4})
+    D1 = md.delta_object(CHAIN3, DIRECTED).poset
+    xi = (0, 2, 1, 0)
+    got = _outcome(lambda: md.em_laws(CHAIN3, DIRECTED)(xi))
+    want = _outcome(
+        lambda: oracles.em_check(CHAIN3, ps.MonotoneMap(D1, CHAIN3, xi, _trusted=True), DIRECTED)
+    )
+    assert got == want
+    assert got[0] == "NotMonotoneError"
+
+
+def test_em_loop_continuity_branch(monkeypatch):
+    # ξ = (1, 1, 0) on δ(2-chain) pulls the closed {b} back to {∅, {b}}
+    D1 = md.delta_object(CHAIN2, DIRECTED).poset
+    real = tp.TopologyFamily.is_closed
+    monkeypatch.setattr(
+        tp.TopologyFamily,
+        "is_closed",
+        lambda fam, mask: (fam.base != D1 or mask != 3) and real(fam, mask),
+    )
+    assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {"law": "continuity"}
+
+
+def test_em_loop_structure_map_on_a_non_delta_cpo(monkeypatch):
+    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
+        real = getattr(md, name)
+        monkeypatch.setattr(
+            md, name, lambda Q, system, real=real, value=value: (
+                value if Q == CHAIN2 else real(Q, system)
+            )
+        )
+    assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
+        "reason": "structure map on a non-delta-cpo", "tables": [(1, 1, 0)]
+    }
+
+
+def test_em_loop_structure_map_not_unique(monkeypatch):
+    # a candidate search that finds nothing leaves the structure map alone
+    D1 = md.delta_object(CHAIN2, DIRECTED).poset
+    real = ps.monotone_tables
+    monkeypatch.setattr(
+        ps, "monotone_tables", lambda P, Q, cap=8: iter(()) if P == D1 else real(P, Q, cap)
+    )
+    assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
+        "reason": "structure map not unique", "tables": []
+    }
+
+
+@pytest.mark.parametrize(
+    "closures, error", [({}, SupMissingError), ({2: 3, 3: 2}, ZdtError)]
+)
+def test_em_loop_errors_of_mu_surface_alike(monkeypatch, closures, error):
+    # μ is built on the first table that passes the unit law, once: an error
+    # it raises leaves both loops at the same point
+    if error is SupMissingError:
+        def raising(Q, system):
+            raise SupMissingError("patched")
+
+        monkeypatch.setattr(md, "mu", raising)
+    _patch_closure(monkeypatch, CHAIN2, closures)
+    got = _thm_em_both_ways(CHAIN2, DIRECTED)
+    assert got[0] == error.__name__
+
+
+def test_em_loop_builds_mu_for_continuous_candidates_only(monkeypatch):
+    # the 2-chain's structure table (1, 1, 0) made discontinuous, and hidden
+    # from the search as on a non-δ-cpo: the only table that passes the unit
+    # law is filtered out before it reaches the laws, so a μ that would raise
+    # is never built
+    D1 = md.delta_object(CHAIN2, DIRECTED).poset
+    real = tp.TopologyFamily.is_closed
+    monkeypatch.setattr(
+        tp.TopologyFamily,
+        "is_closed",
+        lambda fam, mask: (fam.base != D1 or mask != 3) and real(fam, mask),
+    )
+    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
+        real_fn = getattr(md, name)
+        monkeypatch.setattr(
+            md, name, lambda Q, system, real_fn=real_fn, value=value: (
+                value if Q == CHAIN2 else real_fn(Q, system)
+            )
+        )
+
+    def raising(Q, system):
+        raise SupMissingError("patched")
+
+    monkeypatch.setattr(md, "mu", raising)
+    assert _thm_em_both_ways(CHAIN2, DIRECTED) == CheckResult.holds()
+
+
+def test_em_laws_build_mu_once(monkeypatch):
+    calls = []
+    real = md.mu
+
+    def counted(Q, system):
+        calls.append(Q)
+        return real(Q, system)
+
+    monkeypatch.setattr(md, "mu", counted)
+    assert cl._eval_thm_em(CHAIN3, DIRECTED).status is Status.HOLDS
+    assert cl._eval_thm_em(ANTI2, DIRECTED).status is Status.HOLDS
+    # the 2-antichain has no monotone table that passes the unit law
+    assert calls == [CHAIN3]
+
+
+def test_em_morph_loop_ill_typed_delta_f(monkeypatch):
+    _patch_closure(monkeypatch, CHAIN2, {2: 1})
+    assert _em_morph_both_ways(CHAIN3, DIRECTED).witness == {
+        "reason": "functor ill-typed", "of": ("c",), "image_closure": ("a",)
+    }
+
+
+def test_em_morph_loop_non_monotone_delta_f(monkeypatch):
+    _patch_closure(monkeypatch, CHAIN2, {2: 3, 3: 2})
+    got = _em_morph_both_ways(CHAIN3, DIRECTED)
+    assert got[0] == "NotMonotoneError"
+
+
+def test_em_morph_loop_square_branch(monkeypatch):
+    # ξ of the 2-chain sent to its top everywhere: the first continuous map
+    # that meets the sup equation misses the square
+    _patch_table(monkeypatch, "em_structure_map", CHAIN2, (1, 1, 1))
+    assert _em_morph_both_ways(CHAIN3, DIRECTED).witness == {
+        "cod": repr(CHAIN2), "table": (0, 0, 1), "equation": True, "square": False
+    }

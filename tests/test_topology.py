@@ -203,6 +203,20 @@ def test_sigma_continuity_basics(vee):
                 assert tp.is_sigma_z_continuous(f, DIRECTED)
 
 
+def preserves_cuts(f, system):
+    """f(S^δ) ⊆ f(S)^δ for every member S of Z(dom), by the table check."""
+    pairs = [(d, ps.cut(f.dom, d)) for d in system.member_ideals(f.dom)]
+    cuts = [ps.cut(f.cod, m) for m in range(1 << f.cod.n)]
+    return tp.preserves_hulls(tp.subset_images(f.table), pairs, cuts)
+
+
+def preserves_closures(f, system):
+    """f(cl A) ⊆ cl f(A) for every subset A of dom, by the table check."""
+    pairs = list(enumerate(tp.closure_table(f.dom, system)))
+    closures = tp.closure_table(f.cod, system)
+    return tp.preserves_hulls(tp.subset_images(f.table), pairs, closures)
+
+
 def test_continuity_iff_cut_preservation():
     posets = list(small_posets(3))
     for P in posets:
@@ -210,10 +224,10 @@ def test_continuity_iff_cut_preservation():
             for f in ps.enumerate_monotone_maps(P, Q):
                 for system in SYSTEMS.values():
                     c1 = tp.is_sigma_z_continuous(f, system)
-                    c2 = tp.map_preserves_cuts(f, system)
+                    c2 = preserves_cuts(f, system)
                     assert c1 == c2, (P, Q, f.table, system.name)
                     if c1:
-                        assert tp.map_preserves_closures(f, system)
+                        assert preserves_closures(f, system)
 
 
 def test_map_preserves_cuts_against_member_loop_oracle():
@@ -224,7 +238,7 @@ def test_map_preserves_cuts_against_member_loop_oracle():
             for f in ps.enumerate_monotone_maps(P, Q):
                 for name, system in SYSTEMS.items():
                     expected = oracles.preserves_cuts(P, Q, f.table, name)
-                    assert tp.map_preserves_cuts(f, system) == expected, (f, name)
+                    assert preserves_cuts(f, system) == expected, (f, name)
                     outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -236,9 +250,7 @@ def test_continuity_lemma_on_larger_domains():
         for Q in fours:
             for f in ps.enumerate_monotone_maps(P, Q):
                 for system in (FINITE, SINGLETONS):
-                    assert tp.is_sigma_z_continuous(f, system) == tp.map_preserves_cuts(
-                        f, system
-                    )
+                    assert tp.is_sigma_z_continuous(f, system) == preserves_cuts(f, system)
 
 
 def test_lower_hereditary(fan3, twin):
@@ -299,3 +311,60 @@ def test_lh_conditions_against_member_loop_oracle(n):
             outcomes.update(expected.items())
     if n >= 4:
         assert outcomes == {(k, v) for k in "12345" for v in (True, False)}
+
+
+# The table paths of the map layer against the object loops they replaced,
+# map by map: every monotone table from P to each poset of at most three
+# points, on every system, computed as ``lemma-sigma-cont`` computes them.
+
+
+def _map_tables_against_objects(P, system, outcomes):
+    from zdt import continuity as ct
+
+    member_cuts = ct._member_cut_pairs(P, system)
+    closures_p = list(enumerate(tp.closure_table(P, system)))
+    for Q in small_posets(3):
+        continuous = tp.sigma_z_continuity(P, Q, system)
+        cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
+        closures_q = tp.closure_table(Q, system)
+        for table in ps.monotone_tables(P, Q):
+            f = ps.MonotoneMap(P, Q, table)
+            images = tp.subset_images(table)
+            got = (
+                continuous(table),
+                tp.preserves_hulls(images, member_cuts, cuts_q),
+                tp.preserves_hulls(images, closures_p, closures_q),
+            )
+            want = (
+                oracles.map_sigma_continuous(f, system),
+                oracles.map_preserves_cuts(f, system),
+                oracles.map_preserves_closures(f, system),
+            )
+            assert got == want, (P, Q, table, system.name)
+            assert got[0] == tp.is_sigma_z_continuous(f, system)
+            assert got[1] == preserves_cuts(f, system)
+            assert got[2] == preserves_closures(f, system)
+            outcomes.add(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_map_tables_against_object_loops(n):
+    outcomes = set()
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            _map_tables_against_objects(P, system, outcomes)
+    # every map from a poset of at most two points is continuous; from three
+    # points on some are not, and each of those also breaks cut and closure
+    # preservation
+    both = {(True, True, True), (False, False, False)}
+    assert outcomes == (both if n >= 3 else {(True, True, True)})
+
+
+def test_subset_images_against_oracle():
+    for P in small_posets(3):
+        for Q in small_posets(3):
+            for table in ps.monotone_tables(P, Q):
+                images = tp.subset_images(table)
+                for A in oracles.subsets(P):
+                    want = oracles.image(table, A)
+                    assert images[oracles.to_mask(A)] == oracles.to_mask(want)
