@@ -341,6 +341,26 @@ def _patch_closure(monkeypatch, base, closures):
     monkeypatch.setattr(tp.TopologyFamily, "closure", patched)
 
 
+def _patch_not_closed(monkeypatch, base, mask):
+    real = tp.TopologyFamily.is_closed
+    monkeypatch.setattr(
+        tp.TopologyFamily,
+        "is_closed",
+        lambda fam, m: (fam.base != base or m != mask) and real(fam, m),
+    )
+
+
+def _hide_structure_map(monkeypatch, target):
+    """Make ``target`` look like a poset that is not a δ-cpo."""
+    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
+        real = getattr(md, name)
+        monkeypatch.setattr(
+            md, name, lambda Q, system, real=real, value=value: (
+                value if Q == target else real(Q, system)
+            )
+        )
+
+
 def test_naturality_loop_unit_branch(monkeypatch):
     # η of the 3-chain c < b < a is (3, 2, 1); only b's value moves, so the
     # first map to fail sends the 2-chain's top to a and its bottom to b
@@ -589,24 +609,12 @@ def test_em_laws_non_monotone_delta_xi(monkeypatch):
 
 def test_em_loop_continuity_branch(monkeypatch):
     # ξ = (1, 1, 0) on δ(2-chain) pulls the closed {b} back to {∅, {b}}
-    D1 = md.delta_object(CHAIN2, DIRECTED).poset
-    real = tp.TopologyFamily.is_closed
-    monkeypatch.setattr(
-        tp.TopologyFamily,
-        "is_closed",
-        lambda fam, mask: (fam.base != D1 or mask != 3) and real(fam, mask),
-    )
+    _patch_not_closed(monkeypatch, md.delta_object(CHAIN2, DIRECTED).poset, 3)
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {"law": "continuity"}
 
 
 def test_em_loop_structure_map_on_a_non_delta_cpo(monkeypatch):
-    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
-        real = getattr(md, name)
-        monkeypatch.setattr(
-            md, name, lambda Q, system, real=real, value=value: (
-                value if Q == CHAIN2 else real(Q, system)
-            )
-        )
+    _hide_structure_map(monkeypatch, CHAIN2)
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
         "reason": "structure map on a non-delta-cpo", "tables": [(1, 1, 0)]
     }
@@ -645,20 +653,8 @@ def test_em_loop_builds_mu_for_continuous_candidates_only(monkeypatch):
     # from the search as on a non-δ-cpo: the only table that passes the unit
     # law is filtered out before it reaches the laws, so a μ that would raise
     # is never built
-    D1 = md.delta_object(CHAIN2, DIRECTED).poset
-    real = tp.TopologyFamily.is_closed
-    monkeypatch.setattr(
-        tp.TopologyFamily,
-        "is_closed",
-        lambda fam, mask: (fam.base != D1 or mask != 3) and real(fam, mask),
-    )
-    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
-        real_fn = getattr(md, name)
-        monkeypatch.setattr(
-            md, name, lambda Q, system, real_fn=real_fn, value=value: (
-                value if Q == CHAIN2 else real_fn(Q, system)
-            )
-        )
+    _patch_not_closed(monkeypatch, md.delta_object(CHAIN2, DIRECTED).poset, 3)
+    _hide_structure_map(monkeypatch, CHAIN2)
 
     def raising(Q, system):
         raise SupMissingError("patched")
