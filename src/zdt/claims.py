@@ -112,10 +112,9 @@ def _eval_lemma_lh(P, system):
 def _eval_cor_zcpo_lh(P, system):
     if not is_zcpo(P, system):
         return CheckResult.inapplicable(reason="not a zcpo")
-    w = tp.lower_hereditary_witness(P, system)
-    if w is None:
+    if tp.is_lower_hereditary(P, system):
         return CheckResult.holds()
-    return CheckResult.fails(**w)
+    return CheckResult.fails(**tp.lower_hereditary_witness(P, system))
 
 
 def _eval_thm_local_wmc(P, system):
@@ -129,8 +128,8 @@ def _eval_thm_local_wmc(P, system):
 
 
 def _principal_downs(P):
-    """The posets ↓x, one per element x of P, built once per instance."""
-    return tuple(ps.principal_down_subposet(P, x).poset for x in range(P.n))
+    """The posets ↓x, one per element x of P."""
+    return tuple(sub.poset for sub in ps.principal_downs(P))
 
 
 def _rel_dd_in_system(downs, system):

@@ -14,7 +14,7 @@ from zdt.errors import NotBelowError
 from zdt.reports import CheckResult
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _member_cut_pairs(P, system):
     """(I, I^δ) for every I in I_Z(P); a member S has the cut of ↓S."""
     return tuple((d, ps.cut(P, d)) for d in system.member_ideals(P))
@@ -44,7 +44,7 @@ def _wb(P, system, up_a):
     return out
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _dd_all(P, system):
     """↟_Z x for every x, as a tuple of masks.
 
@@ -85,7 +85,7 @@ def relative_dd_set(P, system, x, y):
     """↟_Z^x y: the way-below set of y computed inside the subposet ↓x."""
     if not P.leq(y, x):
         raise NotBelowError(f"{P.labels[y]} is not below {P.labels[x]}")
-    sub = ps.principal_down_subposet(P, x)
+    sub = ps.principal_downs(P)[x]
     sy = sub.to_sub(1 << y).bit_length() - 1
     return sub.to_parent(dd_set(sub.poset, system, sy))
 
@@ -114,7 +114,7 @@ def is_weak_s_z_continuous(P, system):
     return weak_s_z_witness(P, system) is None
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _member_ideals(P, system):
     """I_Z(P) = {↓S : S ∈ Z(P)}."""
     return frozenset(system.member_ideals(P))
@@ -237,8 +237,7 @@ def weakly_meet_via_upsets(P, system):
 
 
 def locally_weakly_meet_witness(P, system):
-    for x in range(P.n):
-        sub = ps.principal_down_subposet(P, x)
+    for x, sub in enumerate(ps.principal_downs(P)):
         w = weakly_meet_witness(sub.poset, system)
         if w is not None:
             return {"principal": P.labels[x], **w}
@@ -356,7 +355,7 @@ def has_separation(P, system):
 # -- beneath relation ---------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _beneath_all(P, system):
     """beneath_set(y) for every y: ⋂ of nonempty subbasic closed A with y ∈ A^δ."""
     closed = [a for a in tp.gamma_subbasis(P, system).closed if a]

@@ -61,7 +61,7 @@ class DeltaObject:
         return f"DeltaObject({self.base!r}, {self.system.name}, {len(self.sets)})"
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def gamma_lattice(P, system):
     elements = tp.gamma_subbasis(P, system).closed
     poset = family_poset(P, elements)
@@ -103,7 +103,7 @@ def _small_families(n):
             yield top | (1 << i)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def delta_object(P, system):
     L = gamma_lattice(P, system)
     k = kz_compacts(L.poset, system)
@@ -117,6 +117,7 @@ def delta_object(P, system):
     return obj
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def eta(P, system):
     """The unit at P: p ↦ ↓p, an order embedding into the compact poset."""
     d = delta_object(P, system)
@@ -192,9 +193,11 @@ def epsilon(L_poset, system):
     return ps.MonotoneMap(dom, L_poset, tuple(table)), sub
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def mu(P, system):
     """The multiplication: sup inside the compact poset, cross-checked against
-    the union-closure prediction whenever that value is itself compact."""
+    the union-closure prediction whenever that value is itself compact.  It is
+    built, validated and cross-checked once per (P, system)."""
     D1 = delta_object(P, system)
     D2 = delta_object(D1.poset, system)
     table = []

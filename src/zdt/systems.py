@@ -64,7 +64,7 @@ class SubsetSystem:
         return f"SubsetSystem({self.name})"
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _members(system, P):
     return tuple(kernels.z_member_masks(system.sys_id, P.n, P.up, P.down))
 

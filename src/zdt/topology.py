@@ -70,7 +70,7 @@ class TopologyFamily:
         return f"TopologyFamily({self.kind}, {len(self.closed)} closed sets)"
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def gamma_subbasis(P, system):
     """Γ^Z(P): the subbasic closed family (a closure system of lower sets)."""
     ideals = kernels.order_ideals(P.n, P.up, P.down)
@@ -89,7 +89,7 @@ def sigma_subbasis(P, system):
     return TopologyFamily(P, "subbasic-open-complements", gamma.closed)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def sigma_topology(P, system):
     """Γ_Z(P): the closed sets of the topology σ^Z(P) generates.
 
@@ -118,7 +118,7 @@ def interior_subbasic(P, system, mask):
     return gamma_subbasis(P, system).interior(mask)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def lower_topology(P):
     """ω(P): closed sets generated by the principal filters ↑x.
 
@@ -197,8 +197,10 @@ def preserves_hulls(images, pairs, cod_hulls):
 # -- lower hereditariness ------------------------------------------------
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def is_lower_hereditary(P, system):
-    return lower_hereditary_witness(P, system) is None
+    """Whether σ^Z(P) is lower hereditary; see ``lower_hereditary_witness``."""
+    return _lower_hereditary_failure(P, system) is None
 
 
 def _member_relative_cuts(P, system):
@@ -257,10 +259,16 @@ def lower_hereditary_witness(P, system):
     trace side can differ.  The witness is built on the subposet, for the
     failing A only.
     """
+    a = _lower_hereditary_failure(P, system)
+    return None if a is None else _trace_witness(P, system, a)
+
+
+def _lower_hereditary_failure(P, system):
+    """The first A of ``lower_hereditary_witness``, or None."""
     hull = _member_hulls(P, system)
     for a, d, rel in _member_relative_cuts(P, system):
         if rel & ~hull[d]:
-            return _trace_witness(P, system, a)
+            return a
     return None
 
 

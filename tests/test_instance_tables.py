@@ -1,0 +1,95 @@
+"""Per-instance tables: each is computed once per process, and what the
+caches hold never changes a report."""
+
+import importlib
+import pkgutil
+
+import zdt
+from zdt import claims as cl, poset as ps
+
+# the caches keyed by one (poset, system) instance or one poset
+INSTANCE_CACHES = (
+    "poset.principal_downs", "poset.fin_poset", "systems._members",
+    "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
+    "topology.is_lower_hereditary", "continuity._member_cut_pairs",
+    "continuity._dd_all", "continuity._member_ideals", "continuity._beneath_all",
+    "monad.gamma_lattice", "monad.delta_object", "monad.eta", "monad.mu",
+)
+
+# the nineteen non-lattice claims over the labeled posets with n <= 4;
+# lemma-sigma-cont stops at n = 3, where it already maps into every inner poset
+NON_LATTICE = tuple(
+    (c.id, 3 if c.id == "lemma-sigma-cont" else min(c.max_size, 4))
+    for c in cl.registry()
+    if c.id not in (
+        "prop-gamma-wmc", "prop-union-sup", "gamma-prealgebraic",
+        "thm-adjunction", "thm-monad", "thm-em", "prop-em-morph",
+    )
+)
+
+
+def zdt_caches():
+    """Every lru_cache defined in a zdt module, by ``module.function``."""
+    caches = {}
+    for info in pkgutil.iter_modules(zdt.__path__):
+        mod = importlib.import_module(f"zdt.{info.name}")
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                caches[f"{info.name}.{attr}"] = obj
+    return caches
+
+
+def clear_zdt_caches():
+    for cache in zdt_caches().values():
+        cache.cache_clear()
+
+
+def test_instance_caches_share_one_bound():
+    caches = zdt_caches()
+    assert {caches[name].cache_info().maxsize for name in INSTANCE_CACHES} == {
+        ps.INSTANCE_CACHE_SIZE
+    }
+
+
+def test_each_table_is_computed_once_per_sweep():
+    assert len(NON_LATTICE) == 19
+    clear_zdt_caches()
+    for claim_id, depth in NON_LATTICE:
+        cl.run_claim(claim_id, depth, mode="labeled")
+    infos = {name: cache.cache_info() for name, cache in zdt_caches().items()}
+    for name, info in infos.items():
+        assert info.misses == info.currsize, (name, info)
+    assert infos["topology.gamma_subbasis"].misses > 1000
+    assert infos["topology.is_lower_hereditary"].hits > 0
+    first = list(ps.enumerate_posets(4, "labeled"))
+    again = list(ps.enumerate_posets(4, "labeled"))
+    assert len(first) == ps.count_posets(4, "labeled") == 219
+    assert all(a is b for a, b in zip(first, again))
+
+
+# claims that share instances and tables: lower hereditariness, the ↓x
+# subposets, the way-below tables, μ and η
+SHARING = (
+    ("cor-zcpo-lh", 4),
+    ("thm-local-wmc", 4),
+    ("prop-up-cont", 4),
+    ("thm-s4-equiv", 4),
+    ("lemma-uu-eq", 4),
+    ("thm-monad", 3),
+)
+
+
+def _reports(claim_id, depth):
+    return cl.format_reports(cl.run_claim(claim_id, depth, mode="labeled"))
+
+
+def test_claim_order_does_not_change_reports():
+    cold = {}
+    for claim_id, depth in SHARING:
+        clear_zdt_caches()
+        cold[claim_id] = _reports(claim_id, depth)
+    assert sum("WITNESS" in text for text in cold.values()) >= 3
+    clear_zdt_caches()
+    for order in (SHARING, SHARING[::-1]):
+        for claim_id, depth in order:
+            assert _reports(claim_id, depth) == cold[claim_id], claim_id

@@ -637,14 +637,21 @@ def test_em_loop_structure_map_not_unique(monkeypatch):
 )
 def test_em_loop_errors_of_mu_surface_alike(monkeypatch, closures, error):
     # μ is built on the first table that passes the unit law, once: an error
-    # it raises leaves both loops at the same point
+    # it raises leaves both loops at the same point.  μ is cached per
+    # (P, system), so its cache is cleared around the closure patch: μ is
+    # built under the patch, and nothing built under it outlives the test
+    cached_mu = md.mu
+    cached_mu.cache_clear()
     if error is SupMissingError:
         def raising(Q, system):
             raise SupMissingError("patched")
 
         monkeypatch.setattr(md, "mu", raising)
     _patch_closure(monkeypatch, CHAIN2, closures)
-    got = _thm_em_both_ways(CHAIN2, DIRECTED)
+    try:
+        got = _thm_em_both_ways(CHAIN2, DIRECTED)
+    finally:
+        cached_mu.cache_clear()
     assert got[0] == error.__name__
 
 
