@@ -9,6 +9,7 @@ size <= INNER_SIZE.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -611,11 +612,110 @@ def get_claim(claim_id):
 # -- harness --------------------------------------------------------------
 
 
-def _worker(task):
-    claim_id, system_name, labels, rows = task
-    P = ps.FinitePoset(labels, rows, _trusted=True)
-    res = _guarded(get_claim(claim_id).evaluate, P, get_system(system_name))
-    return res.status.value, res.witness
+def _worker(claim_id, tasks):
+    """Evaluate one claim on a worker's cells, in order.
+
+    A task is (system, n, mode, index, up): the worker takes the poset from
+    its own population by index, so each instance stays one object in one
+    worker and its cached tables serve every later claim.  ``up`` guards
+    that the worker's population is the caller's.
+    """
+    evaluate = get_claim(claim_id).evaluate
+    out = []
+    for system_name, n, mode, index, up in tasks:
+        P = ps.population(n, mode)[index]
+        if P.up != up:
+            raise RuntimeError(f"worker's {mode} n={n} population differs at {index}")
+        res = _guarded(evaluate, P, get_system(system_name))
+        out.append((res.status.value, res.witness))
+    return out
+
+
+def _serve(conn):
+    """A worker's loop: run each (fn, args) received and send back
+    (True, result) or (False, exception), until the pipe closes."""
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, fn(*args)
+        except Exception as e:
+            reply = False, e
+        conn.send(reply)
+
+
+class _Worker:
+    """One pool worker: a process serving calls over a pipe.
+
+    It starts by the platform's default method, as ``multiprocessing.Pool``
+    did here before.  Where that is fork (Linux), a worker inherits the
+    populations and tables the caller has built, and a calling script needs
+    no ``__main__`` guard; the pool starts no threads of its own.
+    """
+
+    def __init__(self):
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+        self.process.start()
+        child.close()
+
+    def send(self, fn, *args):
+        self.conn.send((fn, args))
+
+    def result(self):
+        ok, value = self.conn.recv()
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+
+
+_workers = []  # the pool: live for the whole process, one size at a time
+
+
+def _worker_set(count):
+    """The pool with ``count`` workers; a pool of another size is closed first."""
+    if len(_workers) != count:
+        close_workers()
+        while len(_workers) < count:
+            _workers.append(_Worker())  # kept at once, so a failed start can close them
+    return _workers
+
+
+def close_workers():
+    """End the pool's workers; the next pooled call starts a fresh pool."""
+    while _workers:
+        _workers.pop().close()
+
+
+atexit.register(close_workers)
+
+
+def _run_pooled(claim_id, mode, cells, count):
+    """Each cell's result, computed by worker ``index % count``: one batch per
+    worker, and the same worker for an instance on every call.  An exception
+    in a worker reaches the caller and the pool is thrown away."""
+    batches = [[] for _ in range(count)]
+    for _, name, n, index, P in cells:
+        batches[index % count].append((name, n, mode, index, P.up))
+    try:
+        workers = _worker_set(count)
+        for w, batch in zip(workers, batches):
+            w.send(_worker, claim_id, batch)
+        outcomes = [iter(w.result()) for w in workers]
+    except BaseException:
+        close_workers()
+        raise
+    return [
+        CheckResult(Status(status), witness)
+        for status, witness in (next(outcomes[index % count]) for _, _, _, index, _ in cells)
+    ]
 
 
 def run_claim(
@@ -648,23 +748,19 @@ def run_claim(
     cells = []
     for name in system_names:
         for n in range(min_size, max_size + 1):
-            posets = list(ps.enumerate_posets(n, mode))
             report = ClaimReport(
                 claim_id, f"{name} n={n}", witness_cap=witness_cap
             )
             reports.append(report)
-            for P in posets:
-                cells.append((report, name, P))
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
-    if workers > 1:
-        tasks = [(claim_id, name, P.labels, P.up) for _, name, P in cells]
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
-        results = [CheckResult(Status(status), witness) for status, witness in outcomes]
+            for index, P in enumerate(ps.enumerate_posets(n, mode)):
+                cells.append((report, name, n, index, P))
+    count = min(jobs, os.cpu_count() or 1, len(cells))
+    if count > 1:
+        results = _run_pooled(claim_id, mode, cells, count)
     else:
         # in process, each instance is evaluated on the poset enumerated here
-        results = [_guarded(claim.evaluate, P, get_system(name)) for _, name, P in cells]
-    for (report, _, P), res in zip(cells, results):
+        results = [_guarded(claim.evaluate, P, get_system(name)) for _, name, _, _, P in cells]
+    for (report, *_, P), res in zip(cells, results):
         report.record(res, P)
     return reports
 

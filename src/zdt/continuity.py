@@ -140,11 +140,22 @@ def is_s_z_continuous(P, system):
 
 
 def quasicontinuity_witness(P, system, cap=ps.FINP_CAP):
+    """The first p whose ω-family {↑F : F ≪_Z p} is not a member of
+    Z(Fin P), or does not meet in ↑p; None when there is none.
+
+    F ≪_Z p depends on F only through ↑F, and every nonempty up-set U is
+    ↑U.  So the families are built in one pass over the points of Fin P:
+    each U joins the family of every p outside ``_wb`` of U.
+    """
     fp = ps.fin_poset(P, cap=cap)
-    for p in range(P.n):
-        fam = 0
-        for f in omega_z(P, system, p):
-            fam |= 1 << fp.index[ps.up_set(P, f)]
+    families = [0] * P.n
+    for i, u in enumerate(fp.sets):
+        above = P.full & ~_wb(P, system, u)
+        while above:
+            low = above & -above
+            above ^= low
+            families[low.bit_length() - 1] |= 1 << i
+    for p, fam in enumerate(families):
         if not system.contains(fp.poset, fam):
             return {"element": P.labels[p], "reason": "ω-family not a member of Z(Fin P)"}
         inter = P.full

@@ -554,7 +554,13 @@ def enumerate_posets(n, mode="up_to_iso", cap=ENUM_CAP):
         raise SizeCapError("enumerate_posets", n, cap)
     if mode not in ("labeled", "up_to_iso"):
         raise ValueError(f"unknown mode {mode!r}")
-    yield from _labeled_orders(n) if mode == "labeled" else _iso_representatives(n)
+    yield from population(n, mode)
+
+
+def population(n, mode="up_to_iso"):
+    """The tuple of posets ``enumerate_posets(n, mode)`` yields, built once
+    per process; a pool worker finds its instances in it by index."""
+    return _labeled_orders(n) if mode == "labeled" else _iso_representatives(n)
 
 
 def _population(n, rows_list):
@@ -575,7 +581,7 @@ def _iso_representatives(n):
 def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):
     if not 1 <= n <= cap:
         raise SizeCapError("count_posets", n, cap)
-    return len(_labeled_orders(n) if mode == "labeled" else _iso_representatives(n))
+    return len(population(n, mode))
 
 
 def monotone_tables(P, Q, cap=ENUM_CAP + 2):

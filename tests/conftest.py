@@ -1,6 +1,14 @@
 import pytest
 
-from zdt import fixtures as fx
+from zdt import claims, fixtures as fx
+
+
+@pytest.fixture(autouse=True)
+def _end_pool_workers():
+    # pool workers outlive a run_claim call; ending them after each test
+    # keeps workers forked under one test's monkeypatches out of the next
+    yield
+    claims.close_workers()
 
 
 @pytest.fixture

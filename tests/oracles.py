@@ -138,15 +138,17 @@ def is_connected(P, S):
     return seen == set(S)
 
 
+MEMBER_PREDICATES = {
+    "singletons": lambda P, S: len(S) == 1,
+    "chains": lambda P, S: is_chain(P, S),
+    "directed": is_directed,
+    "finite": lambda P, S: True,
+    "connected": is_connected,
+}
+
+
 def members(P, name):
-    preds = {
-        "singletons": lambda P, S: len(S) == 1,
-        "chains": lambda P, S: is_chain(P, S),
-        "directed": is_directed,
-        "finite": lambda P, S: True,
-        "connected": is_connected,
-    }
-    pred = preds[name]
+    pred = MEMBER_PREDICATES[name]
     return [S for S in subsets(P, nonempty=True) if pred(P, S)]
 
 
@@ -178,6 +180,38 @@ def way_below(P, name):
         for B in ups
         if all(not (c & ups[B]) or (S & ups[A]) for S, c in mem)
     )
+
+
+class _ReverseInclusion:
+    """Sets ordered by reverse inclusion, as Fin P orders its up-sets."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def leq(self, i, j):
+        return self.sets[j] <= self.sets[i]
+
+
+def quasicontinuity_failure(P, name):
+    """The first p whose family {↑F : F finite, nonempty, F ≪_Z p} is not a
+    member of Z(Fin P), as (p, None), or does not meet in ↑p, as (p, the
+    intersection); None when there is none.
+
+    Each system's membership reads only the order among a set's own points,
+    so the family is tested as the subposet of Fin P it spans.
+    """
+    pairs = way_below(P, name)
+    finite = list(subsets(P, nonempty=True))
+    for p in elements(P):
+        family = list({up(P, F) for F in finite if (F, frozenset({p})) in pairs})
+        if not family or not MEMBER_PREDICATES[name](
+            _ReverseInclusion(family), range(len(family))
+        ):
+            return p, None
+        inter = frozenset(elements(P)).intersection(*family)
+        if inter != up(P, {p}):
+            return p, inter
+    return None
 
 
 def beneath(P, name, x, y):

@@ -1,8 +1,11 @@
 """Registry behavior, harness determinism, and the recorded findings."""
 
+import multiprocessing
+
 import pytest
 
 import oracles
+from test_instance_tables import INSTANCE_CACHES, clear_zdt_caches, zdt_caches
 from zdt import claims as cl, continuity as ct, poset as ps, topology as tp
 from zdt import fixtures as fx
 from zdt.errors import UnknownClaimError
@@ -98,29 +101,128 @@ def test_in_process_run_evaluates_the_enumerated_posets(monkeypatch):
     [(100_000, 2, 2), (100_000, 64, 8), (2, 2, 2), (2, 1, None), (4, None, None)],
 )
 def test_run_claim_clamps_workers(monkeypatch, jobs, cpus, workers):
-    # the pool is replaced by one that records its size and maps in-process,
-    # so no worker process starts; 8 tasks cap the pool at 8
-    sizes = []
+    # each worker is replaced by one that runs its batch in-process, so no
+    # process starts; 8 tasks cap the pool at 8
+    started = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class InProcessWorker:
+        def __init__(self):
+            started.append(self)
 
-        def __enter__(self):
-            return self
+        def send(self, fn, *args):
+            self.value = fn(*args)
 
-        def __exit__(self, *exc):
-            return False
+        def result(self):
+            return self.value
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
+        def close(self):
+            pass
 
-    monkeypatch.setattr(cl.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(cl, "_Worker", InProcessWorker)
     monkeypatch.setattr(cl.os, "cpu_count", lambda: cpus)
     run = lambda j: cl.format_reports(cl.run_claim("lemma-wmc", 3, systems=("finite",), jobs=j))
     pooled = run(jobs)
-    assert sizes == ([] if workers is None else [workers])
+    assert len(started) == (workers or 0)
+    assert cl._workers == started
     assert pooled == run(1)
+
+
+# claims over labeled n <= 3 and up to iso n <= 4; thm-local-wmc has failures
+SEQUENCE = (
+    ("thm-local-wmc", 4, "up_to_iso"),
+    ("lemma-uu-eq", 3, "labeled"),
+    ("prop-beneath", 4, "up_to_iso"),
+    ("thm-s4-equiv", 3, "labeled"),
+    ("thm-local-wmc", 3, "labeled"),
+)
+
+
+def _sequence_reports(jobs):
+    return [
+        cl.format_reports(cl.run_claim(claim_id, size, mode=mode, jobs=jobs))
+        for claim_id, size, mode in SEQUENCE
+    ]
+
+
+def _worker_pids():
+    return [w.process.pid for w in cl._workers]
+
+
+def _live_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_pooled_sequence_matches_in_process(monkeypatch):
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
+    pooled = _sequence_reports(2)
+    assert len(cl._workers) == 2
+    assert any("WITNESS" in text for text in pooled)
+    assert pooled == _sequence_reports(1)
+
+
+def test_workers_live_for_the_process(monkeypatch):
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 4)
+    run = lambda jobs: cl.run_claim("lemma-wmc", 3, mode="labeled", jobs=jobs)
+    run(2)
+    first = _worker_pids()
+    assert len(first) == 2 and set(first) <= _live_pids()
+    run(2)
+    run(1)  # in process: the pool is left as it is
+    assert _worker_pids() == first
+    run(3)
+    second = _worker_pids()
+    assert len(second) == 3 and set(second) <= _live_pids()
+    assert not set(first) & _live_pids()
+    cl.close_workers()
+    assert cl._workers == [] and not set(second) & _live_pids()
+
+
+def _instance_cache_misses():
+    return {
+        name: cache.cache_info().misses
+        for name, cache in zdt_caches().items()
+        if name in INSTANCE_CACHES
+    }
+
+
+def _misses_per_worker():
+    misses = []
+    for w in cl._workers:
+        w.send(_instance_cache_misses)
+        misses.append(w.result())
+    return misses
+
+
+def test_workers_keep_their_instance_tables(monkeypatch):
+    # thm-s4-equiv builds the tables that prop-up-cont reads on the same
+    # instances, so the second claim finds every one of them in its worker;
+    # its cells sit at other positions, but each instance keeps its worker;
+    # the workers fork from cleared caches, so they inherit no tables
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
+    clear_zdt_caches()
+    cl.run_claim("thm-s4-equiv", 4, mode="labeled", jobs=2)
+    before = _misses_per_worker()
+    assert all(m["topology.is_lower_hereditary"] > 100 for m in before)
+    cl.run_claim(
+        "prop-up-cont", 4, mode="labeled", systems=("finite", "chains"), min_size=2, jobs=2
+    )
+    assert _misses_per_worker() == before
+
+
+def test_population_mismatch_raises_and_renews_the_pool(monkeypatch):
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
+    run = lambda: cl.format_reports(cl.run_claim("lemma-wmc", 3, mode="labeled", jobs=2))
+    expected = run()
+    first = _worker_pids()
+    population = ps.population
+    with monkeypatch.context() as patch:
+        # the caller's populations, not the workers', are read backwards
+        patch.setattr(ps, "population", lambda n, mode="up_to_iso": population(n, mode)[::-1])
+        with pytest.raises(RuntimeError, match="population differs"):
+            run()
+    assert cl._workers == [] and not set(first) & _live_pids()
+    assert run() == expected
+    assert len(cl._workers) == 2 and not set(_worker_pids()) & set(first)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -131,6 +131,51 @@ def test_quasicontinuity(chain3, anti2):
         assert ct.is_s_z_quasicontinuous(P, DIRECTED)
 
 
+def quasicontinuity_named(P, failure):
+    """The witness dict of an oracle's quasicontinuity failure."""
+    if failure is None:
+        return None
+    p, inter = failure
+    if inter is None:
+        return {"element": P.labels[p], "reason": "ω-family not a member of Z(Fin P)"}
+    return {
+        "element": P.labels[p],
+        "family_intersection": P.names(oracles.to_mask(inter)),
+        "expected": P.names(oracles.to_mask(oracles.up(P, {p}))),
+    }
+
+
+def test_quasicontinuity_against_oracle():
+    # the one-pass families against the way-below quantifier per element,
+    # witness for witness, over every labeled poset with n <= 4
+    kinds = set()
+    for n in range(1, 5):
+        for P in ps.enumerate_posets(n, "labeled"):
+            for name, system in SYSTEMS.items():
+                expected = quasicontinuity_named(P, oracles.quasicontinuity_failure(P, name))
+                assert ct.quasicontinuity_witness(P, system) == expected, (P, name)
+                kinds.add(None if expected is None else tuple(expected))
+    # no poset here reaches the intersection branch; the next test does
+    assert kinds == {None, ("element", "reason")}
+
+
+def test_quasicontinuity_intersection_branch(monkeypatch):
+    # with every F way below every point, each family is all of Fin P, which
+    # meets in ↑p only when p is the least point
+    monkeypatch.setattr(ct, "_wb", lambda P, system, up_a: 0)
+    everything = lambda P, name: {
+        (A, B) for A in oracles.subsets(P) for B in oracles.subsets(P)
+    }
+    monkeypatch.setattr(oracles, "way_below", everything)
+    kinds = set()
+    for P in small_posets(3):
+        for name, system in SYSTEMS.items():
+            expected = quasicontinuity_named(P, oracles.quasicontinuity_failure(P, name))
+            assert ct.quasicontinuity_witness(P, system) == expected, (P, name)
+            kinds.add(None if expected is None else tuple(expected))
+    assert ("element", "family_intersection", "expected") in kinds
+
+
 def test_weakly_meet_examples(fan3, vee):
     assert not ct.is_weakly_meet(fan3, FINITE)
     w = ct.weakly_meet_witness(fan3, FINITE)
