@@ -731,14 +731,17 @@ def run_claim(
 
     Returns one ClaimReport per (system, size), deterministically; ``jobs``
     only parallelizes, it never reorders.  ``max_size`` defaults to the
-    claim's own tested depth.  ``systems`` defaults to the claim's scope;
-    given, exactly those systems run, in that order, in scope or not.
+    claim's own tested depth; above ``poset.ENUM_CAP`` it raises
+    ``SizeCapError`` before any work.  ``systems`` defaults to the claim's
+    scope; given, exactly those systems run, in that order, in scope or not.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     claim = get_claim(claim_id)
     if max_size is None:
         max_size = claim.max_size
+    if max_size > ps.ENUM_CAP:
+        raise SizeCapError("run_claim", max_size, ps.ENUM_CAP)
     if max_size < min_size:
         raise ValueError(f"max_size {max_size} is below min_size {min_size}")
     system_names = claim.systems if systems is None else tuple(systems)

@@ -575,7 +575,9 @@ def _labeled_orders(n):
 
 @lru_cache(maxsize=8)
 def _iso_representatives(n):
-    return _population(n, kernels.iso_class_keys(n))
+    # grown from the classes one point smaller, which this cache holds too
+    smaller = [P.up for P in _iso_representatives(n - 1)] if n > 1 else [()]
+    return _population(n, kernels.grow_classes(n - 1, smaller))
 
 
 def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):

@@ -7,7 +7,7 @@ exceptions are ``lower_hereditary_witness``, ``monad_naturality_failure`` and
 the slow paths at the end of the module, which say why in their docstrings.
 """
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 
 def elements(P):
@@ -367,6 +367,31 @@ def labeled_orders(n):
         if _is_transitive(n, rel):
             out.add(_rows(n, rel))
     return out
+
+
+def relabel(rows, perm):
+    """The order matrix with element ``i`` renamed ``perm[i]``."""
+    n = len(rows)
+    new = [0] * n
+    for i, row in enumerate(rows):
+        new[perm[i]] = sum(1 << perm[j] for j in range(n) if (row >> j) & 1)
+    return tuple(new)
+
+
+def canonical_key(n, rows):
+    """The least relabeled order matrix, as a minimum over all n! relabelings."""
+    ups = [[j for j in range(n) if (row >> j) & 1] for row in rows]
+    best = None
+    for perm in permutations(range(n)):
+        new = [0] * n
+        for i, js in enumerate(ups):
+            acc = 0
+            for j in js:
+                acc |= 1 << perm[j]
+            new[perm[i]] = acc
+        if best is None or new < best:
+            best = new
+    return tuple(best)
 
 
 def _rows(n, rel):

@@ -8,7 +8,7 @@ import oracles
 from test_instance_tables import INSTANCE_CACHES, clear_zdt_caches, zdt_caches
 from zdt import claims as cl, continuity as ct, poset as ps, topology as tp
 from zdt import fixtures as fx
-from zdt.errors import UnknownClaimError
+from zdt.errors import SizeCapError, UnknownClaimError
 from zdt.reports import CheckResult, Status
 from zdt.systems import FINITE, SYSTEMS
 
@@ -274,6 +274,19 @@ def test_run_claim_rejects_unknown_system_before_enumerating(monkeypatch):
 def test_run_claim_rejects_max_size_below_min_size(max_size, min_size):
     with pytest.raises(ValueError, match="max_size"):
         cl.run_claim("lemma-wmc", max_size, min_size=min_size)
+
+
+@pytest.mark.parametrize("max_size", [ps.ENUM_CAP + 1, 9])
+def test_run_claim_rejects_max_size_above_cap_before_enumerating(monkeypatch, max_size):
+    # the error names the size asked for, not the first size over the cap
+    def enumerate_posets(*args, **kwargs):
+        raise AssertionError("enumerated posets for an invalid request")
+
+    monkeypatch.setattr(cl.ps, "enumerate_posets", enumerate_posets)
+    with pytest.raises(SizeCapError) as exc:
+        cl.run_claim("lemma-wmc", max_size)
+    error = exc.value
+    assert (error.what, error.size, error.cap) == ("run_claim", max_size, ps.ENUM_CAP)
 
 
 # -- recorded findings ----------------------------------------------------

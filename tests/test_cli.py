@@ -2,7 +2,7 @@
 
 import pytest
 
-from zdt import cli
+from zdt import cli, poset as ps
 
 VEE = """\
 poset vee
@@ -221,6 +221,13 @@ def test_search_rejects_bad_max_size_at_parse_time(size, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "--max-size" in captured.err
+    assert captured.out == ""
+
+
+def test_search_rejects_max_size_above_cap_with_the_size_asked_for(capsys):
+    assert cli.main(["search", "--claim", "lemma-wmc", "--max-size", "9"]) == 2
+    captured = capsys.readouterr()
+    assert f"size 9 exceeds cap {ps.ENUM_CAP}" in captured.err
     assert captured.out == ""
 
 

@@ -53,25 +53,55 @@ def test_iso_representatives_match_canonicalized_relation_filter(n):
     assert [P.up for P in ps._iso_representatives(n)] == sorted(keys)
 
 
+def random_orders(rng, n, count):
+    """``count`` seeded labeled orders on n points: the transitive closure of
+    a random acyclic relation on shuffled points, sparse to dense."""
+    out = []
+    for i in range(count):
+        density = (i % 5 + 1) / 6
+        place = list(range(n))
+        rng.shuffle(place)
+        rel = [[a == b or (place[a] < place[b] and rng.random() < density)
+                for b in range(n)] for a in range(n)]
+        for k in range(n):
+            for a in range(n):
+                if rel[a][k]:
+                    rel[a] = [x or y for x, y in zip(rel[a], rel[k])]
+        out.append(tuple(oracles.to_mask(b for b in range(n) if rel[a][b])
+                         for a in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("n", UP_TO_SIZE_5)
+def test_canonical_key_matches_minimum_over_all_relabelings(n):
+    for rows in oracles.labeled_orders(n):
+        assert kernels.canonical_key(n, rows) == oracles.canonical_key(n, rows)
+
+
+def test_canonical_key_matches_minimum_over_all_relabelings_on_a_sample_n6():
+    rng = random.Random(6)
+    orders = random_orders(rng, 6, 300)
+    assert len({kernels.canonical_key(6, rows) for rows in orders}) > 100
+    for rows in orders:
+        assert kernels.canonical_key(6, rows) == oracles.canonical_key(6, rows)
+
+
 def test_canonical_is_permutation_invariant():
     rng = random.Random(5)
-    orders = kernels.enumerate_labeled_orders(4)
-    for up in rng.sample(orders, 60):
-        n = 4
-        perm = list(range(n))
-        rng.shuffle(perm)
-        relabeled = [0] * n
-        for i in range(n):
-            acc = 0
-            r = up[i]
-            while r:
-                l = r & -r
-                r ^= l
-                acc |= 1 << perm[l.bit_length() - 1]
-            relabeled[perm[i]] = acc
-        assert kernels.canonical_key(n, up) == kernels.canonical_key(
-            n, tuple(relabeled)
-        )
+    samples = [(4, rng.sample(kernels.enumerate_labeled_orders(4), 60))]
+    samples += [(n, random_orders(rng, n, 60)) for n in (5, 6)]
+    for n, orders in samples:
+        for up in orders:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert kernels.canonical_key(n, up) == kernels.canonical_key(
+                n, oracles.relabel(up, perm)
+            )
+
+
+def test_iso_class_count_n7():
+    # OEIS A000112; grown one point at a time past ENUM_CAP
+    assert len(kernels.iso_class_keys(7)) == 2045
 
 
 def test_directed_members_match_pairwise_definition():
