@@ -89,7 +89,7 @@ def _eval_lemma_sigma_cont(P, system):
     closures = list(enumerate(tp.closure_table(P, system)))
     for Q in _inner_posets():
         continuous = tp.sigma_z_continuity(P, Q, system)
-        cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
+        cuts_q = ps.cut_table(Q)
         closures_q = tp.closure_table(Q, system)
         for f in ps.monotone_tables(P, Q):
             c1 = continuous(f)

@@ -6,6 +6,8 @@ adjoint) and g : S -> T (upper adjoint) with d(a) <= y iff a <= g(y).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from zdt import poset as ps, topology as tp
 from zdt.continuity import is_delta_z_continuous, preserves_beneath
 from zdt.reports import CheckResult
@@ -60,21 +62,29 @@ def upper_adjoint_of(d):
 
 
 def enumerate_galois_connections(T, S):
-    """All connections (d, g) between the two posets, by d's table order."""
+    """All connections (d, g) between the two posets, by d's table order.
+
+    None depends on a subset system, so they are found once per (T, S)."""
+    yield from _connections(T, S)
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def _connections(T, S):
+    out = []
     for d in ps.enumerate_monotone_maps(T, S):
         g = upper_adjoint_of(d)
         if g is not None:
-            yield GaloisConnection(d, g)
+            out.append(GaloisConnection(d, g))
+    return tuple(out)
 
 
 def lower_preserves_cuts(gc):
-    """d(A^δ) ⊆ d(A)^δ for every subset A of T."""
-    d = gc.lower
-    T, S = gc.t, gc.s
-    for a in range(1 << T.n):
-        if d.image(ps.cut(T, a)) & ~ps.cut(S, d.image(a)):
-            return False
-    return True
+    """d(A^δ) ⊆ d(A)^δ for every subset A of T, on the cut tables of T and S."""
+    return tp.preserves_hulls(
+        tp.subset_images(gc.lower.table),
+        enumerate(ps.cut_table(gc.t)),
+        ps.cut_table(gc.s),
+    )
 
 
 def upper_image_closed(gc, system):

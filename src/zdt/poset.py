@@ -36,8 +36,9 @@ FINP_CAP = 12
 # The bound of every cache keyed by one (poset, system) instance or one poset.
 # A sweep walks each instance once per claim, so a cache holds a whole sweep
 # only if it holds every instance of it: the 19 non-lattice claims over the
-# labeled posets with n <= 4 reach at most 1,410 keys in one cache, and the
-# full registry at default depth up to iso 930.
+# labeled posets with n <= 4 reach at most 1,515 keys in one cache, and the
+# full registry at default depth up to iso 1,165; both maxima are those of
+# I_Z, which also holds the subposets and lattices the claims build.
 INSTANCE_CACHE_SIZE = 4096
 
 
@@ -412,6 +413,12 @@ def cut(P, mask):
         bound ^= lsb
         out &= down[lsb.bit_length() - 1]
     return out
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def cut_table(P):
+    """cut(P, A) for every subset A of P, by mask, computed once per poset."""
+    return tuple(cut(P, a) for a in range(1 << P.n))
 
 
 def relative_cut(P, e_mask, a_mask):

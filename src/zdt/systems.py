@@ -32,7 +32,8 @@ class SubsetSystem:
         return _members(self, P)
 
     def member_ideals(self, P):
-        """I_Z(P) = {↓S : S ∈ Z(P)} as an ascending tuple, without Z(P).
+        """I_Z(P) = {↓S : S ∈ Z(P)} as an ascending tuple, without Z(P),
+        computed once per (system, P).
 
         The checkers read a member S only through ↓S: S meets an up-set iff
         ↓S does, and S and ↓S have the same upper bounds, hence the same cut
@@ -45,16 +46,7 @@ class SubsetSystem:
           finite; for connected, ↓S is connected when S is, since every
           e ∈ ↓S lies below some point of S.
         """
-        sys_id = self.sys_id
-        if sys_id in (kernels.SYS_SINGLETONS, kernels.SYS_CHAINS, kernels.SYS_DIRECTED):
-            return tuple(sorted(set(P.down)))
-        if sys_id not in (kernels.SYS_FINITE, kernels.SYS_CONNECTED):
-            raise ValueError(f"no closed form of I_Z(P) for system id {sys_id}")
-        return tuple(
-            d
-            for d in kernels.order_ideals(P.n, P.up, P.down)
-            if kernels.z_contains(sys_id, P.n, P.up, P.down, d)
-        )
+        return _member_ideals(self, P)
 
     def __hash__(self):
         # every cache is keyed by a system; equal systems share a sys_id
@@ -67,6 +59,21 @@ class SubsetSystem:
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def _members(system, P):
     return tuple(kernels.z_member_masks(system.sys_id, P.n, P.up, P.down))
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def _member_ideals(system, P):
+    # an unknown system raises on every call: lru_cache keeps no exception
+    sys_id = system.sys_id
+    if sys_id in (kernels.SYS_SINGLETONS, kernels.SYS_CHAINS, kernels.SYS_DIRECTED):
+        return tuple(sorted(set(P.down)))
+    if sys_id not in (kernels.SYS_FINITE, kernels.SYS_CONNECTED):
+        raise ValueError(f"no closed form of I_Z(P) for system id {sys_id}")
+    return tuple(
+        d
+        for d in kernels.order_ideals(P.n, P.up, P.down)
+        if kernels.z_contains(sys_id, P.n, P.up, P.down, d)
+    )
 
 
 SINGLETONS = SubsetSystem("singletons", kernels.SYS_SINGLETONS)

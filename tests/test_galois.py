@@ -71,6 +71,46 @@ def test_adjoints_against_the_oracle():
     assert found[True] and found[False]
 
 
+def test_connections_against_the_oracle():
+    # every pair with n <= 3: the lower adjoints are the oracle's monotone
+    # tables that have an upper adjoint, in the same order, and a second
+    # call hands back the same connection objects
+    posets = small_posets(3)
+    for T in posets:
+        for S in posets:
+            found = list(gl.enumerate_galois_connections(T, S))
+            expected = [
+                table
+                for table in oracles.monotone_tables(T, S, {})
+                if oracles.has_upper_adjoint(T, S, table)
+            ]
+            assert [gc.lower.table for gc in found] == expected, (T, S)
+            assert all(gl.check_galois(gc) for gc in found)
+            again = list(gl.enumerate_galois_connections(T, S))
+            assert len(again) == len(found)
+            assert all(a is b for a, b in zip(found, again))
+
+
+def test_lower_cut_preservation_against_the_oracle():
+    # lower_preserves_cuts reads only d, so pairing each monotone d with a
+    # constant g, which is no upper adjoint, reaches maps that break cuts
+    posets = small_posets(3)
+    found = {True: 0, False: 0}
+    for T in posets:
+        for S in posets:
+            g = ps.MonotoneMap(S, T, (0,) * S.n)
+            for table in oracles.monotone_tables(T, S, {}):
+                expected = all(
+                    oracles.image(table, oracles.cut(T, a))
+                    <= oracles.cut(S, oracles.image(table, a))
+                    for a in oracles.subsets(T)
+                )
+                gc = gl.GaloisConnection(ps.MonotoneMap(T, S, table), g)
+                assert gl.lower_preserves_cuts(gc) == expected, (T, S, table)
+                found[expected] += 1
+    assert found[True] and found[False]
+
+
 def test_failing_pair_detected(chain3):
     up = ps.MonotoneMap(chain3, chain3, (1, 2, 2))
     down = ps.MonotoneMap(chain3, chain3, (0, 0, 2))

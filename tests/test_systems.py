@@ -39,8 +39,18 @@ def test_members_match_oracle():
 
 
 def test_member_ideals_need_a_builtin_system(vee):
-    with pytest.raises(ValueError, match="no closed form"):
-        zs.SubsetSystem("custom", 99).member_ideals(vee)
+    # I_Z(P) is cached, but a refusal is not: every call raises again
+    custom = zs.SubsetSystem("custom", 99)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no closed form"):
+            custom.member_ideals(vee)
+
+
+def test_member_ideals_are_computed_once(vee):
+    for system in zs.SYSTEMS.values():
+        ideals = system.member_ideals(vee)
+        assert isinstance(ideals, tuple)
+        assert system.member_ideals(fx.vee()) is ideals
 
 
 def test_system_hash_is_its_id():
