@@ -14,10 +14,11 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, product
 
 from zdt import continuity as ct, galois as gl, io as zio, monad as md
 from zdt import poset as ps, topology as tp
-from zdt.errors import SizeCapError, SupMissingError, UnknownClaimError
+from zdt.errors import LabelDependenceError, SizeCapError, SupMissingError, UnknownClaimError
 from zdt.reports import CheckResult, ClaimReport, Status
 from zdt.systems import SYSTEMS, first_member, get_system, is_zcpo
 
@@ -718,6 +719,42 @@ def _run_pooled(claim_id, mode, cells, count):
     ]
 
 
+def _record_labeled(report, claim, system_name, n, class_results):
+    """Count every labeled order on n points by the result of its class.
+
+    By orbit-stabilizer a class stands for n!/|Aut P| labeled orders, and
+    every claim is a statement up to isomorphism.  The witnesses are the
+    first ``witness_cap`` labeled orders, in enumeration order, whose class
+    fails; each is evaluated itself, so its witness names its own labels.
+    One that does not fail raises ``LabelDependenceError``: a count built on
+    a checker that reads labels would not be exact.
+    """
+    system = get_system(system_name)
+    labels = ps.default_labels(n)
+    rows, classes, sizes = ps.labeled_orbits(n)
+    failing = sum(size for res, size in zip(class_results, sizes) if res.status is Status.FAILS)
+    taken = [0] * len(sizes)
+    wanted = min(report.witness_cap, failing)
+    for up, c in zip(rows, classes):
+        if len(report.witnesses) == wanted:
+            break
+        if class_results[c].status is Status.FAILS:
+            # the poset of population(n, "labeled"), which is not built here
+            P = ps.FinitePoset(labels, up, _trusted=True)
+            res = _guarded(claim.evaluate, P, system)
+            if res.status is not Status.FAILS:
+                raise LabelDependenceError(
+                    f"{claim.id} on {system_name}: the labeled order {P!r} "
+                    f"{res.status.value}, but its class fails"
+                )
+            report.record(res, P)
+            taken[c] += 1
+    # a failing class has orders left only once the witnesses are full
+    for res, size, done in zip(class_results, sizes, taken):
+        if size > done:
+            report.record(res, count=size - done)
+
+
 def run_claim(
     claim_id,
     max_size=None,
@@ -734,9 +771,13 @@ def run_claim(
     claim's own tested depth; above ``poset.ENUM_CAP`` it raises
     ``SizeCapError`` before any work.  ``systems`` defaults to the claim's
     scope; given, exactly those systems run, in that order, in scope or not.
+    Either mode evaluates one poset per isomorphism class; ``"labeled"``
+    counts each class once per labeled order in it (see ``_record_labeled``).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if mode not in ("labeled", "up_to_iso"):
+        raise ValueError(f"unknown mode {mode!r}")
     claim = get_claim(claim_id)
     if max_size is None:
         max_size = claim.max_size
@@ -755,16 +796,22 @@ def run_claim(
                 claim_id, f"{name} n={n}", witness_cap=witness_cap
             )
             reports.append(report)
-            for index, P in enumerate(ps.enumerate_posets(n, mode)):
+            for index, P in enumerate(ps.enumerate_posets(n)):
                 cells.append((report, name, n, index, P))
     count = min(jobs, os.cpu_count() or 1, len(cells))
     if count > 1:
-        results = _run_pooled(claim_id, mode, cells, count)
+        results = _run_pooled(claim_id, "up_to_iso", cells, count)
     else:
         # in process, each instance is evaluated on the poset enumerated here
         results = [_guarded(claim.evaluate, P, get_system(name)) for _, name, _, _, P in cells]
-    for (report, *_, P), res in zip(cells, results):
-        report.record(res, P)
+    if mode == "up_to_iso":
+        for (report, *_, P), res in zip(cells, results):
+            report.record(res, P)
+        return reports
+    # the cells of a report are consecutive, one per class
+    results = iter(results)
+    for report, (name, n) in zip(reports, product(system_names, range(min_size, max_size + 1))):
+        _record_labeled(report, claim, name, n, list(islice(results, ps.count_posets(n))))
     return reports
 
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 every checked statement holds, 1 some check failed (witnesses
-printed), 2 usage or input errors.
+printed), 2 usage or input errors, or a checker that reads labels.
 """
 
 from __future__ import annotations
@@ -208,7 +208,13 @@ def build_parser():
     p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("--system", default=None, choices=sorted(zs.SYSTEMS))
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--labeled", action="store_true")
+    mode.add_argument(
+        "--labeled",
+        action="store_true",
+        help="count labeled posets: each isomorphism class is evaluated once and"
+        " counted n!/|Aut P| times; the witnesses are the first failing labeled"
+        " posets, each evaluated itself, and one that does not fail is an error",
+    )
     mode.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--emit-counterexamples", default=None, metavar="DIR")

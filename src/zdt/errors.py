@@ -57,3 +57,8 @@ class UnknownClaimError(ZdtError):
 
 class SupMissingError(ZdtError):
     """A required supremum does not exist in the target poset."""
+
+
+class LabelDependenceError(ZdtError):
+    """A labeled order's verdict differs from its isomorphism class's: the
+    checker reads labels where it should read the order relation."""

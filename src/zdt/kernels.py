@@ -142,13 +142,22 @@ def iso_class_keys(n):
 
 
 def enumerate_labeled_orders(n):
-    """All partial orders on n labeled points, as sorted tuples of row masks.
+    """All partial orders on n labeled points, as sorted tuples of row masks."""
+    return [rows for rows, _ in labeled_orbits(n)]
+
+
+def labeled_orbits(n):
+    """Each partial order on n labeled points with the index of its class in
+    ``iso_class_keys(n)``, as (rows, class) pairs sorted by rows.
 
     Each labeled order is a relabeling of exactly one class key, so the orbits
-    of the keys under all permutations cover every labeled order.
+    of the keys under all permutations cover every labeled order, and the key
+    it came from is its class.
     """
     perms = list(permutations(range(n)))
-    return sorted({_relabel(key, perm) for key in iso_class_keys(n) for perm in perms})
+    return sorted(
+        {_relabel(key, perm): c for c, key in enumerate(iso_class_keys(n)) for perm in perms}.items()
+    )
 
 
 def _down_rows(n, up):

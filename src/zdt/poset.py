@@ -35,10 +35,11 @@ FINP_CAP = 12
 
 # The bound of every cache keyed by one (poset, system) instance or one poset.
 # A sweep walks each instance once per claim, so a cache holds a whole sweep
-# only if it holds every instance of it: the 19 non-lattice claims over the
-# labeled posets with n <= 4 reach at most 1,515 keys in one cache, and the
-# full registry at default depth up to iso 1,165; both maxima are those of
-# I_Z, which also holds the subposets and lattices the claims build.
+# only if it holds every instance of it: the full registry at default depth
+# reaches at most 1,165 keys in one cache, and the 19 non-lattice claims over
+# the labeled posets with n <= 4 reach 243, or 1,515 when every labeled order
+# is evaluated itself, as the label-invariance tests do; each maximum is that
+# of I_Z, which also holds the subposets and lattices the claims build.
 INSTANCE_CACHE_SIZE = 4096
 
 
@@ -570,6 +571,23 @@ def population(n, mode="up_to_iso"):
     return _labeled_orders(n) if mode == "labeled" else _iso_representatives(n)
 
 
+@lru_cache(maxsize=8)
+def labeled_orbits(n):
+    """The labeled orders on n points by class, without building posets:
+    (rows, classes, sizes), where ``rows[i]`` is the order matrix of
+    ``population(n, "labeled")[i]``, ``classes[i]`` the index of its class in
+    ``population(n, "up_to_iso")``, and ``sizes[c]`` the number of labeled
+    orders in class c, n!/|Aut P| by orbit-stabilizer."""
+    # the class indices of kernels.labeled_orbits index iso_class_keys(n),
+    # the keys _iso_representatives(n) holds in the same order
+    pairs = kernels.labeled_orbits(n)
+    classes = tuple(c for _, c in pairs)
+    sizes = [0] * len(_iso_representatives(n))
+    for c in classes:
+        sizes[c] += 1
+    return tuple(rows for rows, _ in pairs), classes, tuple(sizes)
+
+
 def _population(n, rows_list):
     labels = default_labels(n)
     return tuple(FinitePoset(labels, rows, _trusted=True) for rows in rows_list)
@@ -577,7 +595,7 @@ def _population(n, rows_list):
 
 @lru_cache(maxsize=8)
 def _labeled_orders(n):
-    return _population(n, kernels.enumerate_labeled_orders(n))
+    return _population(n, labeled_orbits(n)[0])
 
 
 @lru_cache(maxsize=8)

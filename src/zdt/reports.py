@@ -56,15 +56,17 @@ class ClaimReport:
     witnesses: list = field(default_factory=list)
     witness_cap: int = WITNESS_CAP
 
-    def record(self, result, instance=None):
+    def record(self, result, instance=None, count=1):
+        """Count ``count`` instances with this result; a failure keeps one
+        witness while fewer than ``witness_cap`` are kept."""
         if result.status is Status.HOLDS:
-            self.holds += 1
+            self.holds += count
         elif result.status is Status.FAILS:
-            self.fails += 1
+            self.fails += count
             if len(self.witnesses) < self.witness_cap:
                 self.witnesses.append((instance, result.witness))
         else:
-            self.inapplicable += 1
+            self.inapplicable += count
 
     @property
     def total(self):

@@ -394,6 +394,11 @@ def canonical_key(n, rows):
     return tuple(best)
 
 
+def automorphism_count(n, rows):
+    """|Aut P|: the relabelings that leave the order matrix as it is."""
+    return sum(relabel(rows, perm) == tuple(rows) for perm in permutations(range(n)))
+
+
 def _rows(n, rel):
     return tuple(to_mask(j for j in range(n) if rel[i][j]) for i in range(n))
 
@@ -841,3 +846,26 @@ def em_morphisms(P, system, codomains):
                     cod=repr(Q), table=f.table, equation=eq, square=square
                 )
     return CheckResult.holds()
+
+
+def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
+    """``run_claim(mode="labeled")`` by evaluating every labeled order itself,
+    as the harness did before it counted classes by orbit weight.
+
+    It reuses the claim's evaluator and the package's populations, since the
+    question is whether a checker reads labels: the verdict of each labeled
+    order must equal the verdict of its class.
+    """
+    from zdt import claims as cl, poset as ps
+    from zdt.reports import ClaimReport
+    from zdt.systems import get_system
+
+    claim = cl.get_claim(claim_id)
+    reports = []
+    for name in claim.systems if systems is None else systems:
+        for n in range(1, max_size + 1):
+            report = ClaimReport(claim_id, f"{name} n={n}", witness_cap=witness_cap)
+            for P in ps.enumerate_posets(n, "labeled"):
+                report.record(cl._guarded(claim.evaluate, P, get_system(name)), P)
+            reports.append(report)
+    return reports

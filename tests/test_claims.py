@@ -200,12 +200,10 @@ def test_workers_keep_their_instance_tables(monkeypatch):
     # the workers fork from cleared caches, so they inherit no tables
     monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
     clear_zdt_caches()
-    cl.run_claim("thm-s4-equiv", 4, mode="labeled", jobs=2)
+    cl.run_claim("thm-s4-equiv", 5, jobs=2)
     before = _misses_per_worker()
     assert all(m["topology.is_lower_hereditary"] > 100 for m in before)
-    cl.run_claim(
-        "prop-up-cont", 4, mode="labeled", systems=("finite", "chains"), min_size=2, jobs=2
-    )
+    cl.run_claim("prop-up-cont", 5, systems=("finite", "chains"), min_size=2, jobs=2)
     assert _misses_per_worker() == before
 
 

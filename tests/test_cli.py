@@ -1,8 +1,11 @@
 """End-to-end CLI coverage: every subcommand plus the exit-code contract."""
 
+import dataclasses
+
 import pytest
 
-from zdt import cli, poset as ps
+from zdt import claims as cl, cli, poset as ps
+from zdt.reports import CheckResult
 
 VEE = """\
 poset vee
@@ -251,3 +254,18 @@ def test_export(vee_file, tmp_path, capsys):
     assert "style=dashed" in target.read_text()
     # overlay without a system is a usage error
     assert cli.main(["export", "--poset", vee_file, "--overlay", "beneath"]) == 2
+
+
+def test_search_labeled_reports_a_checker_that_reads_labels(monkeypatch, capsys):
+    def reads_labels(P, system):
+        return CheckResult.fails() if P.up[0] == 1 else CheckResult.holds()
+
+    monkeypatch.setattr(cl, "_CLAIMS", [
+        dataclasses.replace(c, evaluate=reads_labels) if c.id == "lemma-wmc" else c
+        for c in cl._CLAIMS
+    ])
+    assert cli.main(["search", "--claim", "lemma-wmc", "--max-size", "2",
+                     "--system", "finite", "--labeled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: lemma-wmc on finite: the labeled order" in captured.err
