@@ -12,6 +12,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -679,6 +680,13 @@ class _Worker:
 
 _workers = []  # the pool: live for the whole process, one size at a time
 
+# A pooled call pays a round trip to every worker, about 2 ms on a 2-core
+# x86 VM, and the first one also forks the workers, about 12 ms for two.
+# A call of a few ms is then slower and steadier in process, so run_claim
+# evaluates in process until a call has run this long and pools the rest.
+POOL_AFTER_S = 0.2
+_clock = time.monotonic
+
 
 def _worker_set(count):
     """The pool with ``count`` workers; a pool of another size is closed first."""
@@ -717,6 +725,21 @@ def _run_pooled(claim_id, mode, cells, count):
         CheckResult(Status(status), witness)
         for status, witness in (next(outcomes[index % count]) for _, _, _, index, _ in cells)
     ]
+
+
+def _evaluate_cells(claim, cells, jobs):
+    """Each cell's result: in process, and with ``jobs > 1`` in the pool
+    for the cells left once the call has run ``POOL_AFTER_S``.  In process,
+    each instance is evaluated on the poset enumerated by the caller."""
+    workers = min(jobs, os.cpu_count() or 1)
+    results = []
+    start = _clock()
+    for i, (_, name, _, _, P) in enumerate(cells):
+        count = min(workers, len(cells) - i)
+        if count > 1 and _clock() - start >= POOL_AFTER_S:
+            return results + _run_pooled(claim.id, "up_to_iso", cells[i:], count)
+        results.append(_guarded(claim.evaluate, P, get_system(name)))
+    return results
 
 
 def _record_labeled(report, claim, system_name, n, class_results):
@@ -767,7 +790,8 @@ def run_claim(
     """Evaluate one claim over all posets of the given sizes and systems.
 
     Returns one ClaimReport per (system, size), deterministically; ``jobs``
-    only parallelizes, it never reorders.  ``max_size`` defaults to the
+    only parallelizes, it never reorders, and only what is left of a call
+    after ``POOL_AFTER_S`` goes to the pool.  ``max_size`` defaults to the
     claim's own tested depth; above ``poset.ENUM_CAP`` it raises
     ``SizeCapError`` before any work.  ``systems`` defaults to the claim's
     scope; given, exactly those systems run, in that order, in scope or not.
@@ -798,12 +822,7 @@ def run_claim(
             reports.append(report)
             for index, P in enumerate(ps.enumerate_posets(n)):
                 cells.append((report, name, n, index, P))
-    count = min(jobs, os.cpu_count() or 1, len(cells))
-    if count > 1:
-        results = _run_pooled(claim_id, "up_to_iso", cells, count)
-    else:
-        # in process, each instance is evaluated on the poset enumerated here
-        results = [_guarded(claim.evaluate, P, get_system(name)) for _, name, _, _, P in cells]
+    results = _evaluate_cells(claim, cells, jobs)
     if mode == "up_to_iso":
         for (report, *_, P), res in zip(cells, results):
             report.record(res, P)

@@ -11,6 +11,13 @@ def _end_pool_workers():
     claims.close_workers()
 
 
+@pytest.fixture(autouse=True)
+def _pool_from_the_first_cell(monkeypatch):
+    # every cell of a jobs > 1 call goes to the pool, so that small inputs
+    # test the pool; tests/test_claims.py tests the in-process start
+    monkeypatch.setattr(claims, "POOL_AFTER_S", 0)
+
+
 @pytest.fixture
 def chain3():
     return fx.chain(3)

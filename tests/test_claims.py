@@ -1,5 +1,6 @@
 """Registry behavior, harness determinism, and the recorded findings."""
 
+import itertools
 import multiprocessing
 
 import pytest
@@ -175,6 +176,33 @@ def test_workers_live_for_the_process(monkeypatch):
     assert not set(first) & _live_pids()
     cl.close_workers()
     assert cl._workers == [] and not set(second) & _live_pids()
+
+
+def test_a_short_call_starts_no_pool(monkeypatch):
+    # the conftest pools from the first cell; here a call must run 60 s first
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl, "POOL_AFTER_S", 60)
+    run = lambda jobs: cl.format_reports(cl.run_claim("thm-local-wmc", 4, mode="labeled", jobs=jobs))
+    short = run(2)
+    assert cl._workers == []
+    assert "WITNESS" in short and short == run(1)
+
+
+def test_a_long_call_pools_the_cells_left(monkeypatch):
+    # each reading of the clock advances it by one: the cells evaluated
+    # before it reads POOL_AFTER_S = 5 are the first four, all in process
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl, "POOL_AFTER_S", 5)
+    monkeypatch.setattr(cl, "_clock", itertools.count().__next__)
+    in_process = []
+    guarded = cl._guarded
+    monkeypatch.setattr(cl, "_guarded", lambda f, *args: in_process.append(args) or guarded(f, *args))
+    run = lambda jobs: cl.format_reports(cl.run_claim("thm-local-wmc", 4, systems=("chains",), jobs=jobs))
+    pooled = run(2)
+    first_four = ps.population(1) + ps.population(2) + ps.population(3)[:1]
+    assert [P for P, _ in in_process] == list(first_four)
+    assert len(cl._workers) == 2
+    assert pooled == run(1)
 
 
 def _instance_cache_misses():
