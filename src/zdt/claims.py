@@ -93,7 +93,7 @@ def _eval_lemma_sigma_cont(P, system):
         continuous = tp.sigma_z_continuity(P, Q, system)
         cuts_q = ps.cut_table(Q)
         closures_q = tp.closure_table(Q, system)
-        for f in ps.monotone_tables(P, Q):
+        for f in ps.map_tables(P, Q):
             c1 = continuous(f)
             images = tp.subset_images(f)
             c2 = tp.preserves_hulls(images, member_cuts, cuts_q)
@@ -357,7 +357,7 @@ def _eval_prop_em_morph(P, system):
         continuous = tp.sigma_z_continuity(P, Q, system)
         delta = md.delta_tables(P, Q, system)
         sups_q = [ps.sup_of(Q, m) for m in range(1 << Q.n)]
-        for f in ps.monotone_tables(P, Q):
+        for f in ps.map_tables(P, Q):
             if not continuous(f):
                 continue
             eq = md._sup_failure(f, xi_p, compacts, sups_q) is None

@@ -120,7 +120,12 @@ def _member_ideals(P, system):
     return frozenset(system.member_ideals(P))
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def s_z_witness(P, system):
+    """The first element whose way-below set fails s_Z-continuity, or None.
+
+    Computed once per (P, system); every caller shares the dict it returns.
+    """
     w = weak_s_z_witness(P, system)
     if w is not None:
         return w

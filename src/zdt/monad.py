@@ -44,10 +44,11 @@ class GammaLattice:
 class DeltaObject:
     """The Z-compact members of Γ^Z(P), still ordered by inclusion.
 
-    ``points[i]`` lists the points of P in ``sets[i]``.
+    ``points[i]`` lists the points of P in ``sets[i]``; ``covers`` holds the
+    cover pairs of ``poset``.
     """
 
-    __slots__ = ("base", "system", "sets", "poset", "index", "points")
+    __slots__ = ("base", "system", "sets", "poset", "index", "points", "covers")
 
     def __init__(self, base, system, sets, poset):
         self.base = base
@@ -56,6 +57,7 @@ class DeltaObject:
         self.poset = poset
         self.index = {m: i for i, m in enumerate(sets)}
         self.points = tuple(tuple(ps.bits(m)) for m in sets)
+        self.covers = tuple(ps.covers(poset))
 
     def __repr__(self):
         return f"DeltaObject({self.base!r}, {self.system.name}, {len(self.sets)})"
@@ -136,29 +138,56 @@ def gamma_map(f, system):
     return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
 
 
+class _CompactIndex(dict):
+    """The index in δ(P) of cl A, by mask A, or None where cl A is not
+    compact; each entry is computed on its first lookup."""
+
+    __slots__ = ("closure", "index")
+
+    def __init__(self, closure, index):
+        super().__init__()
+        self.closure = closure
+        self.index = index
+
+    def __missing__(self, mask):
+        i = self[mask] = self.index.get(self.closure(mask))
+        return i
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def compact_index(P, system):
+    """cl A as an index of δ(P) for each subset A of P, looked up by mask,
+    None where cl A is not compact.  Built once per (P, system) and filled
+    as it is read: a δ(P) of up to ``claims.LATTICE_CAP`` points is a
+    codomain of δ too, and it has too many subsets to tabulate them all."""
+    return _CompactIndex(
+        tp.gamma_subbasis(P, system).closure, delta_object(P, system).index
+    )
+
+
 def delta_tables(dom, cod, system):
     """The endofunctor on function tables from ``dom`` to ``cod``: returns
     ``delta(values)``, the table A ↦ cl(f(A)) on the compacts and None, or
     None and a witness when some cl(f(A)) is not compact.  A table that
     breaks a cover pair raises the validating constructor's error."""
     DP, DQ = delta_object(dom, system), delta_object(cod, system)
-    family = tp.gamma_subbasis(cod, system)
-    covers = ps.covers(DP.poset)
-    closures = {}
+    compact = compact_index(cod, system)
+    sets, points, covers = DP.sets, DP.points, DP.covers
 
     def delta(values):
         table = []
-        for a, pts in zip(DP.sets, DP.points):
+        for pts in points:
             image = 0
             for p in pts:
                 image |= 1 << values[p]
-            closed = closures.get(image)
-            if closed is None:
-                closed = closures[image] = family.closure(image)
-            if closed not in DQ.index:
+            i = compact[image]
+            if i is None:
+                closed = tp.closure_subbasic(cod, system, image)
+                a = sets[len(table)]
                 return None, {"of": dom.names(a), "image_closure": cod.names(closed)}
-            table.append(DQ.index[closed])
-        _require_monotone(table, DP.poset, DQ.poset, covers)
+            table.append(i)
+        if not ps.monotone_on_covers(table, covers, DQ.poset):
+            ps.MonotoneMap(DP.poset, DQ.poset, table)  # raises NotMonotoneError
         return table, None
 
     return delta
@@ -489,7 +518,7 @@ def verify_monad_laws(P, system, naturality_size=3):
             continuous = tp.sigma_z_continuity(P, Q, system)
             delta = delta_tables(P, Q, system)
             delta_delta = delta_tables(D1.poset, delta_object(Q, system).poset, system)
-            for f in ps.monotone_tables(P, Q):
+            for f in ps.map_tables(P, Q):
                 if not continuous(f):
                     continue
                 df, bad = delta(f)
@@ -504,10 +533,3 @@ def verify_monad_laws(P, system, naturality_size=3):
                     return CheckResult.fails(law="multiplication naturality", map=f)
     return CheckResult.holds()
 
-
-def _require_monotone(table, dom, cod, cover_pairs):
-    """Raise the validating constructor's NotMonotoneError, which names the
-    first broken pair, unless ``table`` keeps every cover pair of ``dom`` in
-    order; by transitivity that makes it monotone."""
-    if not ps.monotone_on_covers(table, cover_pairs, cod):
-        ps.MonotoneMap(dom, cod, table)

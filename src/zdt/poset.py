@@ -640,6 +640,16 @@ def monotone_tables(P, Q, cap=ENUM_CAP + 2):
     yield from rec(0)
 
 
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def map_tables(P, Q):
+    """``monotone_tables(P, Q)`` as a tuple, built once per pair of posets.
+
+    For the codomains of at most three points that the map claims quantify
+    over (every system shares them); a large codomain, as in the P -> K(L)
+    walk of the adjunction, keeps the generator."""
+    return tuple(monotone_tables(P, Q))
+
+
 def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
     """All monotone maps P -> Q, in lexicographic table order."""
     for table in monotone_tables(P, Q, cap):

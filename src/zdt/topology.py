@@ -19,13 +19,21 @@ from zdt.reports import CheckResult
 class TopologyFamily:
     """A family of closed subsets of one poset, in ascending mask order."""
 
-    __slots__ = ("base", "kind", "closed", "_members")
+    __slots__ = ("base", "kind", "closed", "_members", "_points")
 
     def __init__(self, base, kind, closed):
         self.base = base
         self.kind = kind
         self.closed = tuple(closed)
         self._members = frozenset(self.closed)
+        self._points = None
+
+    @property
+    def points(self):
+        """``points[i]`` lists the points of ``closed[i]``; built on first use."""
+        if self._points is None:
+            self._points = tuple(tuple(ps.bits(c)) for c in self.closed)
+        return self._points
 
     @property
     def opens(self):
@@ -142,17 +150,18 @@ FAMILY_KINDS = {
 # -- maps ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def closure_table(P, system):
     """cl A for every subset A of P, by mask."""
     gamma = gamma_subbasis(P, system)
-    return [gamma.closure(a) for a in range(1 << P.n)]
+    return tuple(gamma.closure(a) for a in range(1 << P.n))
 
 
 def sigma_z_continuity(dom, cod, system):
     """σ^Z-continuity of function tables from ``dom`` to ``cod``: each closed
     set of ``cod`` pulls back, as the union of its points' fibres, closed."""
     is_closed = gamma_subbasis(dom, system).is_closed
-    closed_points = [tuple(ps.bits(a)) for a in gamma_subbasis(cod, system).closed]
+    closed_points = gamma_subbasis(cod, system).points
 
     def continuous(table):
         fibres = [0] * cod.n

@@ -1,6 +1,6 @@
 import pytest
 
-from zdt import claims, fixtures as fx
+from zdt import claims, fixtures as fx, monad, topology
 
 
 @pytest.fixture(autouse=True)
@@ -16,6 +16,35 @@ def _pool_from_the_first_cell(monkeypatch):
     # every cell of a jobs > 1 call goes to the pool, so that small inputs
     # test the pool; tests/test_claims.py tests the in-process start
     monkeypatch.setattr(claims, "POOL_AFTER_S", 0)
+
+
+@pytest.fixture
+def patch_closure(monkeypatch):
+    """``patch(base, closures)`` makes ``TopologyFamily.closure`` return
+    ``closures[mask]`` on the family of ``base`` for each mask it holds.
+
+    The closure and compact-index tables are cached per (poset, system), so
+    they are cleared before the patch, which then reaches every table built
+    under it, and again after the test, so that none of those outlives it.
+    """
+
+    def clear():
+        topology.closure_table.cache_clear()
+        monad.compact_index.cache_clear()
+
+    def patch(base, closures):
+        real = topology.TopologyFamily.closure
+
+        def patched(family, mask):
+            if family.base == base and mask in closures:
+                return closures[mask]
+            return real(family, mask)
+
+        monkeypatch.setattr(topology.TopologyFamily, "closure", patched)
+
+    clear()
+    yield patch
+    clear()
 
 
 @pytest.fixture

@@ -639,6 +639,26 @@ def lower_hereditary_witness(P, system):
     return None
 
 
+def delta_map(f, system):
+    """δf, A ↦ cl f(A) on the compacts of f's domain, with one
+    ``TopologyFamily.closure`` per compact set and the validating
+    ``MonotoneMap`` constructor; or None and the first compact A whose
+    cl f(A) is not compact.  It shares no table with ``monad.delta_tables``,
+    which it is the slow path of."""
+    from zdt import monad as md, poset as ps, topology as tp
+
+    DP = md.delta_object(f.dom, system)
+    DQ = md.delta_object(f.cod, system)
+    family = tp.gamma_subbasis(f.cod, system)
+    table = []
+    for a in DP.sets:
+        closed = family.closure(f.image(a))
+        if closed not in DQ.index:
+            return None, {"of": f.dom.names(a), "image_closure": f.cod.names(closed)}
+        table.append(DQ.index[closed])
+    return ps.MonotoneMap(DP.poset, DQ.poset, table), None
+
+
 def monad_naturality_failure(P, system, naturality_size):
     """The witness of the first failure of the monad's naturality at P, or
     None: the loop over maps that ``monad.verify_monad_laws`` ran before it
@@ -646,11 +666,11 @@ def monad_naturality_failure(P, system, naturality_size):
     ``naturality_size`` points.
 
     Unlike the rest of this module, it deliberately uses the package's own
-    objects (``eta``, ``mu``, ``delta_map`` and ``MonotoneMap.compose``, with
-    ``map_sigma_continuous`` below), so that a test can hold the table loop to
-    the object loop it replaced, patched functions and raised errors
-    included.  ``test_delta_map_against_closure_oracle`` checks ``delta_map``
-    itself against ``closure``.
+    objects (``eta``, ``mu`` and ``MonotoneMap.compose``, with ``delta_map``
+    and ``map_sigma_continuous`` of this module), so that a test can hold the
+    table loop to the object loop it replaced, patched functions and raised
+    errors included.  ``test_delta_map_against_closure_oracle`` checks
+    ``monad.delta_map`` itself against ``closure``.
     """
     from zdt import monad as md, poset as ps
 
@@ -663,12 +683,12 @@ def monad_naturality_failure(P, system, naturality_size):
             for f in ps.enumerate_monotone_maps(P, Q):
                 if not map_sigma_continuous(f, system):
                     continue
-                df, bad = md.delta_map(f, system)
+                df, bad = delta_map(f, system)
                 if df is None:
                     return {"law": "functoriality", **bad}
                 if df.compose(eta_p).table != eta_q.compose(f).table:
                     return {"law": "unit naturality", "map": f.table}
-                ddf, bad = md.delta_map(df, system)
+                ddf, bad = delta_map(df, system)
                 if ddf is None:
                     return {"law": "functoriality", **bad}
                 if df.compose(mu_p).table != mu_q.compose(ddf).table:
@@ -681,8 +701,9 @@ def monad_naturality_failure(P, system, naturality_size):
 # The loops that the package ran on validated ``MonotoneMap`` objects before
 # its map claims read function tables.  Like ``monad_naturality_failure``,
 # they use the package's own objects (``preimage``, ``image``, ``compose``,
-# ``eta``, ``mu``, ``delta_map``), so that a test can hold each table loop to
-# the loop it replaced, patched functions and raised errors included.
+# ``eta``, ``mu``) and this module's ``delta_map``, so that a test can hold
+# each table loop to the loop it replaced, patched functions and raised
+# errors included.
 
 
 def lower_adjoint_of(g):
@@ -776,7 +797,7 @@ def em_check(P, xi, system):
         if xi(et(p)) != p:
             return CheckResult.fails(law="unit", element=P.labels[p])
     mu_p = md.mu(P, system)
-    dxi, bad = md.delta_map(xi, system)
+    dxi, bad = delta_map(xi, system)
     if dxi is None:
         return CheckResult.fails(law="multiplication", reason="δ(ξ) ill-typed", **bad)
     if xi.compose(mu_p).table != xi.compose(dxi).table:
@@ -837,7 +858,7 @@ def em_morphisms(P, system, codomains):
                 f(ps.sup_of(P, a)) == ps.sup_of(Q, f.image(a))
                 for a in md.delta_object(P, system).sets
             )
-            df, bad = md.delta_map(f, system)
+            df, bad = delta_map(f, system)
             if df is None:
                 return CheckResult.fails(reason="functor ill-typed", **bad)
             square = f.compose(xi_p).table == xi_q.compose(df).table

@@ -524,17 +524,12 @@ def test_sigma_cont_lemma_continuity_branch(monkeypatch):
     }
 
 
-def test_sigma_cont_lemma_closure_branch(monkeypatch):
+def test_sigma_cont_lemma_closure_branch(patch_closure):
     # the top {a} of the 2-chain closes to the empty set: the constant map
     # from the 2-antichain onto a sends the closure of {a, b} outside it
     chain2 = _chain2()
     anti2 = next(Q for Q in ps.enumerate_posets(2) if Q.up == (1, 2))
-    real = tp.TopologyFamily.closure
-    monkeypatch.setattr(
-        tp.TopologyFamily,
-        "closure",
-        lambda fam, mask: 0 if fam.base == chain2 and mask == 1 else real(fam, mask),
-    )
+    patch_closure(chain2, {1: 0})
     assert _sigma_cont_both_ways(anti2, FINITE) == {
         "cod": repr(chain2), "table": (0, 0), "reason": "closure image escapes"
     }

@@ -8,16 +8,18 @@ import oracles
 import zdt
 from zdt import claims as cl, poset as ps
 
-# the caches keyed by one (poset, system) instance, one poset, or the two
-# posets of the Galois connections
+# the caches keyed by one (poset, system) instance, one poset, or a pair of
+# posets (the Galois connections and the monotone tables of the map claims)
 INSTANCE_CACHES = (
-    "poset.principal_downs", "poset.fin_poset", "poset.cut_table",
+    "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.map_tables",
     "systems._members", "systems._member_ideals",
     "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
-    "topology.is_lower_hereditary", "continuity._member_cut_pairs",
-    "continuity._dd_all", "continuity._member_ideals", "continuity._beneath_all",
+    "topology.closure_table", "topology.is_lower_hereditary",
+    "continuity._member_cut_pairs", "continuity._dd_all", "continuity._member_ideals",
+    "continuity._beneath_all", "continuity.s_z_witness",
     "galois._connections",
-    "monad.gamma_lattice", "monad.delta_object", "monad.eta", "monad.mu",
+    "monad.gamma_lattice", "monad.delta_object", "monad.compact_index",
+    "monad.eta", "monad.mu",
 )
 
 # the caches keyed by something else: a way-below query within an instance,

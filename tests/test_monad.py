@@ -1,5 +1,6 @@
 """Gamma lattices, delta objects, adjunction, monad laws, EM algebras."""
 
+import collections
 import itertools
 
 import pytest
@@ -285,25 +286,61 @@ def test_monad_naturality_against_the_object_loop(n):
 
 
 def test_delta_map_against_closure_oracle():
-    # δf sends each compact set A to cl(f(A)), read off the oracle's Γ^Z(Q)
+    # δf sends each compact set A to cl(f(A)), read off the oracle's Γ^Z(Q).
+    # Every table P -> Q is tried, monotone or not: some cl(f(A)) of a table
+    # that is not monotone escapes the compacts, and the witness names the
+    # first compact A whose closure does; a continuous f never escapes
     posets = list(small_posets(3))
+    escapes = 0
     for system in SYSTEMS.values():
         for Q in posets:
             DQ = md.delta_object(Q, system)
             closed = oracles.gamma(Q, system.name)
             for P in posets:
                 DP = md.delta_object(P, system)
-                for f in ps.enumerate_monotone_maps(P, Q):
-                    if not tp.is_sigma_z_continuous(f, system):
-                        continue
-                    df, bad = md.delta_map(f, system)
-                    assert bad is None and df.dom == DP.poset and df.cod == DQ.poset
-                    for A, v in zip(DP.sets, df.table):
-                        image = frozenset(f(p) for p in oracles.to_set(A))
-                        hull = frozenset(range(Q.n)).intersection(
+                for t in itertools.product(range(Q.n), repeat=P.n):
+                    f = ps.MonotoneMap(P, Q, t, _trusted=True)
+                    table, want = [], None
+                    for A in DP.sets:
+                        image = frozenset(t[p] for p in oracles.to_set(A))
+                        hull = oracles.to_mask(frozenset(range(Q.n)).intersection(
                             *(C for C in closed if image <= C)
-                        )
-                        assert DQ.sets[v] == oracles.to_mask(hull), (P, Q, f.table)
+                        ))
+                        if hull not in DQ.sets:
+                            want = {"of": P.names(A), "image_closure": Q.names(hull)}
+                            break
+                        table.append(DQ.sets.index(hull))
+                    df, bad = md.delta_map(f, system)
+                    assert bad == want, (P, Q, t)
+                    if want is not None:
+                        assert df is None
+                        assert not tp.is_sigma_z_continuous(f, system)
+                        escapes += 1
+                        continue
+                    assert df.dom == DP.poset and df.cod == DQ.poset
+                    assert df.table == tuple(table), (P, Q, t)
+    assert escapes > 0
+
+
+def test_map_tables_are_enumerated_once_per_pair(monkeypatch):
+    # naturality, prop-em-morph and lemma-sigma-cont read the tables of each
+    # (P, Q) pair from one enumeration, whatever the system
+    counts = collections.Counter()
+    real = ps.monotone_tables
+
+    def counted(P, Q, cap=ps.ENUM_CAP + 2):
+        counts[P, Q] += 1
+        return real(P, Q, cap)
+
+    monkeypatch.setattr(ps, "monotone_tables", counted)
+    ps.map_tables.cache_clear()
+    domains = list(small_posets(3))
+    for P in domains:
+        for system in SYSTEMS.values():
+            assert md.verify_monad_laws(P, system).status is Status.HOLDS
+            assert cl._eval_prop_em_morph(P, system).status is not Status.FAILS
+            assert cl._eval_lemma_sigma_cont(P, system).status is Status.HOLDS
+    assert counts == {(P, Q): 1 for P in domains for Q in cl._inner_posets()}
 
 
 # Each failure branch of the naturality loop, reached by patching the unit,
@@ -328,17 +365,6 @@ def _patch_table(monkeypatch, name, target, table):
         return ps.MonotoneMap(m.dom, m.cod, table, _trusted=True)
 
     monkeypatch.setattr(md, name, patched)
-
-
-def _patch_closure(monkeypatch, base, closures):
-    real = tp.TopologyFamily.closure
-
-    def patched(family, mask):
-        if family.base == base and mask in closures:
-            return closures[mask]
-        return real(family, mask)
-
-    monkeypatch.setattr(tp.TopologyFamily, "closure", patched)
 
 
 def _patch_not_closed(monkeypatch, base, mask):
@@ -384,28 +410,28 @@ def test_naturality_loop_multiplication_branch(monkeypatch):
     assert res.witness == {"law": "multiplication naturality", "map": (0, 0)}
 
 
-def test_naturality_loop_escape_of_delta_f(monkeypatch):
+def test_naturality_loop_escape_of_delta_f(patch_closure):
     # every nonempty image in the 2-antichain closes to the whole carrier,
     # which is not compact
-    _patch_closure(monkeypatch, ANTI2, {1: 3, 2: 3, 3: 3})
+    patch_closure(ANTI2, {1: 3, 2: 3, 3: 3})
     res = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert res.witness == {
         "law": "functoriality", "of": ("b",), "image_closure": ("a", "b")
     }
 
 
-def test_naturality_loop_escape_of_delta_delta_f(monkeypatch):
+def test_naturality_loop_escape_of_delta_delta_f(patch_closure):
     DQ = md.delta_object(ANTI2, DIRECTED).poset
-    _patch_closure(monkeypatch, DQ, {m: DQ.full for m in range(1, 1 << DQ.n)})
+    patch_closure(DQ, {m: DQ.full for m in range(1, 1 << DQ.n)})
     res = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert res.witness["law"] == "functoriality"
     assert res.witness["image_closure"] == DQ.labels
 
 
-def test_naturality_loop_non_monotone_delta_f(monkeypatch):
+def test_naturality_loop_non_monotone_delta_f(patch_closure):
     # in the 3-chain c < b < a, the image {a, b} closes to {c}: δf for
     # f = (a, b) on the 2-chain b < a sends {b} ⊆ {a, b} to {b, c} ⊄ {c}
-    _patch_closure(monkeypatch, CHAIN3, {3: 4})
+    patch_closure(CHAIN3, {3: 4})
     err = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert isinstance(err, NotMonotoneError)
 
@@ -581,9 +607,9 @@ def test_em_loop_multiplication_branch(monkeypatch):
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {"law": "multiplication"}
 
 
-def test_em_loop_ill_typed_delta_xi(monkeypatch):
+def test_em_loop_ill_typed_delta_xi(patch_closure):
     # {b} closes to {a}, which is not a compact closed set
-    _patch_closure(monkeypatch, CHAIN2, {2: 1})
+    patch_closure(CHAIN2, {2: 1})
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
         "law": "multiplication",
         "reason": "δ(ξ) ill-typed",
@@ -592,11 +618,11 @@ def test_em_loop_ill_typed_delta_xi(monkeypatch):
     }
 
 
-def test_em_laws_non_monotone_delta_xi(monkeypatch):
+def test_em_laws_non_monotone_delta_xi(patch_closure):
     # in the 3-chain c < b < a, {a} closes to {b, c} and {a, c} to {c}; the
     # table sending ∅ to a and {c} to c has ξ{∅} = {a} and ξ{∅, {c}} = {a, c}
     # under δ(ξ), which then breaks the first cover pair of δδ(P)
-    _patch_closure(monkeypatch, CHAIN3, {1: 6, 5: 4})
+    patch_closure(CHAIN3, {1: 6, 5: 4})
     D1 = md.delta_object(CHAIN3, DIRECTED).poset
     xi = (0, 2, 1, 0)
     got = _outcome(lambda: md.em_laws(CHAIN3, DIRECTED)(xi))
@@ -635,7 +661,7 @@ def test_em_loop_structure_map_not_unique(monkeypatch):
 @pytest.mark.parametrize(
     "closures, error", [({}, SupMissingError), ({2: 3, 3: 2}, ZdtError)]
 )
-def test_em_loop_errors_of_mu_surface_alike(monkeypatch, closures, error):
+def test_em_loop_errors_of_mu_surface_alike(monkeypatch, patch_closure, closures, error):
     # μ is built on the first table that passes the unit law, once: an error
     # it raises leaves both loops at the same point.  μ is cached per
     # (P, system), so its cache is cleared around the closure patch: μ is
@@ -647,7 +673,7 @@ def test_em_loop_errors_of_mu_surface_alike(monkeypatch, closures, error):
             raise SupMissingError("patched")
 
         monkeypatch.setattr(md, "mu", raising)
-    _patch_closure(monkeypatch, CHAIN2, closures)
+    patch_closure(CHAIN2, closures)
     try:
         got = _thm_em_both_ways(CHAIN2, DIRECTED)
     finally:
@@ -685,15 +711,15 @@ def test_em_laws_build_mu_once(monkeypatch):
     assert calls == [CHAIN3]
 
 
-def test_em_morph_loop_ill_typed_delta_f(monkeypatch):
-    _patch_closure(monkeypatch, CHAIN2, {2: 1})
+def test_em_morph_loop_ill_typed_delta_f(patch_closure):
+    patch_closure(CHAIN2, {2: 1})
     assert _em_morph_both_ways(CHAIN3, DIRECTED).witness == {
         "reason": "functor ill-typed", "of": ("c",), "image_closure": ("a",)
     }
 
 
-def test_em_morph_loop_non_monotone_delta_f(monkeypatch):
-    _patch_closure(monkeypatch, CHAIN2, {2: 3, 3: 2})
+def test_em_morph_loop_non_monotone_delta_f(patch_closure):
+    patch_closure(CHAIN2, {2: 3, 3: 2})
     got = _em_morph_both_ways(CHAIN3, DIRECTED)
     assert got[0] == "NotMonotoneError"
 

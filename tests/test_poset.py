@@ -193,6 +193,17 @@ def test_monotone_tables_against_backtracking_oracle():
             assert [m.table for m in ps.enumerate_monotone_maps(P, Q)] == want
 
 
+def test_map_tables_are_the_monotone_tables():
+    # one tuple per pair, in the generator's order, for every labeled domain
+    # of at most four points and every codomain of at most three
+    codomains = [Q for n in (1, 2, 3) for Q in ps.enumerate_posets(n)]
+    for P in (p for n in (1, 2, 3, 4) for p in ps.enumerate_posets(n, "labeled")):
+        for Q in codomains:
+            tables = ps.map_tables(P, Q)
+            assert tables == tuple(ps.monotone_tables(P, Q)), (P, Q)
+            assert ps.map_tables(P, Q) is tables
+
+
 def test_monotone_map_validation(chain3, anti2):
     with pytest.raises(NotMonotoneError):
         ps.MonotoneMap(chain3, fx.chain(2), (1, 0, 1))
