@@ -21,7 +21,14 @@ from zdt import continuity as ct, galois as gl, io as zio, monad as md
 from zdt import poset as ps, topology as tp
 from zdt.errors import LabelDependenceError, SizeCapError, SupMissingError, UnknownClaimError
 from zdt.reports import CheckResult, ClaimReport, Status
-from zdt.systems import SYSTEMS, first_member, get_system, is_zcpo
+from zdt.systems import (
+    PRINCIPAL_IDEAL_SYSTEMS,
+    PRINCIPAL_IDEALS,
+    SystemViewError,
+    first_member,
+    get_system,
+    is_zcpo,
+)
 
 INNER_SIZE = 3
 ALL_SYSTEMS = ("singletons", "chains", "directed", "finite", "connected")
@@ -614,21 +621,56 @@ def get_claim(claim_id):
 # -- harness --------------------------------------------------------------
 
 
+class _SharedEvaluation:
+    """One call's evaluator of cells, each named by (system name, poset, key).
+
+    Where the call covers two or more of ``singletons``, ``chains`` and
+    ``directed``, an instance is evaluated once for all of them, through
+    ``PRINCIPAL_IDEALS``: the three have the same I_Z(P), and a checker that
+    reads nothing else returns the same result with each.  The result is
+    kept under the cell's key, the instance's (n, index).  A checker that
+    reads more raises ``SystemViewError``; that instance, and every later
+    one in the call, is then evaluated with each system itself, so a claim
+    that reads Z(P) costs one wasted attempt.  The kept results live as
+    long as the object, one call, so no later call sees a stale result.
+    """
+
+    def __init__(self, evaluate, system_names):
+        self.evaluate = evaluate
+        self.try_view = len(set(system_names) & set(PRINCIPAL_IDEAL_SYSTEMS)) > 1
+        self.shared = {}  # key -> the result for every principal-ideal system
+
+    def __call__(self, system_name, P, key):
+        if system_name in PRINCIPAL_IDEAL_SYSTEMS:
+            if key in self.shared:
+                return self.shared[key]
+            if self.try_view:
+                try:
+                    res = _guarded(self.evaluate, P, PRINCIPAL_IDEALS)
+                except SystemViewError:
+                    self.try_view = False
+                else:
+                    self.shared[key] = res
+                    return res
+        return _guarded(self.evaluate, P, get_system(system_name))
+
+
 def _worker(claim_id, tasks):
     """Evaluate one claim on a worker's cells, in order.
 
     A task is (system, n, mode, index, up): the worker takes the poset from
     its own population by index, so each instance stays one object in one
     worker and its cached tables serve every later claim.  ``up`` guards
-    that the worker's population is the caller's.
+    that the worker's population is the caller's.  An instance's cells all
+    go to the same worker, so it shares them as the caller would.
     """
-    evaluate = get_claim(claim_id).evaluate
+    evaluate = _SharedEvaluation(get_claim(claim_id).evaluate, [t[0] for t in tasks])
     out = []
     for system_name, n, mode, index, up in tasks:
         P = ps.population(n, mode)[index]
         if P.up != up:
             raise RuntimeError(f"worker's {mode} n={n} population differs at {index}")
-        res = _guarded(evaluate, P, get_system(system_name))
+        res = evaluate(system_name, P, (n, index))
         out.append((res.status.value, res.witness))
     return out
 
@@ -730,15 +772,17 @@ def _run_pooled(claim_id, mode, cells, count):
 def _evaluate_cells(claim, cells, jobs):
     """Each cell's result: in process, and with ``jobs > 1`` in the pool
     for the cells left once the call has run ``POOL_AFTER_S``.  In process,
-    each instance is evaluated on the poset enumerated by the caller."""
+    each instance is evaluated on the poset enumerated by the caller, and
+    shared between systems as ``_SharedEvaluation`` says."""
     workers = min(jobs, os.cpu_count() or 1)
+    evaluate = _SharedEvaluation(claim.evaluate, [cell[1] for cell in cells])
     results = []
     start = _clock()
-    for i, (_, name, _, _, P) in enumerate(cells):
+    for i, (_, name, n, index, P) in enumerate(cells):
         count = min(workers, len(cells) - i)
         if count > 1 and _clock() - start >= POOL_AFTER_S:
             return results + _run_pooled(claim.id, "up_to_iso", cells[i:], count)
-        results.append(_guarded(claim.evaluate, P, get_system(name)))
+        results.append(evaluate(name, P, (n, index)))
     return results
 
 

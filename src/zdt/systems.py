@@ -45,6 +45,10 @@ class SubsetSystem:
           are exactly the down-sets that are members: every nonempty one for
           finite; for connected, ↓S is connected when S is, since every
           e ∈ ↓S lies below some point of S.
+
+        The harness relies on the first case: ``claims.run_claim`` evaluates
+        an instance once for those three systems, through
+        ``PrincipalIdealsView`` (``claims._SharedEvaluation``).
         """
         return _member_ideals(self, P)
 
@@ -85,6 +89,57 @@ CONNECTED = SubsetSystem("connected", kernels.SYS_CONNECTED)
 SYSTEMS = {
     s.name: s for s in (SINGLETONS, CHAINS, DIRECTED, FINITE, CONNECTED)
 }
+
+# the systems whose I_Z(P) is the principal ideals of every finite P
+PRINCIPAL_IDEAL_SYSTEMS = ("singletons", "chains", "directed")
+
+
+class SystemViewError(Exception):
+    """A checker read Z(P), or a system's name, through a view that knows
+    only I_Z(P).  Nothing on the evaluation path catches it but the
+    harness, which then evaluates the instance with each real system."""
+
+
+class PrincipalIdealsView:
+    """The one thing ``singletons``, ``chains`` and ``directed`` share on a
+    finite poset: I_Z(P), the principal ideals (``SubsetSystem.member_ideals``).
+
+    A checker that reads its system only through ``member_ideals`` returns
+    the same result with this view as with any of the three, so the harness
+    evaluates such an instance once for all of them.  Reading anything that
+    tells them apart (a member, membership, the name or the system id)
+    raises ``SystemViewError``.  The view hashes and compares by identity,
+    so the per-(P, system) caches keep its tables apart from those of
+    ``singletons``.
+    """
+
+    __slots__ = ()
+
+    def member_ideals(self, P):
+        return SINGLETONS.member_ideals(P)
+
+    def _read(self, what):
+        raise SystemViewError(f"{what} is not determined by I_Z(P)")
+
+    def contains(self, P, mask):
+        self._read("membership in Z(P)")
+
+    def members(self, P):
+        self._read("Z(P)")
+
+    @property
+    def name(self):
+        self._read("the system's name")
+
+    @property
+    def sys_id(self):
+        self._read("the system id")
+
+    def __repr__(self):
+        self._read("the system's repr")
+
+
+PRINCIPAL_IDEALS = PrincipalIdealsView()
 
 
 def get_system(name):

@@ -869,13 +869,15 @@ def em_morphisms(P, system, codomains):
     return CheckResult.holds()
 
 
-def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
-    """``run_claim(mode="labeled")`` by evaluating every labeled order itself,
-    as the harness did before it counted classes by orbit weight.
+def per_system_reports(claim_id, max_size, mode, systems=None, witness_cap=10):
+    """``run_claim``'s reports by evaluating every poset of the ``mode``
+    population with each system itself, as the harness did before it
+    counted labeled classes by orbit weight and shared one evaluation among
+    the systems whose I_Z(P) is the principal ideals.
 
     It reuses the claim's evaluator and the package's populations, since the
-    question is whether a checker reads labels: the verdict of each labeled
-    order must equal the verdict of its class.
+    question is whether the harness may skip evaluations: whether a checker
+    reads labels, or reads more of Z than I_Z(P).
     """
     from zdt import claims as cl, poset as ps
     from zdt.reports import ClaimReport
@@ -886,7 +888,13 @@ def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
     for name in claim.systems if systems is None else systems:
         for n in range(1, max_size + 1):
             report = ClaimReport(claim_id, f"{name} n={n}", witness_cap=witness_cap)
-            for P in ps.enumerate_posets(n, "labeled"):
+            for P in ps.enumerate_posets(n, mode):
                 report.record(cl._guarded(claim.evaluate, P, get_system(name)), P)
             reports.append(report)
     return reports
+
+
+def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
+    """``run_claim(mode="labeled")`` by evaluating every labeled order itself:
+    the verdict of each labeled order must equal the verdict of its class."""
+    return per_system_reports(claim_id, max_size, "labeled", systems, witness_cap)
