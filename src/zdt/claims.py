@@ -242,33 +242,33 @@ def _eval_gamma_prealgebraic(P, system):
 
 def _eval_lemma_galois_cut(P, system):
     for S in _inner_posets():
-        for gc in gl.enumerate_galois_connections(P, S):
-            if not gl.lower_preserves_cuts(gc):
-                return CheckResult.fails(cod=repr(S), table=gc.lower.table)
+        for d, _ in gl.enumerate_galois_connections(P, S):
+            if not gl.lower_preserves_cuts(P, S, d):
+                return CheckResult.fails(cod=repr(S), table=d)
     return CheckResult.holds()
 
 
 def _eval_lemma_galois_closed(P, system):
     for S in _inner_posets():
-        for gc in gl.enumerate_galois_connections(P, S):
-            if not gl.upper_image_closed(gc, system):
-                return CheckResult.fails(cod=repr(S), table=gc.lower.table)
+        for d, g in gl.enumerate_galois_connections(P, S):
+            if not gl.upper_image_closed(P, S, g, system):
+                return CheckResult.fails(cod=repr(S), table=d)
     return CheckResult.holds()
 
 
 def _eval_lemma_galois_beneath(P, system):
     delta_cont = ct.is_delta_z_continuous(P, system)
     for S in _inner_posets():
-        for gc in gl.enumerate_galois_connections(P, S):
-            cond1 = gl.upper_preserves_closed_cuts(gc, system)
-            cond2 = gl.lower_preserves_beneath(gc, system)
+        for d, g in gl.enumerate_galois_connections(P, S):
+            cond1 = gl.upper_preserves_closed_cuts(P, S, g, system)
+            cond2 = gl.lower_preserves_beneath(P, S, d, system)
             if cond1 and not cond2:
                 return CheckResult.fails(
-                    cod=repr(S), table=gc.lower.table, direction="(1) without (2)"
+                    cod=repr(S), table=d, direction="(1) without (2)"
                 )
             if delta_cont and cond2 and not cond1:
                 return CheckResult.fails(
-                    cod=repr(S), table=gc.lower.table, direction="(2) without (1)"
+                    cod=repr(S), table=d, direction="(2) without (1)"
                 )
     return CheckResult.holds()
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from zdt import poset as ps, systems as zs, topology as tp
-from zdt.errors import NotBelowError
 from zdt.reports import CheckResult
 
 
@@ -79,24 +78,6 @@ def wb_above(P, system, a_mask):
         if dd[p] & a_mask:
             out |= 1 << p
     return out
-
-
-def relative_dd_set(P, system, x, y):
-    """↟_Z^x y: the way-below set of y computed inside the subposet ↓x."""
-    if not P.leq(y, x):
-        raise NotBelowError(f"{P.labels[y]} is not below {P.labels[x]}")
-    sub = ps.principal_downs(P)[x]
-    sy = sub.to_sub(1 << y).bit_length() - 1
-    return sub.to_parent(dd_set(sub.poset, system, sy))
-
-
-def omega_z(P, system, x):
-    """All nonempty finite F with F ≪_Z x, ascending."""
-    return tuple(
-        f
-        for f in range(1, P.full + 1)
-        if not (_wb(P, system, ps.up_set(P, f)) >> x) & 1
-    )
 
 
 # -- continuity ---------------------------------------------------------
@@ -231,10 +212,6 @@ def meet_witness(P, system):
     """As ``weakly_meet_witness``, with the closure of the generated topology."""
     failure = _meet_closure_failure(P, system, tp.closure_topological)
     return _failure_witness(P, system, failure)
-
-
-def is_meet(P, system):
-    return _meet_closure_failure(P, system, tp.closure_topological) is None
 
 
 def weakly_meet_upsets_witness(P, system):
@@ -437,6 +414,3 @@ def prealgebraic_witness(P, system):
             return {"element": P.labels[x], "compact_below": P.names(k & P.down[x])}
     return None
 
-
-def is_delta_z_prealgebraic(P, system):
-    return prealgebraic_witness(P, system) is None

@@ -25,10 +25,6 @@ class NotASubsetError(ZdtError):
     pass
 
 
-class NotBelowError(ZdtError):
-    pass
-
-
 class EmptyInputError(ZdtError):
     pass
 

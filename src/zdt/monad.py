@@ -302,23 +302,6 @@ def em_laws(P, system):
     return check
 
 
-def is_em_morphism(f, system):
-    """f(sup A) = sup f(A) for every compact closed A of the domain.
-
-    Requires both endpoints to be delta-cpos.
-    """
-    if not (is_delta_cpo(f.dom, system) and is_delta_cpo(f.cod, system)):
-        raise ZdtError("endpoints must be delta-cpos")
-    return em_morphism_equation_witness(f, system) is None
-
-
-def em_morphism_equation_witness(f, system):
-    sets = delta_object(f.dom, system).sets
-    cod_sups = [ps.sup_of(f.cod, m) for m in range(1 << f.cod.n)]
-    i = _sup_failure(f.table, em_structure_map(f.dom, system).table, sets, cod_sups)
-    return None if i is None else {"closed_set": f.dom.names(sets[i])}
-
-
 def _sup_failure(table, sups, sets, cod_sups):
     """The first i with f(sups[i]) ≠ sup f(sets[i]), read from ``cod_sups``
     by mask, for f given by its ``table``; None if there is none."""

@@ -489,14 +489,6 @@ def min_of_upset(P, mask):
     return out
 
 
-def is_lower_set(P, mask):
-    return down_set(P, mask) == mask if mask else True
-
-
-def is_upper_set(P, mask):
-    return up_set(P, mask) == mask if mask else True
-
-
 def is_filtered(P, mask):
     """Nonempty and every pair has a lower bound inside the subset."""
     if mask == 0:
@@ -542,14 +534,6 @@ def canonical_form(P):
         raise SizeCapError("canonical_form", P.n, CANONICAL_CAP)
     key = kernels.canonical_key(P.n, P.up)
     return FinitePoset(default_labels(P.n), key, _trusted=True)
-
-
-def are_isomorphic(P, Q):
-    if P.n != Q.n:
-        return False
-    if P.n > CANONICAL_CAP:
-        raise SizeCapError("are_isomorphic", P.n, CANONICAL_CAP)
-    return kernels.canonical_key(P.n, P.up) == kernels.canonical_key(Q.n, Q.up)
 
 
 def enumerate_posets(n, mode="up_to_iso", cap=ENUM_CAP):
@@ -619,7 +603,7 @@ def monotone_tables(P, Q, cap=ENUM_CAP + 2):
     intersection of those points' ``Q.up`` and ``Q.down`` rows.
     """
     if P.n > cap or Q.n > cap:
-        raise SizeCapError("enumerate_monotone_maps", max(P.n, Q.n), cap)
+        raise SizeCapError("monotone_tables", max(P.n, Q.n), cap)
     below = [tuple(bits(P.down[i] & ((1 << i) - 1))) for i in range(P.n)]
     above = [tuple(bits(P.up[i] & ((1 << i) - 1))) for i in range(P.n)]
     table = [0] * P.n
@@ -655,29 +639,3 @@ def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
     for table in monotone_tables(P, Q, cap):
         yield MonotoneMap(P, Q, table, _trusted=True)
 
-
-def enumerate_order_embeddings(P, Q, cap=ENUM_CAP + 2):
-    """All maps P -> Q with x <= y iff f(x) <= f(y)."""
-    if P.n > cap or Q.n > cap:
-        raise SizeCapError("enumerate_order_embeddings", max(P.n, Q.n), cap)
-    table = [0] * P.n
-
-    def fits(i, v):
-        for j in range(i):
-            w = table[j]
-            if w == v:
-                return False
-            if P.leq(j, i) != Q.leq(w, v) or P.leq(i, j) != Q.leq(v, w):
-                return False
-        return True
-
-    def rec(i):
-        if i == P.n:
-            yield MonotoneMap(P, Q, tuple(table), _trusted=True)
-            return
-        for v in range(Q.n):
-            if fits(i, v):
-                table[i] = v
-                yield from rec(i + 1)
-
-    yield from rec(0)

@@ -486,6 +486,31 @@ def has_upper_adjoint(P, Q, table):
     return True
 
 
+def greatest_preimages(P, Q, table):
+    """For each q of Q, the greatest p with table[p] <= q, or None: the
+    upper adjoint's table when no entry is None."""
+    return tuple(
+        greatest(P, [p for p in elements(P) if Q.leq(table[p], q)]) for q in elements(Q)
+    )
+
+
+def lower_adjoint_of(S, T, g):
+    """The table d : T -> S with d ⊣ g for a table g : S -> T: d(a) is the
+    least y with a <= g(y); None if some a has none."""
+    d = tuple(
+        least(S, [y for y in elements(S) if T.leq(a, g[y])]) for a in elements(T)
+    )
+    return None if None in d else d
+
+
+def is_galois(T, S, d, g):
+    """d(a) <= y iff a <= g(y) for every a of T and y of S: the definition of
+    a Galois connection d ⊣ g, over all pairs."""
+    return all(
+        S.leq(d[a], y) == T.leq(a, g[y]) for a in elements(T) for y in elements(S)
+    )
+
+
 def mediators(P, Q, pinned, beneath_p, beneath_q):
     """The brute-force mediator search: every monotone P -> Q that takes the
     pinned values, has an upper adjoint and maps beneath pairs to beneath
@@ -704,21 +729,6 @@ def monad_naturality_failure(P, system, naturality_size):
 # ``eta``, ``mu``) and this module's ``delta_map``, so that a test can hold
 # each table loop to the loop it replaced, patched functions and raised
 # errors included.
-
-
-def lower_adjoint_of(g):
-    """d with d ⊣ g, i.e. d(a) = min{y : a <= g(y)}, the least point of the
-    preimage of ↑a, or None."""
-    from zdt import poset as ps
-
-    S, T = g.dom, g.cod
-    table = []
-    for a in range(T.n):
-        bot = ps.least_of(S, g.preimage(T.up[a]))
-        if bot is None:
-            return None
-        table.append(bot)
-    return ps.MonotoneMap(T, S, table, _trusted=True)
 
 
 def map_sigma_continuous(f, system):

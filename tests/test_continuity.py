@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from zdt import continuity as ct, fixtures as fx, poset as ps, topology as tp
-from zdt.errors import NotBelowError
 from zdt.reports import Status
 from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, SINGLETONS, SYSTEMS
 
@@ -35,7 +34,7 @@ def test_way_below_examples(chain3, fan3):
 
 
 def assert_way_below_readers_match_oracle(posets):
-    # way_below_sets, dd_set, uu_set and omega_z all read _wb; each is held
+    # way_below_sets, dd_set and uu_set all read _wb; each is held
     # to the oracle's quantifier over the members themselves
     for P in posets:
         subsets = range(P.full + 1)
@@ -51,9 +50,6 @@ def assert_way_below_readers_match_oracle(posets):
             for x in range(P.n):
                 assert ct.dd_set(P, system, x) == oracles.to_mask(
                     y for y in range(P.n) if wb(1 << y, 1 << x)
-                )
-                assert ct.omega_z(P, system, x) == tuple(
-                    f for f in subsets if f and wb(f, 1 << x)
                 )
 
 
@@ -88,27 +84,6 @@ def test_dd_uu_sets(fan3):
         for a in range(P.full + 1):
             wb = ct.wb_above(P, DIRECTED, a)
             assert wb == ps.up_set(P, a) if a else wb == 0
-
-
-def test_relative_dd(chain3, fan3):
-    top = chain3.index("c")
-    assert ct.relative_dd_set(chain3, FINITE, top, chain3.index("b")) == chain3.mask_of(
-        ["a", "b"]
-    )
-    t = fan3.index("t")
-    assert ct.relative_dd_set(fan3, FINITE, t, t) == ct.dd_set(fan3, FINITE, t)
-    a = fan3.index("a")
-    assert ct.relative_dd_set(fan3, FINITE, a, a) == 1 << a
-    with pytest.raises(NotBelowError):
-        ct.relative_dd_set(fan3, FINITE, a, t)
-
-
-def test_omega(chain3):
-    one = ps.from_order_pairs(["x"], [])
-    assert ct.omega_z(one, FINITE, 0) == (1,)
-    assert len(ct.omega_z(chain3, FINITE, chain3.index("c"))) == 7
-    # below the bottom: exactly the sets whose up-closure is everything
-    assert ct.omega_z(chain3, FINITE, chain3.index("a")) == (0b001, 0b011, 0b101, 0b111)
 
 
 def test_weak_and_full_continuity(fan3):
@@ -198,14 +173,14 @@ def test_meet_witnesses_against_member_loop_oracle(n):
     for P in ps.enumerate_posets(n):
         for name, system in SYSTEMS.items():
             checks = (
-                (ct.weakly_meet_witness, ct.is_weakly_meet, oracles.gamma(P, name)),
-                (ct.meet_witness, ct.is_meet, oracles.sigma_topology(P, name)),
+                (ct.weakly_meet_witness, oracles.gamma(P, name)),
+                (ct.meet_witness, oracles.sigma_topology(P, name)),
             )
-            for witness, holds, family in checks:
+            for witness, family in checks:
                 expected = named(P, oracles.meet_failure(P, name, family))
                 assert witness(P, system) == expected, (P, name, witness)
-                assert holds(P, system) == (expected is None)
                 seen.add(expected is None)
+            assert ct.is_weakly_meet(P, system) == (checks[0][0](P, system) is None)
     assert seen == ({True} if n < 3 else {True, False})
 
 
@@ -244,16 +219,19 @@ def test_weakly_meet_upsets_equivalence():
 def test_meet_via_generated_topology(chain3):
     # the generated closure sits inside the subbasic one, so meet continuity
     # is the stronger property
+    def is_meet(P, system):
+        return ct.meet_witness(P, system) is None
+
     for P in small_posets(4):
         for system in (FINITE, CONNECTED):
-            if ct.is_meet(P, system):
+            if is_meet(P, system):
                 assert ct.is_weakly_meet(P, system)
     # the vee separates the two notions: {a,b} is closed in the generated
     # topology (a union of subbasic sets) but not subbasic closed
     assert ct.is_weakly_meet(fx.vee(), FINITE)
-    assert not ct.is_meet(fx.vee(), FINITE)
-    assert not ct.is_meet(fx.fan3(), FINITE)
-    assert ct.is_meet(chain3, FINITE)
+    assert not is_meet(fx.vee(), FINITE)
+    assert not is_meet(fx.fan3(), FINITE)
+    assert is_meet(chain3, FINITE)
 
 
 def test_locally_weakly_meet(fan3, chain3):
@@ -359,6 +337,6 @@ def test_compacts_and_prealgebraicity(vee, diamond, chain3):
     assert vee.names(ct.kz_compacts(vee, DIRECTED)) == ("a", "b")
     assert diamond.names(ct.kz_compacts(diamond, DIRECTED)) == ("o", "a", "b")
     assert chain3.names(ct.kz_compacts(chain3, DIRECTED)) == ("a", "b", "c")
-    assert ct.is_delta_z_prealgebraic(vee, DIRECTED)
-    assert ct.is_delta_z_prealgebraic(diamond, DIRECTED)
+    assert ct.prealgebraic_witness(vee, DIRECTED) is None
+    assert ct.prealgebraic_witness(diamond, DIRECTED) is None
     assert ct.is_delta_z_continuous(vee, DIRECTED)

@@ -95,7 +95,7 @@ def test_min_generates_same_filter():
 
 def test_principal_down_subposet(vee, chain3, fan3):
     sub = ps.principal_down_subposet(vee, vee.index("c"))
-    assert sub.poset.n == 3 and ps.are_isomorphic(sub.poset, vee)
+    assert sub.poset.n == 3 and ps.canonical_form(sub.poset) == ps.canonical_form(vee)
     assert ps.principal_down_subposet(chain3, 1).poset.n == 2
     assert ps.principal_down_subposet(fan3, fan3.index("a")).poset.n == 1
 
@@ -105,7 +105,7 @@ def test_dual_restrict(chain3, diamond):
     assert d.leq(2, 0) and not d.leq(0, 2)
     assert ps.dual(d) == chain3
     sub = ps.restrict(diamond, diamond.mask_of(["o", "a", "t"]))
-    assert ps.are_isomorphic(sub.poset, fx.chain(3))
+    assert ps.canonical_form(sub.poset) == ps.canonical_form(fx.chain(3))
 
 
 def test_restrict_to_empty_carrier(chain3):
@@ -127,7 +127,7 @@ def test_fin_poset(anti2, chain3):
     bottom = [i for i in range(3) if ps.least_of(fp.poset, fp.poset.full) == i]
     assert fp.sets[bottom[0]] == anti2.full  # the largest set is the bottom
     fp3 = ps.fin_poset(chain3)
-    assert ps.are_isomorphic(fp3.poset, fx.chain(3))
+    assert ps.canonical_form(fp3.poset) == ps.canonical_form(fx.chain(3))
     one = ps.from_order_pairs(["x"], [])
     assert ps.fin_poset(one).poset.n == 1
     with pytest.raises(SizeCapError):
@@ -191,6 +191,13 @@ def test_monotone_tables_against_backtracking_oracle():
             want = list(oracles.monotone_tables(P, Q, {}))
             assert list(ps.monotone_tables(P, Q)) == want, (P, Q)
             assert [m.table for m in ps.enumerate_monotone_maps(P, Q)] == want
+
+
+def test_map_tables_cap_names_monotone_tables():
+    # the error names the function that enforces the cap
+    with pytest.raises(SizeCapError) as exc:
+        ps.map_tables(fx.chain(9), fx.chain(1))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("monotone_tables", 9, 8)
 
 
 def test_map_tables_are_the_monotone_tables():

@@ -189,3 +189,38 @@ def test_family_poset_orders_by_inclusion(vee):
     fam = (0, vee.mask_of(["a"]), vee.full)
     FP = zs.family_poset(vee, fam)
     assert FP.leq(0, 1) and FP.leq(1, 2) and not FP.leq(2, 0)
+
+
+def _labeled_up_to(bound):
+    return [P for n in range(1, bound + 1) for P in ps.enumerate_posets(n, "labeled")]
+
+
+def _reflects_order(P, Q, table):
+    return all(
+        P.leq(i, j) == Q.leq(table[i], table[j]) for i in range(P.n) for j in range(P.n)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(zs.SYSTEMS))
+def test_system_axioms_visit_every_map(name):
+    # one instance per labeled poset (singletons) and one per monotone map
+    posets = _labeled_up_to(3)
+    maps = sum(
+        1 for P in posets for Q in posets for _ in oracles.monotone_tables(P, Q, {})
+    )
+    report = zs.check_system_axioms(zs.SYSTEMS[name], 3)
+    assert report.total == len(posets) + maps == 4841
+
+
+@pytest.mark.parametrize("name", sorted(zs.SYSTEMS))
+def test_subset_hereditary_visits_every_embedding(name):
+    posets = _labeled_up_to(3)
+    embeddings = sum(
+        1
+        for P in posets
+        for Q in posets
+        for table in oracles.monotone_tables(P, Q, {})
+        if _reflects_order(P, Q, table)
+    )
+    report = zs.check_subset_hereditary_instances(zs.SYSTEMS[name], 3)
+    assert report.total == embeddings == 298

@@ -83,7 +83,7 @@ def test_gamma_is_closure_system_of_lower_sets():
             closed = set(fam.closed)
             assert P.full in closed
             for a in closed:
-                assert ps.is_lower_set(P, a)
+                assert oracles.down(P, oracles.to_set(a)) == oracles.to_set(a)
                 for b in closed:
                     assert a & b in closed
             assert all(d in closed for d in P.down)
@@ -95,14 +95,18 @@ def test_sigma_members_are_upper_and_union_closed():
             fam = tp.gamma_subbasis(P, system)
             opens = set(fam.opens)
             for u in opens:
-                assert ps.is_upper_set(P, u)
+                assert oracles.up(P, oracles.to_set(u)) == oracles.to_set(u)
                 for v in opens:
                     assert u | v in opens
 
 
 def test_directed_gamma_is_all_lower_sets():
     for P in small_posets(4):
-        expected = [m for m in range(P.full + 1) if ps.is_lower_set(P, m)]
+        expected = [
+            m
+            for m in range(P.full + 1)
+            if oracles.down(P, oracles.to_set(m)) == oracles.to_set(m)
+        ]
         assert list(tp.gamma_subbasis(P, DIRECTED).closed) == expected
         # the subbasis is already a topology in this case
         assert tp.sigma_topology(P, DIRECTED).closed == tp.gamma_subbasis(P, DIRECTED).closed
