@@ -84,5 +84,12 @@ def upper_preserves_closed_cuts(T, S, g, system):
 
 
 def lower_preserves_beneath(T, S, d, system):
-    """x ≺_Z y in T implies d(x) ≺_Z d(y) in S."""
+    """x ≺_Z y in T implies d(x) ≺_Z d(y) in S, for a monotone table d, as
+    every lower adjoint is.
+
+    It reads only the maximal points x of each beneath set ↓≺_Z(y) of T
+    (``continuity.preserves_beneath``): ↓≺_Z(d(y)) is a lower set of S, as
+    an intersection of Γ^Z-closed sets or the carrier, and each point of
+    ↓≺_Z(y) lies below some such x, which monotone d preserves.  So d(x) in
+    ↓≺_Z(d(y)) for those x puts the whole image there."""
     return preserves_beneath(d, T, S, system)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from zdt import poset as ps, topology as tp
 from zdt.continuity import kz_compacts, prealgebraic_witness, preserves_beneath
-from zdt.errors import SupMissingError, ZdtError
+from zdt.errors import SizeCapError, SupMissingError, ZdtError
 from zdt.reports import CheckResult
 from zdt.systems import family_poset
 
@@ -163,6 +163,30 @@ def compact_index(P, system):
     return _CompactIndex(
         tp.gamma_subbasis(P, system).closure, delta_object(P, system).index
     )
+
+
+# the most points compact_table takes: 2^8 subsets; δ(Q) of a naturality
+# codomain Q of at most three points has at most 2^3 points
+COMPACT_TABLE_CAP = 8
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def compact_table(Q, system):
+    """``compact_index`` over every subset of Q, as a tuple, and whether cl
+    is monotone: cl m ⊆ cl m' for m ⊆ m', for which the pairs m ⊂ m ∪ {q}
+    suffice.  It is unless a closure is tampered with, and while it is,
+    every δf into Q is monotone: A ⊆ B gives cl f(A) ⊆ cl f(B).  Q may have
+    at most ``COMPACT_TABLE_CAP`` points."""
+    if Q.n > COMPACT_TABLE_CAP:
+        raise SizeCapError("compact_table", Q.n, COMPACT_TABLE_CAP)
+    closures = tp.closure_table(Q, system)
+    monotone = all(
+        closures[m] & ~closures[m | 1 << q] == 0
+        for m in range(len(closures))
+        for q in range(Q.n)
+    )
+    index = delta_object(Q, system).index
+    return tuple(index.get(c) for c in closures), monotone
 
 
 def delta_tables(dom, cod, system):
@@ -354,26 +378,26 @@ def join_table(L_poset):
 
 
 def preserves_joins(table, dom, cod):
-    """True iff ``table`` sends the bottom to the bottom and every binary join
-    to the join of the images; ``dom`` and ``cod`` are ``join_table`` results.
+    """True iff ``table`` sends the bottom to the bottom and i ∨ j to
+    table[i] ∨ table[j] for each (i, j, i ∨ j) that ``dom`` lists.
+    ``dom`` is (bottom, triples) and ``cod`` a ``join_table`` result.
 
-    Between finite lattices these are exactly the maps with an upper adjoint
-    (Davey & Priestley, *Introduction to Lattices and Order*, 7.34): a lower
-    adjoint preserves every join, the empty one included; conversely, for a
-    join-preserving m the set {a : m(a) ≤ y} holds the bottom and is closed
-    under binary joins, so its join is its greatest element, the value of the
-    upper adjoint at y.  Joins commute and are idempotent, so the pairs i > j
-    suffice.
+    Over every pair i > j these are exactly the maps with an upper adjoint
+    between finite lattices (Davey & Priestley, *Introduction to Lattices and
+    Order*, 7.34): a lower adjoint preserves every join, the empty one
+    included; conversely, for a join-preserving m the set {a : m(a) ≤ y}
+    holds the bottom and is closed under binary joins, so its join is its
+    greatest element, the value of the upper adjoint at y.  Joins commute
+    and are idempotent, so the pairs i > j suffice; ``verify_adjunction``
+    lists only its closure gaps.
     """
-    bottom, join = dom
+    bottom, triples = dom
     cod_bottom, cod_join = cod
     if table[bottom] != cod_bottom:
         return False
-    for i, row in enumerate(join):
-        images = cod_join[table[i]]
-        for j in range(i):
-            if table[row[j]] != images[table[j]]:
-                return False
+    for i, j, k in triples:
+        if table[k] != cod_join[table[i]][table[j]]:
+            return False
     return True
 
 
@@ -382,17 +406,20 @@ def verify_adjunction(P, system, L=None):
 
     ``L`` defaults to the Γ-lattice of P itself.  The mediator for a
     continuous f into the compacts of L is A ↦ sup f(A), folded over L's join
-    table.  It is unique once every element of Γ^Z(P) is the sup of the
-    principal ideals inside it: any rival mediator has an upper adjoint, so it
-    preserves every join, and it agrees with the mediator on principal
-    ideals, where both factor f.  That sup-determination does not depend on
-    f, so it is checked once and reported at the first f whose mediator
-    passes the other checks.
+    table at the maximal points of A, as f is monotone; so it factors f, as
+    ↓p has the one maximal point p.  It is unique once every element of
+    Γ^Z(P) is the sup of the principal ideals inside it: any rival mediator
+    has an upper adjoint, so it preserves every join, and it agrees with the
+    mediator on principal ideals, where both factor f.  That
+    sup-determination does not depend on f, so it is checked once and
+    reported at the first f whose mediator passes the other checks.
 
     The mediator has an upper adjoint iff it preserves the bottom and binary
-    joins (Davey & Priestley 7.34), which ``preserves_joins`` checks on the
-    tables.  That check also makes the mediator monotone: a ≤ b gives
-    m(b) = m(a ∨ b) = m(a) ∨ m(b) ≥ m(a).
+    joins (Davey & Priestley 7.34), and, as a sup of f's values, iff it
+    preserves the bottom and the joins of the closure gaps of Γ^Z(P)
+    (``topology.closure_gaps``).  ``preserves_joins`` checks them on the
+    tables.  Either way the mediator is monotone, as ``preserves_beneath``
+    requires.
     """
     LP = gamma_lattice(P, system)
     if L is None:
@@ -433,24 +460,22 @@ def verify_adjunction(P, system, L=None):
         for i, a in enumerate(LP.elements)
     )
     joins_l = join_table(L.poset)
-    joins_p = joins_l if L is LP else join_table(LP.poset)
     bottom, join = joins_l
-    points = [tuple(ps.bits(a)) for a in LP.elements]
+    # Γ^Z(P)'s least member, cl ∅, is index 0: it lies inside every member
+    gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
+    tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
     for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
         if not continuous(f):
             continue
         values = [sub.embed[v] for v in f]
         mediator = []
-        for pts in points:
+        for pts in tops:
             s = bottom
             for p in pts:
                 s = join[s][values[p]]
             mediator.append(s)
-        for p in range(P.n):
-            if mediator[principal[p]] != values[p]:
-                return CheckResult.fails(part="mediator", reason="does not factor f")
-        if not preserves_joins(mediator, joins_p, joins_l):
+        if not preserves_joins(mediator, gaps, joins_l):
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
         if not preserves_beneath(mediator, LP.poset, L.poset, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
@@ -462,9 +487,9 @@ def verify_adjunction(P, system, L=None):
 def verify_monad_laws(P, system, naturality_size=3):
     """Unit and associativity laws plus naturality on small codomains.
 
-    Naturality reads every map as a function table; a ``MonotoneMap`` is
-    built only to raise the ``NotMonotoneError`` of a δf or δδf that breaks
-    a cover pair.
+    Naturality reads every map as a function table, in one pass per codomain
+    (``_naturality_failure``); a ``MonotoneMap`` is built only to raise the
+    ``NotMonotoneError`` of a δf or δδf that breaks a cover pair.
     """
     D1 = delta_object(P, system)
     eta_p = eta(P, system)
@@ -492,27 +517,99 @@ def verify_monad_laws(P, system, naturality_size=3):
     if mu_p.compose(mu_d1).table != mu_p.compose(d_mu).table:
         return CheckResult.fails(law="associativity")
 
-    # naturality of both, on tables: for each σ^Z-continuous f : P -> Q,
-    # δf ∘ η_P = η_Q ∘ f and δf ∘ μ_P = μ_Q ∘ δδf
     for n in range(1, naturality_size + 1):
         for Q in ps.enumerate_posets(n):
-            eta_q = eta(Q, system).table
-            mu_q = mu(Q, system).table
-            continuous = tp.sigma_z_continuity(P, Q, system)
-            delta = delta_tables(P, Q, system)
-            delta_delta = delta_tables(D1.poset, delta_object(Q, system).poset, system)
-            for f in ps.map_tables(P, Q):
-                if not continuous(f):
-                    continue
-                df, bad = delta(f)
-                if df is None:
-                    return CheckResult.fails(law="functoriality", **bad)
-                if [df[e] for e in eta_p.table] != [eta_q[v] for v in f]:
-                    return CheckResult.fails(law="unit naturality", map=f)
-                ddf, bad = delta_delta(df)
-                if ddf is None:
-                    return CheckResult.fails(law="functoriality", **bad)
-                if [df[m] for m in mu_p.table] != [mu_q[d] for d in ddf]:
-                    return CheckResult.fails(law="multiplication naturality", map=f)
+            bad = _naturality_failure(P, Q, system, eta_p.table, mu_p.table)
+            if bad is not None:
+                return CheckResult.fails(**bad)
     return CheckResult.holds()
 
+
+def _naturality_failure(P, Q, system, eta_p, mu_p):
+    """The witness of the first σ^Z-continuous f : P -> Q, in table order,
+    that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None.
+
+    One loop decides each f: continuity on the meet-irreducible closed sets
+    of Q (as ``topology.sigma_z_continuity``), δf and δδf from the compact
+    tables of Q and δ(Q), and both equations.  Images and preimages are read
+    from the fibres of f.  While both closures are monotone
+    (``compact_table``), δf and δδf need no cover check.  Where one is not,
+    where δ(Q) is too large to tabulate, or where f fails any step,
+    ``_map_naturality`` decides f again through ``delta_tables``, so that
+    its witness, or the ``NotMonotoneError`` it raises, comes from the one
+    δ definition.
+    """
+    D1, DQ = delta_object(P, system), delta_object(Q, system)
+    sets_1, points_2 = D1.sets, delta_object(D1.poset, system).points
+    eta_q, mu_q = eta(Q, system).table, mu(Q, system).table
+    is_closed = tp.gamma_subbasis(P, system).is_closed
+    irreducible = tp.gamma_subbasis(Q, system).irreducible
+    if DQ.poset.n <= COMPACT_TABLE_CAP:
+        compact_q, monotone_q = compact_table(Q, system)
+        compact_dq, monotone_dq = compact_table(DQ.poset, system)
+        tabulated = monotone_q and monotone_dq
+    else:
+        tabulated = False
+    points_q = tuple((q, 1 << q) for q in range(Q.n))
+    for f in ps.map_tables(P, Q):
+        fibres = [0] * Q.n
+        for p, v in enumerate(f):
+            fibres[v] |= 1 << p
+        for c in irreducible:
+            pre = 0
+            for q, bit in points_q:
+                if (c >> q) & 1:
+                    pre |= fibres[q]
+            if not is_closed(pre):
+                break
+        else:
+            ok = tabulated
+            if ok:
+                df = []
+                for a in sets_1:
+                    image = 0
+                    for q, bit in points_q:
+                        if fibres[q] & a:
+                            image |= bit
+                    df.append(compact_q[image])
+                ok = None not in df
+            for p, e in enumerate(eta_p):
+                if not ok or df[e] != eta_q[f[p]]:
+                    ok = False
+                    break
+            if ok:
+                bits = [1 << w for w in df]
+                ddf = []
+                for pts in points_2:
+                    image = 0
+                    for a in pts:
+                        image |= bits[a]
+                    ddf.append(compact_dq[image])
+                ok = None not in ddf
+            for i, m in enumerate(mu_p):
+                if not ok or df[m] != mu_q[ddf[i]]:
+                    ok = False
+                    break
+            if not ok:
+                bad = _map_naturality(P, Q, system, f, eta_p, mu_p)
+                if bad is not None:
+                    return bad
+    return None
+
+
+def _map_naturality(P, Q, system, f, eta_p, mu_p):
+    """Naturality at one map f : P -> Q through ``delta_tables``: the
+    witness of its first failing step, or None; a δf or δδf that breaks a
+    cover pair raises ``NotMonotoneError``."""
+    df, bad = delta_tables(P, Q, system)(f)
+    if df is None:
+        return {"law": "functoriality", **bad}
+    if [df[e] for e in eta_p] != [eta(Q, system).table[v] for v in f]:
+        return {"law": "unit naturality", "map": f}
+    D1, DQ = delta_object(P, system), delta_object(Q, system)
+    ddf, bad = delta_tables(D1.poset, DQ.poset, system)(df)
+    if ddf is None:
+        return {"law": "functoriality", **bad}
+    if [df[m] for m in mu_p] != [mu(Q, system).table[d] for d in ddf]:
+        return {"law": "multiplication naturality", "map": f}
+    return None

@@ -503,6 +503,15 @@ def is_filtered(P, mask):
     return True
 
 
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def maxima(P, masks):
+    """The maximal points of each mask in the tuple ``masks``, as tuples.
+
+    Keyed by the masks themselves, so that it always answers for the table
+    of masks its caller has just read."""
+    return tuple(tuple(x for x in bits(m) if P.up[x] & m == 1 << x) for m in masks)
+
+
 def covers(P):
     """Cover pairs (i, j) of the transitive reduction, lexicographic order."""
     out = []

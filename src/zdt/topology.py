@@ -19,21 +19,36 @@ from zdt.reports import CheckResult
 class TopologyFamily:
     """A family of closed subsets of one poset, in ascending mask order."""
 
-    __slots__ = ("base", "kind", "closed", "_members", "_points")
+    __slots__ = ("base", "kind", "closed", "_members", "_irreducible")
 
     def __init__(self, base, kind, closed):
         self.base = base
         self.kind = kind
         self.closed = tuple(closed)
         self._members = frozenset(self.closed)
-        self._points = None
+        self._irreducible = None
 
     @property
-    def points(self):
-        """``points[i]`` lists the points of ``closed[i]``; built on first use."""
-        if self._points is None:
-            self._points = tuple(tuple(ps.bits(c)) for c in self.closed)
-        return self._points
+    def irreducible(self):
+        """The meet-irreducible members, in ascending mask order; built on
+        first use.
+
+        A member is meet-irreducible when it is not the carrier and not the
+        intersection of the members strictly above it.  In a finite closure
+        system every member is the intersection of the meet-irreducible
+        members that contain it, the carrier being the empty intersection.
+        """
+        if self._irreducible is None:
+            out = []
+            for i, c in enumerate(self.closed):
+                above = self.base.full
+                for d in self.closed[i + 1:]:
+                    if c & ~d == 0:
+                        above &= d
+                if above != c:
+                    out.append(c)
+            self._irreducible = tuple(out)
+        return self._irreducible
 
     @property
     def opens(self):
@@ -157,20 +172,57 @@ def closure_table(P, system):
     return tuple(gamma.closure(a) for a in range(1 << P.n))
 
 
+def closure_gaps(P, system):
+    """The closure gaps of Γ^Z(P), as triples (a, p, k) of indices into its
+    ``closed`` tuple and a point: S = closed[a] ∪ ↓p is not closed, and
+    cl S = closed[k].  One triple per such S, for the first (a, p) in order
+    that gives it.
+
+    A map m(A) = ⋁ f(A) on Γ^Z(P), for a monotone f from P into a lattice,
+    preserves the bottom and every binary join iff m(cl ∅) is the bottom and
+    m(cl S) = m(A) ∨ f(p) for each gap.  These are joins A ∨ ↓p = cl S, with
+    m(↓p) = f(p) as f is monotone.  Conversely, m(cl(A ∪ ↓p)) = m(A) ∨ f(p)
+    then holds for every closed A and point p: a closed union needs no
+    check, as ⋁ f(A ∪ ↓p) = m(A) ∨ f(p), and every (a, p) that gives one S
+    has m(A) ∨ f(p) = ⋁ f(S).  A closed B is the union of the ↓p with p ∈ B,
+    and cl(X ∪ Y) = cl(cl X ∪ Y), so A ∨ B = cl(… cl(A ∪ ↓p_1) … ∪ ↓p_k);
+    by induction on the points of B, m(A ∨ B) = m(A) ∨ ⋁ f(B) = m(A) ∨ m(B).
+    """
+    closed = gamma_subbasis(P, system).closed
+    index = {c: i for i, c in enumerate(closed)}
+    closures = closure_table(P, system)
+    seen = set()
+    out = []
+    for a, c in enumerate(closed):
+        for p in range(P.n):
+            s = c | P.down[p]
+            if s not in index and s not in seen:
+                seen.add(s)
+                out.append((a, p, index[closures[s]]))
+    return tuple(out)
+
+
 def sigma_z_continuity(dom, cod, system):
-    """σ^Z-continuity of function tables from ``dom`` to ``cod``: each closed
-    set of ``cod`` pulls back, as the union of its points' fibres, closed."""
+    """σ^Z-continuity of function tables from ``dom`` to ``cod``: the
+    preimage of each meet-irreducible closed set of ``cod`` is closed.
+
+    That is every closed set's condition.  Each closed C of ``cod`` is the
+    intersection of the meet-irreducible members above it (see
+    ``TopologyFamily.irreducible``); preimage commutes with ∩; and Γ^Z(dom)
+    is ∩-closed and holds the carrier, the preimage of the empty
+    intersection.  So the preimage of C is closed once those of the
+    meet-irreducibles are.
+    """
     is_closed = gamma_subbasis(dom, system).is_closed
-    closed_points = gamma_subbasis(cod, system).points
+    irreducible = gamma_subbasis(cod, system).irreducible
+    points = tuple((p, 1 << p) for p in range(dom.n))
 
     def continuous(table):
-        fibres = [0] * cod.n
-        for p, v in enumerate(table):
-            fibres[v] |= 1 << p
-        for pts in closed_points:
+        for c in irreducible:
             pre = 0
-            for q in pts:
-                pre |= fibres[q]
+            for p, bit in points:
+                if (c >> table[p]) & 1:
+                    pre |= bit
             if not is_closed(pre):
                 return False
         return True

@@ -316,6 +316,24 @@ def test_preserves_beneath_against_oracle():
     assert outcomes == {True, False}
 
 
+def test_preserves_beneath_reads_every_maximal_point(monkeypatch):
+    # a domain whose beneath sets are the whole 2-antichain, with its two
+    # maximal points x < y in index order, into the 2-chain on `finite`,
+    # where beneath is the order: the table sending x to the bottom and y to
+    # the top breaks beneath preservation at y only, and only below x
+    dom = ps.FinitePoset(["x", "y"], fx.antichain(2).up)
+    chain = fx.chain(2)
+    bottom = ps.least_of(chain, chain.full)
+    real = ct._beneath_all
+    monkeypatch.setattr(
+        ct, "_beneath_all", lambda P, system: (P.full,) * P.n if P == dom else real(P, system)
+    )
+    for table, expected in (((bottom, 1 - bottom), False), ((bottom, bottom), True)):
+        f = ps.MonotoneMap(dom, chain, table)
+        assert ct.preserves_beneath(table, dom, chain, FINITE) is expected
+        assert oracles.map_preserves_beneath(f, FINITE) is expected
+
+
 def test_beneath_finite_collapses_to_order():
     for P in small_posets(4):
         for x in range(P.n):

@@ -8,10 +8,12 @@ import oracles
 import zdt
 from zdt import claims as cl, poset as ps
 
-# the caches keyed by one (poset, system) instance, one poset, or a pair of
-# posets (the Galois connections and the monotone tables of the map claims)
+# the caches keyed by one (poset, system) instance, one poset, a pair of
+# posets (the Galois connections and the monotone tables of the map claims),
+# or a poset and a table of its masks (the maximal points of each)
 INSTANCE_CACHES = (
     "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.map_tables",
+    "poset.maxima",
     "systems._members", "systems._member_ideals",
     "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
     "topology.closure_table", "topology.is_lower_hereditary",
@@ -19,6 +21,7 @@ INSTANCE_CACHES = (
     "continuity._beneath_all", "continuity.s_z_witness",
     "galois._connections",
     "monad.gamma_lattice", "monad.delta_object", "monad.compact_index",
+    "monad.compact_table",
     "monad.eta", "monad.mu",
 )
 

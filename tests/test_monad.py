@@ -8,9 +8,9 @@ import pytest
 import oracles
 from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
 from zdt import monad as md, poset as ps, topology as tp
-from zdt.errors import NotMonotoneError, SupMissingError, ZdtError
+from zdt.errors import NotMonotoneError, SizeCapError, SupMissingError, ZdtError
 from zdt.reports import CheckResult, Status
-from zdt.systems import CHAINS, DIRECTED, FINITE, SYSTEMS
+from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SYSTEMS
 
 
 def small_posets(max_n=4):
@@ -133,44 +133,111 @@ def _beneath_against_objects(monkeypatch):
     return outcomes
 
 
+def _continuity_against_the_fibre_walk(monkeypatch):
+    """Patch ``topology.sigma_z_continuity`` so that each table it decides,
+    on the meet-irreducible closed sets, is held to the oracle's walk over
+    every closed set; returns the list of (table, outcome) it decided."""
+    real = tp.sigma_z_continuity
+    decided = []
+
+    def compared(dom, cod, system):
+        continuous = real(dom, cod, system)
+
+        def check(table):
+            found = continuous(table)
+            f = ps.MonotoneMap(dom, cod, table)
+            assert found == oracles.map_sigma_continuous(f, system), table
+            decided.append((table, found))
+            return found
+
+        return check
+
+    monkeypatch.setattr(tp, "sigma_z_continuity", compared)
+    return decided
+
+
 def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
-    # every mediator verify_adjunction builds goes through its join check,
-    # and the search for an upper adjoint of the same table, as a validated
-    # map, must agree; it also goes through the beneath check, once per map
-    # into the compacts that the object loop finds continuous
+    # every mediator verify_adjunction builds goes through its join check on
+    # the closure gaps of Γ^Z(P); the join check over every pair and the
+    # search for an upper adjoint of the same table must agree, and so must
+    # the oracle's brute force on the first two mediators of each instance.
+    # The continuity check decides every monotone table P -> K(L), in order,
+    # and agrees with the oracle's fibre walk map by map; each mediator also
+    # goes through the beneath check, on maximal points, once per table that
+    # the continuity check passes
     join_check = md.preserves_joins
     outcomes = []
     beneath = _beneath_against_objects(monkeypatch)
+    decided = _continuity_against_the_fibre_walk(monkeypatch)
+    continuity = collections.Counter()
     for P in posets:
-        for system in SYSTEMS.values():
+        for name, system in (*SYSTEMS.items(), ("principal ideals", PRINCIPAL_IDEALS)):
             LP = md.gamma_lattice(P, system).poset
+            every = _every_join(md.join_table(LP))
+            first = len(outcomes)
 
-            def compared(table, dom, cod, LP=LP):
+            def compared(table, dom, cod, LP=LP, every=every, first=first):
                 found = join_check(table, dom, cod)
-                fbar = ps.MonotoneMap(LP, LP, tuple(table))
-                assert found == (gl.upper_adjoint(LP, LP, fbar.table) is not None), table
+                assert found == join_check(table, every, cod), table
+                assert found == (gl.upper_adjoint(LP, LP, table) is not None), table
+                if len(outcomes) < first + 2:
+                    assert found == oracles.has_upper_adjoint(LP, LP, table), table
                 outcomes.append(found)
                 return found
 
             monkeypatch.setattr(md, "preserves_joins", compared)
             before = len(beneath)
+            decided.clear()
             res = md.verify_adjunction(P, system)
-            assert res.status is Status.HOLDS, (P, system.name, res.witness)
+            assert res.status is Status.HOLDS, (P, name, res.witness)
             _, kq = md.epsilon(LP, system)
-            maps = ps.enumerate_monotone_maps(P, kq.poset, cap=max(P.n, kq.poset.n))
-            continuous = sum(oracles.map_sigma_continuous(f, system) for f in maps)
-            assert len(beneath) - before == continuous, (P, system.name)
+            tables = ps.monotone_tables(P, kq.poset, cap=max(P.n, kq.poset.n))
+            assert [t for t, _ in decided] == list(tables), (P, name)
+            continuity.update(found for _, found in decided)
+            assert len(beneath) - before == sum(found for _, found in decided), (P, name)
     assert outcomes and all(outcomes)
     assert beneath == outcomes
+    return continuity
 
 
 def test_adjunction_small(monkeypatch):
-    _adjunction_holds_with_joins_against_adjoints(small_posets(3), monkeypatch)
+    continuity = _adjunction_holds_with_joins_against_adjoints(small_posets(3), monkeypatch)
+    # on `finite` some maps from the 3-antichain into the compacts are not
+    # continuous, and the walk skips them
+    assert continuity[True] > 0 and continuity[False] > 0
 
 
 @pytest.mark.slow
 def test_adjunction_joins_against_adjoints_n4(monkeypatch):
     _adjunction_holds_with_joins_against_adjoints(ps.enumerate_posets(4), monkeypatch)
+
+
+def test_adjunction_join_branch(monkeypatch):
+    # every map from the 3-antichain into the compacts let through as if it
+    # were continuous: the first one that is not has a mediator without an
+    # upper adjoint, by the gap check, the walk over every pair and the
+    # oracle alike
+    P = fx.antichain(3)
+    real = md.preserves_joins
+    LP = md.gamma_lattice(P, FINITE).poset
+    every = _every_join(md.join_table(LP))
+    found = []
+
+    def compared(table, dom, cod):
+        gaps = real(table, dom, cod)
+        found.append(
+            (gaps, real(table, every, cod), oracles.has_upper_adjoint(LP, LP, table))
+        )
+        return gaps
+
+    monkeypatch.setattr(md, "preserves_joins", compared)
+    assert md.verify_adjunction(P, FINITE).status is Status.HOLDS
+    holds = len(found)
+    monkeypatch.setattr(tp, "sigma_z_continuity", lambda dom, cod, system: lambda f: True)
+    res = md.verify_adjunction(P, FINITE)
+    assert res.witness == {"part": "mediator", "reason": "no upper adjoint"}
+    assert found[-1] == (False, False, False)
+    assert all(f == (True, True, True) for f in found[:-1]) and len(found) > holds + 1
 
 
 def test_adjunction_beneath_branch(monkeypatch):
@@ -218,6 +285,13 @@ def test_mediator_search_finds_no_competitor(n):
     assert searched > 0
 
 
+def _every_join(joins):
+    """A ``join_table`` result as ``preserves_joins`` reads its domain: the
+    bottom and every pair i > j with its join."""
+    bottom, join = joins
+    return bottom, tuple((i, j, row[j]) for i, row in enumerate(join) for j in range(i))
+
+
 def test_join_check_equals_the_upper_adjoint_search():
     # Davey & Priestley 7.34 on every monotone map between the Γ-lattices of
     # at most 5 elements of the posets up to n=3, up to iso, over every system
@@ -232,7 +306,7 @@ def test_join_check_equals_the_upper_adjoint_search():
     for T, joins_t in lattices:
         for S, joins_s in lattices:
             for d in ps.enumerate_monotone_maps(T, S):
-                found = md.preserves_joins(d.table, joins_t, joins_s)
+                found = md.preserves_joins(d.table, _every_join(joins_t), joins_s)
                 assert found == (gl.upper_adjoint(T, S, d.table) is not None), (T, S, d.table)
                 outcomes[found] += 1
     assert outcomes == {True: 1393, False: 2788}
@@ -283,6 +357,33 @@ def test_monad_naturality_against_the_object_loop(n):
         for system in SYSTEMS.values():
             res = _same_as_the_object_loop(P, system)
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
+
+
+def test_naturality_into_codomains_too_large_to_tabulate(monkeypatch):
+    # at naturality size 4 some δ(Q) has more points than compact_table
+    # takes: every continuous map into such a Q, and only those, is decided
+    # through delta_tables, with the object loop's result
+    large = [
+        Q for Q in ps.enumerate_posets(4)
+        if md.delta_object(Q, CONNECTED).poset.n > md.COMPACT_TABLE_CAP
+    ]
+    real = md._map_naturality
+    calls = []
+
+    def counted(P, Q, system, f, eta_p, mu_p):
+        calls.append((Q, f))
+        return real(P, Q, system, f, eta_p, mu_p)
+
+    monkeypatch.setattr(md, "_map_naturality", counted)
+    assert oracles.monad_naturality_failure(CHAIN2, CONNECTED, 4) is None
+    assert md.verify_monad_laws(CHAIN2, CONNECTED, naturality_size=4).status is Status.HOLDS
+    want = []
+    for Q in large:
+        continuous = tp.sigma_z_continuity(CHAIN2, Q, CONNECTED)
+        want += [(Q, f) for f in ps.map_tables(CHAIN2, Q) if continuous(f)]
+    assert want and calls == want
+    with pytest.raises(SizeCapError):
+        md.compact_table(md.delta_object(large[0], CONNECTED).poset, CONNECTED)
 
 
 def test_delta_map_against_closure_oracle():
@@ -434,6 +535,26 @@ def test_naturality_loop_non_monotone_delta_f(patch_closure):
     patch_closure(CHAIN3, {3: 4})
     err = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert isinstance(err, NotMonotoneError)
+
+
+def test_naturality_loop_on_a_non_monotone_closure(monkeypatch, patch_closure):
+    # the 3-antichain's carrier closing to ∅ makes its closure non-monotone,
+    # though no image of the 2-chain is the carrier: δf into it then needs
+    # its cover check, so each continuous map into it is decided through
+    # delta_tables, with the object loop's result
+    patch_closure(ANTI3, {7: 0})
+    real = md._map_naturality
+    calls = []
+
+    def counted(P, Q, system, f, eta_p, mu_p):
+        calls.append((Q, f))
+        return real(P, Q, system, f, eta_p, mu_p)
+
+    monkeypatch.setattr(md, "_map_naturality", counted)
+    assert _same_as_the_object_loop(CHAIN2, DIRECTED).status is Status.HOLDS
+    continuous = tp.sigma_z_continuity(CHAIN2, ANTI3, DIRECTED)
+    assert calls == [(ANTI3, f) for f in ps.map_tables(CHAIN2, ANTI3) if continuous(f)]
+    assert calls
 
 
 def test_monotone_on_covers_against_the_constructor():

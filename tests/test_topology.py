@@ -4,7 +4,9 @@ import pytest
 
 import oracles
 from zdt import fixtures as fx, poset as ps, topology as tp
-from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, SINGLETONS, SYSTEMS
+from zdt.systems import (
+    CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SINGLETONS, SYSTEMS,
+)
 
 UP_TO_SIZE_5 = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
 
@@ -372,3 +374,79 @@ def test_subset_images_against_oracle():
                 for A in oracles.subsets(P):
                     want = oracles.image(table, A)
                     assert images[oracles.to_mask(A)] == oracles.to_mask(want)
+
+
+# The reductions of the map layer against the walks they shorten.
+
+
+def _family_views(max_n):
+    """(P, system, name) for every P up to ``max_n`` points and every system,
+    with the principal-ideals view under the name of `directed`, whose I_Z
+    it shares."""
+    for P in small_posets(max_n):
+        for name, system in SYSTEMS.items():
+            yield P, system, name
+        yield P, PRINCIPAL_IDEALS, "directed"
+
+
+def test_irreducible_points_against_the_intersection_walk():
+    # a member is meet-irreducible iff it is not the carrier and not the
+    # intersection of the members strictly above it; each member is the
+    # intersection of the meet-irreducible ones that contain it
+    for P, system, _ in _family_views(4):
+        for family in (tp.gamma_subbasis(P, system), tp.lower_topology(P)):
+            closed = [oracles.to_set(c) for c in family.closed]
+            carrier = frozenset(oracles.elements(P))
+            want = [
+                c for c in closed
+                if c != carrier and c != carrier.intersection(*(d for d in closed if c < d))
+            ]
+            got = [oracles.to_set(c) for c in family.irreducible]
+            assert got == want, (P, family)
+            for c in closed:
+                assert c == carrier.intersection(*(d for d in got if c <= d))
+
+
+def test_continuity_on_a_patched_codomain_family(monkeypatch):
+    # Γ^Z(Q) patched to the upper sets of Q, a closure system whose
+    # meet-irreducibles differ: the preimages are upper sets, so most maps
+    # are not continuous, and the check on the meet-irreducibles still
+    # agrees with the oracle's walk over every closed set.  The codomains
+    # are relabeled copies, so that no domain's family is patched
+    real = tp.gamma_subbasis
+    targets = [
+        ps.FinitePoset([f"q{i}" for i in range(Q.n)], Q.up) for Q in small_posets(3)
+    ]
+
+    def patched(Q, system):
+        if Q in targets:
+            return tp.TopologyFamily(Q, "patched", tp.lower_topology(Q).closed)
+        return real(Q, system)
+
+    monkeypatch.setattr(tp, "gamma_subbasis", patched)
+    outcomes = set()
+    for P in small_posets(3):
+        gamma_p = real(P, DIRECTED)
+        for Q in targets:
+            continuous = tp.sigma_z_continuity(P, Q, DIRECTED)
+            for table in ps.monotone_tables(P, Q):
+                pulled = [oracles.preimage(table, U) for U in oracles.lower_topology(Q)]
+                want = all(gamma_p.is_closed(oracles.to_mask(A)) for A in pulled)
+                assert continuous(table) == want, (P, Q, table)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_closure_gaps_against_the_oracle_closure():
+    # every union A ∪ ↓p of a closed A and a point that is not closed, once,
+    # with the index of its closure, from the oracle's closed family
+    for P, system, name in _family_views(4):
+        closed = oracles.gamma(P, name)
+        index = {A: i for i, A in enumerate(sorted(closed, key=oracles.to_mask))}
+        want = {}
+        for A in sorted(closed, key=oracles.to_mask):
+            for p in oracles.elements(P):
+                S = A | oracles.down(P, {p})
+                if S not in index and S not in want:
+                    want[S] = (index[A], p, index[oracles.closure(P, name, S)])
+        assert tp.closure_gaps(P, system) == tuple(want.values()), (P, name)
