@@ -10,7 +10,6 @@ size <= INNER_SIZE.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -700,6 +699,9 @@ class _Worker:
     """
 
     def __init__(self):
+        # imported here, as most processes never start a worker
+        import multiprocessing
+
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
         self.process.start()

@@ -13,7 +13,6 @@ import sys
 from zdt import claims as cl, continuity as ct, io as zio, monad as md
 from zdt import poset as ps, systems as zs, topology as tp
 from zdt.errors import ZdtError
-from zdt.fixtures import run_fixture_suite
 from zdt.reports import Status
 
 
@@ -142,6 +141,9 @@ def cmd_search(args):
 
 
 def cmd_fixtures(args):
+    # imported here, as no other command reads the fixtures
+    from zdt.fixtures import run_fixture_suite
+
     reports = run_fixture_suite()
     sys.stdout.write(cl.format_reports(reports))
     return 0 if all(r.ok for r in reports) else 1

@@ -12,7 +12,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from zdt import poset as ps, topology as tp
-from zdt.continuity import kz_compacts, prealgebraic_witness, preserves_beneath
+from zdt.continuity import (
+    beneath_set,
+    kz_compacts,
+    prealgebraic_witness,
+    preserves_beneath,
+)
 from zdt.errors import SizeCapError, SupMissingError, ZdtError
 from zdt.reports import CheckResult
 from zdt.systems import family_poset
@@ -173,20 +178,28 @@ COMPACT_TABLE_CAP = 8
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def compact_table(Q, system):
     """``compact_index`` over every subset of Q, as a tuple, and whether cl
-    is monotone: cl m ⊆ cl m' for m ⊆ m', for which the pairs m ⊂ m ∪ {q}
-    suffice.  It is unless a closure is tampered with, and while it is,
-    every δf into Q is monotone: A ⊆ B gives cl f(A) ⊆ cl f(B).  Q may have
-    at most ``COMPACT_TABLE_CAP`` points."""
+    is monotone and reads each set only through its down-set: cl m ⊆ cl m'
+    for m ⊆ m', for which the pairs m ⊂ m ∪ {q} suffice, and
+    cl m = cl ↓m.  Both hold unless a closure is tampered with: cl m is the
+    least closed set over m, and closed sets are lower sets.  While they
+    do, every δf into Q is monotone, as A ⊆ B gives cl f(A) ⊆ cl f(B), and
+    cl f(A) = cl f(max A) for a monotone f and a lower set A, as
+    f(max A) ⊆ f(A) ⊆ ↓f(max A).  Q may have at most
+    ``COMPACT_TABLE_CAP`` points."""
     if Q.n > COMPACT_TABLE_CAP:
         raise SizeCapError("compact_table", Q.n, COMPACT_TABLE_CAP)
     closures = tp.closure_table(Q, system)
-    monotone = all(
+    downs = [0] * len(closures)
+    for m in range(1, len(closures)):
+        low = m & -m
+        downs[m] = downs[m ^ low] | Q.down[low.bit_length() - 1]
+    foldable = all(
         closures[m] & ~closures[m | 1 << q] == 0
         for m in range(len(closures))
         for q in range(Q.n)
-    )
+    ) and all(closures[d] == c for d, c in zip(downs, closures))
     index = delta_object(Q, system).index
-    return tuple(index.get(c) for c in closures), monotone
+    return tuple(index.get(c) for c in closures), foldable
 
 
 def delta_tables(dom, cod, system):
@@ -420,9 +433,21 @@ def verify_adjunction(P, system, L=None):
     (``topology.closure_gaps``).  ``preserves_joins`` checks them on the
     tables.  Either way the mediator is monotone, as ``preserves_beneath``
     requires.
+
+    For the default ``L`` the walk decides only the tables that are
+    lex-least in their orbits under the group of ``_adjunction_actions``,
+    f ↦ σ̂∘f∘σ⁻¹.  A table's verdict (skipped, passed, or the part and
+    reason of its failure) is a function of the table and of the instance
+    tables the walk reads, and the group fixes each of them, so every
+    table of an orbit has the same verdict.  The first failing table in
+    table order is the least of its orbit, as the least one is no later and
+    fails too; so the walk over the lex-least tables meets the same first
+    failure, and holds where the full walk holds.  An explicit ``L`` keeps
+    the full walk.
     """
     LP = gamma_lattice(P, system)
-    if L is None:
+    own = L is None
+    if own:
         L = LP
 
     # triangle at P: counit after Γ^Z(unit) is the identity on Γ^Z(P)
@@ -465,7 +490,10 @@ def verify_adjunction(P, system, L=None):
     gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
     tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
+    actions = _adjunction_actions(P, system, LP, sub) if own else ()
     for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
+        if actions and not ps.lex_least(f, actions):
+            continue
         if not continuous(f):
             continue
         values = [sub.embed[v] for v in f]
@@ -482,6 +510,46 @@ def verify_adjunction(P, system, L=None):
         if not sup_determined:
             return CheckResult.fails(part="uniqueness", reason="sup-determination")
     return CheckResult.holds()
+
+
+def _adjunction_actions(P, system, LP, sub):
+    """The actions f ↦ σ̂∘f∘σ⁻¹ on tables P -> K(L), for L = Γ^Z(P), of
+    the automorphisms σ of P that fix every table the adjunction's walk
+    reads, as ``poset.lex_least`` takes them; the identity left out.
+
+    σ̂ is σ acting on the members of Γ^Z(P), the points of L, and then on
+    the compact points K(L).  Such a σ must map Γ^Z(P) and its closure gaps
+    onto themselves, and σ̂ must fix the beneath table of L, the compact
+    points and the closed family of K(L).  σ̂ preserves inclusion, so it
+    also fixes L's order and join table, and with σ the maximal points of
+    each member and the principal ideals.  The join check asks, of a
+    monotone f, m(cl S) = ⋁ f(S) at each gap S = A ∪ ↓p, whichever (A, p)
+    lists S, so it reads the gaps only as the pairs (S, cl S).  So the
+    continuity check, the mediator, its join and beneath checks and
+    sup-determination give σ̂∘f∘σ⁻¹ the verdict of f.  Each condition asks σ to fix one structure, so the σ that meet all
+    of them form a group.  It is all of Aut P unless a table is tampered
+    with, as each system is invariant under isomorphism."""
+    others = ps.automorphisms(P)[1:]
+    if not others:
+        return ()
+    closed = LP.elements
+    gaps = {(closed[a] | P.down[p], closed[k]) for a, p, k in tp.closure_gaps(P, system)}
+    beneath = [beneath_set(LP.poset, system, y) for y in range(LP.poset.n)]
+    position = {x: j for j, x in enumerate(sub.embed)}
+    compact_closed = tp.gamma_subbasis(sub.poset, system).closed
+    actions = []
+    for sigma in others:
+        hat = ps.family_action(sigma, closed, LP.index)
+        if hat is None or ps.permuted(hat, sub.carrier) != sub.carrier:
+            continue
+        if any(beneath[hat[y]] != ps.permuted(hat, b) for y, b in enumerate(beneath)):
+            continue
+        if {(ps.permuted(sigma, a), ps.permuted(sigma, c)) for a, c in gaps} != gaps:
+            continue
+        tau = tuple(position[hat[x]] for x in sub.embed)
+        if ps.family_action(tau, compact_closed) is not None:
+            actions.append((ps.inverse(sigma), tau))
+    return tuple(actions)
 
 
 def verify_monad_laws(P, system, naturality_size=3):
@@ -531,70 +599,144 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
 
     One loop decides each f: continuity on the meet-irreducible closed sets
     of Q (as ``topology.sigma_z_continuity``), δf and δδf from the compact
-    tables of Q and δ(Q), and both equations.  Images and preimages are read
-    from the fibres of f.  While both closures are monotone
-    (``compact_table``), δf and δδf need no cover check.  Where one is not,
-    where δ(Q) is too large to tabulate, or where f fails any step,
-    ``_map_naturality`` decides f again through ``delta_tables``, so that
-    its witness, or the ``NotMonotoneError`` it raises, comes from the one
-    δ definition.
+    tables of Q and δ(Q), and both equations.  Preimages are read from the
+    fibres of f.  While both closures are monotone and read sets through
+    their down-sets (``compact_table``), δf and δδf need no cover check, and
+    each folds at the maximal points of the compact sets, which are lower
+    sets.  Where a closure is not, where δ(Q) is too large to tabulate, or
+    where f fails any step, ``_map_naturality`` decides f again through
+    ``delta_tables``, so that its witness, or the ``NotMonotoneError`` it
+    raises, comes from the one δ definition.
+
+    On that tabulated path the loop decides only the lex-least tables of
+    their orbits under f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q
+    (``_domain_group``, ``_codomain_group``).  The groups fix every table
+    that a decision reads, so every f of an orbit gets one verdict; the
+    first failing f in table order is the least of its orbit, as the least
+    one is no later and fails too, so the loop meets it, and returns its
+    witness.  Elsewhere it decides every map.
     """
     D1, DQ = delta_object(P, system), delta_object(Q, system)
-    sets_1, points_2 = D1.sets, delta_object(D1.poset, system).points
     eta_q, mu_q = eta(Q, system).table, mu(Q, system).table
     is_closed = tp.gamma_subbasis(P, system).is_closed
     irreducible = tp.gamma_subbasis(Q, system).irreducible
     if DQ.poset.n <= COMPACT_TABLE_CAP:
-        compact_q, monotone_q = compact_table(Q, system)
-        compact_dq, monotone_dq = compact_table(DQ.poset, system)
-        tabulated = monotone_q and monotone_dq
+        compact_q, foldable_q = compact_table(Q, system)
+        compact_dq, foldable_dq = compact_table(DQ.poset, system)
+        tabulated = foldable_q and foldable_dq
     else:
         tabulated = False
-    points_q = tuple((q, 1 << q) for q in range(Q.n))
-    for f in ps.map_tables(P, Q):
+    if tabulated:
+        tables = ps.map_reps(
+            P, Q,
+            _domain_group(P, system, eta_p, mu_p),
+            _codomain_group(Q, system, eta_q, mu_q),
+        )
+        bits_q = tuple(1 << q for q in range(Q.n))
+        tops_1 = ps.maxima(P, D1.sets)
+        units = tuple(enumerate(eta_p))
+        D2 = delta_object(D1.poset, system)
+        mults = tuple(zip(ps.maxima(D1.poset, D2.sets), mu_p))
+    else:
+        tables = ps.map_tables(P, Q)
+
+    def natural(f):
+        """Both equations at f, from the compact tables; False also where
+        δf or δδf escapes the compacts."""
+        df = []
+        for pts in tops_1:
+            image = 0
+            for p in pts:
+                image |= bits_q[f[p]]
+            w = compact_q[image]
+            if w is None:
+                return False
+            df.append(w)
+        for p, e in units:
+            if df[e] != eta_q[f[p]]:
+                return False
+        bits = [1 << w for w in df]
+        for pts, m in mults:
+            image = 0
+            for a in pts:
+                image |= bits[a]
+            w = compact_dq[image]
+            if w is None or df[m] != mu_q[w]:
+                return False
+        return True
+
+    bits_p = tuple(1 << p for p in range(P.n))
+    members = tuple(tuple(ps.bits(c)) for c in irreducible)
+    for f in tables:
         fibres = [0] * Q.n
-        for p, v in enumerate(f):
-            fibres[v] |= 1 << p
-        for c in irreducible:
+        for v, bit in zip(f, bits_p):
+            fibres[v] |= bit
+        for qs in members:
             pre = 0
-            for q, bit in points_q:
-                if (c >> q) & 1:
-                    pre |= fibres[q]
+            for q in qs:
+                pre |= fibres[q]
             if not is_closed(pre):
                 break
         else:
-            ok = tabulated
-            if ok:
-                df = []
-                for a in sets_1:
-                    image = 0
-                    for q, bit in points_q:
-                        if fibres[q] & a:
-                            image |= bit
-                    df.append(compact_q[image])
-                ok = None not in df
-            for p, e in enumerate(eta_p):
-                if not ok or df[e] != eta_q[f[p]]:
-                    ok = False
-                    break
-            if ok:
-                bits = [1 << w for w in df]
-                ddf = []
-                for pts in points_2:
-                    image = 0
-                    for a in pts:
-                        image |= bits[a]
-                    ddf.append(compact_dq[image])
-                ok = None not in ddf
-            for i, m in enumerate(mu_p):
-                if not ok or df[m] != mu_q[ddf[i]]:
-                    ok = False
-                    break
-            if not ok:
+            if not (tabulated and natural(f)):
                 bad = _map_naturality(P, Q, system, f, eta_p, mu_p)
                 if bad is not None:
                     return bad
     return None
+
+
+def _lifts(P, system, eta_p, mu_p):
+    """(σ, σ̂, σ̂̂) for each automorphism σ of P other than the identity such
+    that σ maps the sets of δ(P) onto themselves, acting on them as σ̂, σ̂
+    maps those of δδ(P) onto themselves, acting as σ̂̂, and the unit and
+    multiplication tables commute with them: η_P ∘ σ = σ̂ ∘ η_P and
+    μ_P ∘ σ̂̂ = σ̂ ∘ μ_P."""
+    D1 = delta_object(P, system)
+    D2 = delta_object(D1.poset, system)
+    for sigma in ps.automorphisms(P)[1:]:
+        hat = ps.family_action(sigma, D1.sets, D1.index)
+        twice = None if hat is None else ps.family_action(hat, D2.sets, D2.index)
+        if (
+            twice is not None
+            and ps.fixes(eta_p, sigma, hat)
+            and ps.fixes(mu_p, twice, hat)
+        ):
+            yield sigma, hat, twice
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def _domain_group(P, system, eta_p, mu_p):
+    """G_P of ``_naturality_failure``: the σ of ``_lifts`` that also map
+    Γ^Z(P) onto itself.  Keyed by the unit and multiplication tables its
+    caller reads, so that it always answers for them.
+
+    A map's decision reads P through Γ^Z(P) (the closedness of preimages),
+    the sets of δ(P) and their maximal points, those of δδ(P), η_P and μ_P;
+    for such a σ, replacing f by f∘σ⁻¹ relabels each of them alike."""
+    closed = tp.gamma_subbasis(P, system).closed
+    return ps.automorphisms(P)[:1] + tuple(
+        sigma for sigma, _, _ in _lifts(P, system, eta_p, mu_p)
+        if ps.family_action(sigma, closed) is not None
+    )
+
+
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
+def _codomain_group(Q, system, eta_q, mu_q):
+    """G_Q of ``_naturality_failure``: the ρ of ``_lifts`` that also map the
+    meet-irreducible members of Γ^Z(Q) onto themselves and commute with
+    both compact tables, cl on Q with ρ̂ and cl on δ(Q) with ρ̂̂.  Keyed by
+    the unit and multiplication tables its caller reads; read from the
+    closure through the compact tables, so a test that patches a closure
+    clears it."""
+    irreducible = tp.gamma_subbasis(Q, system).irreducible
+    compact_q, _ = compact_table(Q, system)
+    compact_dq, _ = compact_table(delta_object(Q, system).poset, system)
+    return ps.automorphisms(Q)[:1] + tuple(
+        rho for rho, hat, twice in _lifts(Q, system, eta_q, mu_q)
+        if ps.family_action(rho, irreducible) is not None
+        and ps.fixes(compact_q, tp.subset_images(rho), hat)
+        and ps.fixes(compact_dq, tp.subset_images(hat), twice)
+    )
 
 
 def _map_naturality(P, Q, system, f, eta_p, mu_p):

@@ -648,3 +648,120 @@ def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
     for table in monotone_tables(P, Q, cap):
         yield MonotoneMap(P, Q, table, _trusted=True)
 
+
+
+# -- symmetry ----------------------------------------------------------
+#
+# A permutation of n points is its table, ``perm[i]`` the image of i.  Two
+# walks over function tables, the adjunction's and the monad's naturality,
+# decide one table per orbit of a group that fixes every table they read
+# (``monad.verify_adjunction``, ``monad._naturality_failure``).
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def automorphisms(P):
+    """The order automorphisms of P, in lexicographic order of their tables,
+    so the identity first.
+
+    Backtracking sends point i to an unused point v with as many points
+    above and below it, such that j ≤ i ⟺ σ(j) ≤ v and i ≤ j ⟺ v ≤ σ(j)
+    for each earlier point j.  Those pairs are every pair, so each table it
+    completes is an automorphism, and it misses none."""
+    n, up, down = P.n, P.up, P.down
+    shape = [(up[i].bit_count(), down[i].bit_count()) for i in range(n)]
+    table = [0] * n
+    out = []
+
+    def rec(i, used):
+        if i == n:
+            out.append(tuple(table))
+            return
+        for v in range(n):
+            if (used >> v) & 1 or shape[v] != shape[i]:
+                continue
+            if all(
+                (up[i] >> j & 1) == (up[v] >> table[j] & 1)
+                and (down[i] >> j & 1) == (down[v] >> table[j] & 1)
+                for j in range(i)
+            ):
+                table[i] = v
+                rec(i + 1, used | 1 << v)
+
+    rec(0, 0)
+    return tuple(out)
+
+
+def inverse(perm):
+    out = [0] * len(perm)
+    for i, v in enumerate(perm):
+        out[v] = i
+    return tuple(out)
+
+
+def permuted(perm, mask):
+    """The image of a mask under a permutation of its points."""
+    out = 0
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out |= 1 << perm[lsb.bit_length() - 1]
+    return out
+
+
+def family_action(perm, masks, index=None):
+    """The permutation of the positions of ``masks`` that ``perm`` induces,
+    i ↦ the position of perm(masks[i]); None when perm does not map the
+    family onto itself.  ``index`` maps each mask to its position, if the
+    caller holds one."""
+    if index is None:
+        index = {m: i for i, m in enumerate(masks)}
+    out = []
+    for m in masks:
+        j = index.get(permuted(perm, m))
+        if j is None:
+            return None
+        out.append(j)
+    return tuple(out)
+
+
+def fixes(table, dom_perm, cod_perm):
+    """Whether a function table commutes with a pair of permutations,
+    table[dom_perm[i]] = cod_perm[table[i]] for every i; a None value must
+    go to None."""
+    for i, v in enumerate(table):
+        if table[dom_perm[i]] != (None if v is None else cod_perm[v]):
+            return False
+    return True
+
+
+def lex_least(table, actions):
+    """Whether no action maps ``table`` to a lexicographically smaller one.
+
+    Each action is a pair (moved, values) and sends a table f to the g with
+    g[p] = values[f[moved[p]]]: f ↦ τ∘f∘σ⁻¹ for moved = σ⁻¹ and values = τ.
+    Over the non-identity elements of a group, this is the test that f is
+    the least table of its orbit.  Each comparison stops at the first point
+    where the two tables differ, and nothing is kept between calls."""
+    for moved, values in actions:
+        for p, q in enumerate(moved):
+            v = values[table[q]]
+            w = table[p]
+            if v != w:
+                if v < w:
+                    return False
+                break
+    return True
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def map_reps(P, Q, dom_group, cod_group):
+    """The tables of ``map_tables(P, Q)`` that are lex-least in their orbits
+    under f ↦ τ∘f∘σ⁻¹ for σ in ``dom_group`` ⊆ Aut P and τ in
+    ``cod_group`` ⊆ Aut Q, in table order.  Such a τ∘f∘σ⁻¹ is monotone
+    with f, so each orbit lies in ``map_tables(P, Q)``.  The tuple holds the
+    table objects of ``map_tables``, so it is never the larger of the two.
+    Each group lists the identity first."""
+    actions = tuple((inverse(s), t) for s in dom_group for t in cod_group)[1:]
+    if not actions:
+        return map_tables(P, Q)
+    return tuple(f for f in map_tables(P, Q) if lex_least(f, actions))

@@ -3,8 +3,9 @@
 Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
 internals; tests compare the fast implementations against these.  The
-exceptions are ``lower_hereditary_witness``, ``monad_naturality_failure`` and
-the slow paths at the end of the module, which say why in their docstrings.
+exceptions are ``lower_hereditary_witness``, ``monad_naturality_failure``,
+the slow paths and the full walks at the end of the module, which say why in
+their docstrings.
 """
 
 from itertools import chain, combinations, permutations, product
@@ -908,3 +909,138 @@ def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
     """``run_claim(mode="labeled")`` by evaluating every labeled order itself:
     the verdict of each labeled order must equal the verdict of its class."""
     return per_system_reports(claim_id, max_size, "labeled", systems, witness_cap)
+
+
+# -- full walks ------------------------------------------------------------
+#
+# The adjunction's walk over P -> K(L) and the monad's naturality walk as the
+# package ran them before they decided one table per orbit: every monotone
+# table, in order.  They read the package's own tables and functions through
+# its modules, so that a test can hold each orbit walk to the full walk,
+# patched functions and tables included.
+
+
+def adjunction_walk(P, system, L=None):
+    """``monad.verify_adjunction`` deciding every monotone table P -> K(L)."""
+    from zdt import monad as md, poset as ps, topology as tp
+    from zdt.reports import CheckResult
+
+    LP = md.gamma_lattice(P, system)
+    if L is None:
+        L = LP
+
+    D1 = md.delta_object(P, system)
+    g_eta = md.gamma_map(md.eta(P, system), system)
+    gamma_d1 = md.gamma_lattice(D1.poset, system)
+    for i, a in enumerate(LP.elements):
+        fam = gamma_d1.elements[g_eta(i)]
+        union = 0
+        for j in ps.bits(fam):
+            union |= D1.sets[j]
+        back = tp.closure_subbasic(P, system, union)
+        if back != a:
+            return CheckResult.fails(
+                triangle="poset side", closed_set=P.names(a), got=P.names(back)
+            )
+
+    eps, sub = md.epsilon(L.poset, system)
+    et_q = md.eta(sub.poset, system)
+    dq = md.delta_object(sub.poset, system)
+    for q in range(sub.poset.n):
+        fam = dq.sets[et_q(q)]
+        s = ps.sup_of(L.poset, sub.to_parent(fam))
+        if s != sub.embed[q]:
+            return CheckResult.fails(
+                triangle="lattice side", compact=L.poset.labels[sub.embed[q]]
+            )
+
+    principal = [LP.index[P.down[p]] for p in range(P.n)]
+    sup_determined = all(
+        LP.sup(sum(1 << principal[p] for p in ps.bits(a))) == i
+        for i, a in enumerate(LP.elements)
+    )
+    joins_l = md.join_table(L.poset)
+    bottom, join = joins_l
+    gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
+    tops = ps.maxima(P, LP.elements)
+    continuous = tp.sigma_z_continuity(P, sub.poset, system)
+    for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
+        if not continuous(f):
+            continue
+        values = [sub.embed[v] for v in f]
+        mediator = []
+        for pts in tops:
+            s = bottom
+            for p in pts:
+                s = join[s][values[p]]
+            mediator.append(s)
+        if not md.preserves_joins(mediator, gaps, joins_l):
+            return CheckResult.fails(part="mediator", reason="no upper adjoint")
+        if not md.preserves_beneath(mediator, LP.poset, L.poset, system):
+            return CheckResult.fails(part="mediator", reason="beneath not preserved")
+        if not sup_determined:
+            return CheckResult.fails(part="uniqueness", reason="sup-determination")
+    return CheckResult.holds()
+
+
+def naturality_walk(P, Q, system, eta_p, mu_p):
+    """``monad._naturality_failure`` deciding every monotone f : P -> Q, with
+    δf and δδf read from the fibres of f at every point of each compact set,
+    and ``monad._map_naturality`` on each f that the table pass fails."""
+    from zdt import monad as md, poset as ps, topology as tp
+
+    D1, DQ = md.delta_object(P, system), md.delta_object(Q, system)
+    sets_1, points_2 = D1.sets, md.delta_object(D1.poset, system).points
+    eta_q, mu_q = md.eta(Q, system).table, md.mu(Q, system).table
+    is_closed = tp.gamma_subbasis(P, system).is_closed
+    irreducible = tp.gamma_subbasis(Q, system).irreducible
+    if DQ.poset.n <= md.COMPACT_TABLE_CAP:
+        compact_q, monotone_q = md.compact_table(Q, system)
+        compact_dq, monotone_dq = md.compact_table(DQ.poset, system)
+        tabulated = monotone_q and monotone_dq
+    else:
+        tabulated = False
+    for f in ps.map_tables(P, Q):
+        fibres = [0] * Q.n
+        for p, v in enumerate(f):
+            fibres[v] |= 1 << p
+        if not all(
+            is_closed(sum(fibres[q] for q in range(Q.n) if (c >> q) & 1))
+            for c in irreducible
+        ):
+            continue
+        ok = tabulated
+        if ok:
+            df = [
+                compact_q[sum(1 << q for q in range(Q.n) if fibres[q] & a)]
+                for a in sets_1
+            ]
+            ok = None not in df
+        ok = ok and all(df[e] == eta_q[f[p]] for p, e in enumerate(eta_p))
+        if ok:
+            ddf = [compact_dq[sum(1 << w for w in {df[a] for a in pts})] for pts in points_2]
+            ok = None not in ddf
+        ok = ok and all(df[m] == mu_q[ddf[i]] for i, m in enumerate(mu_p))
+        if not ok:
+            bad = md._map_naturality(P, Q, system, f, eta_p, mu_p)
+            if bad is not None:
+                return bad
+    return None
+
+
+def automorphisms(P):
+    """Aut P: the relabelings of all n! that leave the order as it is."""
+    return [
+        perm for perm in permutations(range(P.n)) if relabel(P.up, perm) == tuple(P.up)
+    ]
+
+
+def orbit(table, pairs):
+    """The tables τ∘f∘σ⁻¹ for the pairs (σ, τ) of a group, from f's table."""
+    out = set()
+    for sigma, tau in pairs:
+        g = [None] * len(table)
+        for p, v in enumerate(table):
+            g[sigma[p]] = tau[v]
+        out.add(tuple(g))
+    return out

@@ -156,15 +156,32 @@ def _continuity_against_the_fibre_walk(monkeypatch):
     return decided
 
 
+def _lattice_automorphisms(P, system, kq):
+    """The pairs (σ, τ) for σ in the brute-force Aut P and τ its action on
+    the compacts ``kq`` of Γ^Z(P), through the closed sets."""
+    L = md.gamma_lattice(P, system)
+    position = {x: j for j, x in enumerate(kq.embed)}
+    pairs = []
+    for sigma in oracles.automorphisms(P):
+        moved = [
+            L.index[oracles.to_mask(sigma[p] for p in oracles.to_set(a))]
+            for a in L.elements
+        ]
+        pairs.append((sigma, tuple(position[moved[x]] for x in kq.embed)))
+    return pairs
+
+
 def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
     # every mediator verify_adjunction builds goes through its join check on
     # the closure gaps of Γ^Z(P); the join check over every pair and the
     # search for an upper adjoint of the same table must agree, and so must
     # the oracle's brute force on the first two mediators of each instance.
-    # The continuity check decides every monotone table P -> K(L), in order,
-    # and agrees with the oracle's fibre walk map by map; each mediator also
-    # goes through the beneath check, on maximal points, once per table that
-    # the continuity check passes
+    # The continuity check decides the monotone tables P -> K(L) that are
+    # lex-least in their orbits under Aut P, in order, and agrees with the
+    # oracle's fibre walk map by map; the orbits of those tables, under the
+    # brute-force group, hold every monotone table.  Each mediator also goes
+    # through the beneath check, on maximal points, once per table that the
+    # continuity check passes
     join_check = md.preserves_joins
     outcomes = []
     beneath = _beneath_against_objects(monkeypatch)
@@ -191,8 +208,11 @@ def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
             res = md.verify_adjunction(P, system)
             assert res.status is Status.HOLDS, (P, name, res.witness)
             _, kq = md.epsilon(LP, system)
-            tables = ps.monotone_tables(P, kq.poset, cap=max(P.n, kq.poset.n))
-            assert [t for t, _ in decided] == list(tables), (P, name)
+            tables = list(ps.monotone_tables(P, kq.poset, cap=max(P.n, kq.poset.n)))
+            pairs = _lattice_automorphisms(P, system, kq)
+            reps = [t for t in tables if t == min(oracles.orbit(t, pairs))]
+            assert [t for t, _ in decided] == reps, (P, name)
+            assert sum(len(oracles.orbit(t, pairs)) for t in reps) == len(tables)
             continuity.update(found for _, found in decided)
             assert len(beneath) - before == sum(found for _, found in decided), (P, name)
     assert outcomes and all(outcomes)

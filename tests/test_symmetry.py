@@ -1,0 +1,180 @@
+"""Automorphisms, orbit representatives, and the two walks that decide one
+function table per orbit: the adjunction's over P -> K(L) and the monad's
+naturality over P -> Q.  Each is held to a brute-force group or to the full
+walk it replaced (``oracles.adjunction_walk``, ``oracles.naturality_walk``)."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from test_kernels import random_orders
+from test_monad import ANTI2, ANTI3, CHAIN2, POINT, _patch_table
+from zdt import continuity as ct, monad as md, poset as ps, topology as tp
+from zdt.reports import CheckResult, Status
+from zdt.systems import DIRECTED, FINITE, PRINCIPAL_IDEALS, SYSTEMS
+
+EVERY_SYSTEM = (*SYSTEMS.values(), PRINCIPAL_IDEALS)
+
+
+def _random_poset(seed, n):
+    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    return ps.FinitePoset(ps.default_labels(n), rows)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((6, 7)))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_automorphisms_and_orbit_sizes_against_brute_force(seed, n):
+    # Aut P against every relabeling of the 6 or 7 points; and the lex-least
+    # tables P -> Q of map_reps are one per orbit of Aut P × Aut Q, whose
+    # orbits, from the brute-force groups, cover map_tables exactly
+    P = _random_poset(seed, n)
+    group_p = oracles.automorphisms(P)
+    assert list(ps.automorphisms(P)) == sorted(group_p)
+    for Q in ps.enumerate_posets(2):
+        pairs = [(s, t) for s in group_p for t in oracles.automorphisms(Q)]
+        tables = ps.map_tables(P, Q)
+        reps = ps.map_reps(P, Q, ps.automorphisms(P), ps.automorphisms(Q))
+        assert reps == tuple(f for f in tables if f == min(oracles.orbit(f, pairs)))
+        assert sum(len(oracles.orbit(f, pairs)) for f in reps) == len(tables)
+
+
+def test_automorphisms_of_small_posets_against_brute_force():
+    # every labeled order up to 4 points, and the classes on 5
+    posets = [P for n in range(1, 5) for P in ps.enumerate_posets(n, "labeled")]
+    for P in posets + list(ps.enumerate_posets(5)):
+        assert list(ps.automorphisms(P)) == sorted(oracles.automorphisms(P))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_walks_match_the_full_walks(n):
+    for P in ps.enumerate_posets(n):
+        for system in EVERY_SYSTEM:
+            res = md.verify_adjunction(P, system)
+            assert res == oracles.adjunction_walk(P, system), (P, system.name)
+            eta_p, mu_p = md.eta(P, system).table, md.mu(P, system).table
+            for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
+                got = md._naturality_failure(P, Q, system, eta_p, mu_p)
+                want = oracles.naturality_walk(P, Q, system, eta_p, mu_p)
+                assert got == want, (P, Q, system.name)
+
+
+def _naturality(P, system):
+    """verify_monad_laws's naturality result at P, and the full walk's."""
+    eta_p, mu_p = md.eta(P, system).table, md.mu(P, system).table
+    want = None
+    for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
+        want = want or oracles.naturality_walk(P, Q, system, eta_p, mu_p)
+    want = CheckResult.holds() if want is None else CheckResult.fails(**want)
+    return md.verify_monad_laws(P, system), want
+
+
+def test_a_unit_that_breaks_the_symmetry_shrinks_the_codomain_group(monkeypatch):
+    # η of the 2-antichain made (1, 0): its swap no longer commutes with η,
+    # so only the identity is left to act on the tables into it
+    eta_q, mu_q = md.eta(ANTI2, FINITE).table, md.mu(ANTI2, FINITE).table
+    assert md._codomain_group(ANTI2, FINITE, eta_q, mu_q) == ps.automorphisms(ANTI2)
+    assert len(ps.automorphisms(ANTI2)) == 2
+    _patch_table(monkeypatch, "eta", ANTI2, (1, 0))
+    patched = md.eta(ANTI2, FINITE).table
+    assert md._codomain_group(ANTI2, FINITE, patched, mu_q) == ((0, 1),)
+    got, want = _naturality(ANTI3, FINITE)
+    assert got == want and got.status is Status.FAILS
+
+
+def test_a_multiplication_that_breaks_the_symmetry_shrinks_the_codomain_group(monkeypatch):
+    # μ of the 2-antichain sends the compact family {{b}} to {a} in place of
+    # {b}: the swap no longer commutes with μ, and the map of the point to b
+    # fails, while the map to a, the least table of its orbit, passes
+    eta_q, mu_q = md.eta(ANTI2, DIRECTED).table, md.mu(ANTI2, DIRECTED).table
+    assert mu_q == (0, 0, 1, 2)
+    _patch_table(monkeypatch, "mu", ANTI2, (0, 0, 1, 1))
+    patched = md.mu(ANTI2, DIRECTED).table
+    assert md._codomain_group(ANTI2, DIRECTED, eta_q, patched) == ((0, 1),)
+    got, want = _naturality(POINT, DIRECTED)
+    assert got == want
+    assert got.witness == {"law": "multiplication naturality", "map": (1,)}
+
+
+def test_a_closure_that_breaks_the_symmetry_shrinks_the_codomain_group(patch_closure):
+    # in the 3-antichain, {c} closes to {b, c}, which is not compact, and
+    # every closure stays monotone and reads sets through their down-sets:
+    # the tables into it stay on the orbit walk, where only the swap of a
+    # and b still acts on the codomain.  The first map to fail sends b to c;
+    # under all of Aut Q the least table of its orbit would be (0, 1), which
+    # passes, as does every other table of that walk
+    def group():
+        eta_q, mu_q = md.eta(ANTI3, DIRECTED).table, md.mu(ANTI3, DIRECTED).table
+        return md._codomain_group(ANTI3, DIRECTED, eta_q, mu_q)
+
+    assert group() == ps.automorphisms(ANTI3) and len(group()) == 6
+    patch_closure(ANTI3, {4: 6, 5: 7})
+    assert md.compact_table(ANTI3, DIRECTED)[1]
+    assert group() == ((0, 1, 2), (1, 0, 2))
+    got, want = _naturality(ANTI2, DIRECTED)
+    assert got == want
+    assert got.witness == {
+        "law": "functoriality", "of": ("b",), "image_closure": ("b", "c")
+    }
+
+
+def test_explicit_lattice_keeps_the_full_walk(monkeypatch):
+    # into a foreign lattice every monotone table is decided
+    L = md.gamma_lattice(ANTI2, DIRECTED)
+    calls = []
+    monkeypatch.setattr(ps, "lex_least", lambda f, actions: calls.append(f) or True)
+    assert md.verify_adjunction(ANTI2, DIRECTED, L=L).status is Status.HOLDS
+    assert not calls
+    assert md.verify_adjunction(ANTI2, DIRECTED).status is Status.HOLDS
+    assert calls
+    assert md.verify_adjunction(CHAIN2, DIRECTED, L=L) == oracles.adjunction_walk(
+        CHAIN2, DIRECTED, L=L
+    )
+
+
+def test_a_beneath_table_that_breaks_the_symmetry_shrinks_the_adjunction_group(monkeypatch):
+    # Γ^Z of the 3-antichain on `finite` is ∅, {a}, {b}, {c} and the
+    # carrier.  Declaring {a}, {b} and the carrier, but not {c}, beneath ∅
+    # leaves only the swap of a and b: a mediator whose top goes to {c} now
+    # fails, while under all of Aut P the least table of its orbit sends the
+    # top to {a} and passes
+    LP = md.gamma_lattice(ANTI3, FINITE)
+    _, sub = md.epsilon(LP.poset, FINITE)
+    assert len(md._adjunction_actions(ANTI3, FINITE, LP, sub)) == 5
+    real = ct._beneath_all
+
+    def patched(Q, system):
+        table = real(Q, system)
+        return (0b10111, *table[1:]) if Q == LP.poset else table
+
+    monkeypatch.setattr(ct, "_beneath_all", patched)
+    assert [moved for moved, _ in md._adjunction_actions(ANTI3, FINITE, LP, sub)] == [
+        (1, 0, 2)
+    ]
+    res = md.verify_adjunction(ANTI3, FINITE)
+    assert res == oracles.adjunction_walk(ANTI3, FINITE)
+    assert res.witness == {"part": "mediator", "reason": "beneath not preserved"}
+
+
+def test_naturality_on_a_closure_that_reads_more_than_down_sets(monkeypatch, patch_closure):
+    # on the 2-chain a < b, b closing to itself keeps the closure monotone,
+    # but not a function of down-sets: cl {b} ≠ cl ↓b.  So δf cannot fold at
+    # maximal points, and every continuous map into it, up to the first that
+    # fails, is decided through delta_tables, with the full walk's result
+    Q = ps.from_order_pairs(["a", "b"], [("a", "b")])
+    patch_closure(Q, {2: 2})
+    assert not md.compact_table(Q, DIRECTED)[1]
+    real = md._map_naturality
+    calls = []
+
+    def counted(P, Q, system, f, eta_p, mu_p):
+        calls.append(f)
+        return real(P, Q, system, f, eta_p, mu_p)
+
+    monkeypatch.setattr(md, "_map_naturality", counted)
+    eta_p, mu_p = md.eta(ANTI2, DIRECTED).table, md.mu(ANTI2, DIRECTED).table
+    got = md._naturality_failure(ANTI2, Q, DIRECTED, eta_p, mu_p)
+    assert got == {"law": "functoriality", "of": ("b",), "image_closure": ("b",)}
+    assert calls == [(0, 0), (0, 1)]
+    assert oracles.naturality_walk(ANTI2, Q, DIRECTED, eta_p, mu_p) == got
