@@ -20,6 +20,7 @@ class Mutant(NamedTuple):
 
 SYMMETRY = "tests/test_symmetry.py"
 MONAD = "tests/test_monad.py"
+CONTINUITY = "tests/test_continuity.py"
 
 MUTANTS = (
     # the lex-least test keeping the greatest table of each orbit
@@ -106,6 +107,66 @@ MUTANTS = (
         "src/zdt/continuity.py",
         "        for x in xs:\n            if not (allowed >> table[x]) & 1:",
         "        for x in xs[:1]:\n            if not (allowed >> table[x]) & 1:",
-        ("tests/test_continuity.py::test_preserves_beneath_reads_every_maximal_point",),
+        (f"{CONTINUITY}::test_preserves_beneath_reads_every_maximal_point",),
+    ),
+    # adjunction groups that ignore the closure gaps
+    Mutant(
+        "src/zdt/monad.py",
+        "        if {(ps.permuted(sigma, a), ps.permuted(sigma, c)) for a, c in gaps} != gaps:",
+        "        if False:",
+        (f"{SYMMETRY}::test_a_closure_gap_that_breaks_the_symmetry_shrinks_the_adjunction_group",),
+    ),
+    # adjunction groups that ignore the closed family of K(L)
+    Mutant(
+        "src/zdt/monad.py",
+        "        if ps.family_action(tau, compact_closed) is not None:",
+        "        if True:",
+        (
+            f"{SYMMETRY}::test_a_compact_family_that_breaks_the_symmetry"
+            "_shrinks_the_adjunction_group",
+        ),
+    ),
+    # naturality domain groups that ignore Γ^Z(P)
+    Mutant(
+        "src/zdt/monad.py",
+        "        if ps.family_action(sigma, closed) is not None\n",
+        "",
+        (f"{SYMMETRY}::test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group",),
+    ),
+    # the compacts' closed form calling a point with nothing outside ↑x
+    # (a bottom) not compact
+    Mutant(
+        "src/zdt/continuity.py",
+        "            if not outside or not (ps.cut(P, outside) >> x) & 1:",
+        "            if outside and not (ps.cut(P, outside) >> x) & 1:",
+        (f"{CONTINUITY}::test_compacts_against_the_beneath_table_and_oracle",),
+    ),
+    # the unit-law pins of thm-em's search overwriting each other
+    Mutant(
+        "src/zdt/claims.py",
+        "            pins[e] &= 1 << p",
+        "            pins[e] = 1 << p",
+        (f"{MONAD}::test_em_search_on_a_non_injective_unit_walks_no_table",),
+    ),
+    # δ(P)'s poset restricted to the whole Γ-lattice
+    Mutant(
+        "src/zdt/monad.py",
+        "ps.restrict(L.poset, k).poset",
+        "ps.restrict(L.poset, L.poset.full).poset",
+        (f"{MONAD}::test_delta_poset_is_the_family_poset_of_its_sets",),
+    ),
+    # the sup table holding infima
+    Mutant(
+        "src/zdt/poset.py",
+        "    return tuple(sup_of(P, a) for a in range(1 << P.n))",
+        "    return tuple(inf_of(P, a) for a in range(1 << P.n))",
+        ("tests/test_poset.py::test_subset_tables_against_oracles_labeled_n4",),
+    ),
+    # prop-em-morph reading the codomain's cuts as its sups
+    Mutant(
+        "src/zdt/claims.py",
+        "        sups_q = ps.sup_table(Q)",
+        "        sups_q = ps.cut_table(Q)",
+        (f"{MONAD}::test_em_morphisms_against_the_object_loop",),
     ),
 )

@@ -333,10 +333,16 @@ def _eval_thm_em(P, system):
         if not res.ok:
             return res
     if P.n ** d.poset.n <= EM_SEARCH_LIMIT:
+        # every survivor meets the unit law ξ(η_P(p)) = p, so the search
+        # walks only the tables that do; two points with one unit value
+        # leave that value no choice, and the search no table
+        pins = [P.full] * d.poset.n
+        for p, e in enumerate(md.eta(P, system).table):
+            pins[e] &= 1 << p
         survivors = []
         cap = max(P.n, d.poset.n)
         continuous = tp.sigma_z_continuity(d.poset, P, system)
-        for cand in ps.monotone_tables(d.poset, P, cap=cap):
+        for cand in ps.monotone_tables(d.poset, P, cap, pins):
             if not continuous(cand):
                 continue
             if em_laws(cand).ok:
@@ -357,12 +363,13 @@ def _eval_prop_em_morph(P, system):
     xi_p = md.em_structure_map(P, system).table
     compacts = md.delta_object(P, system).sets
     for Q in _inner_posets():
-        if not md.is_delta_cpo(Q, system):
+        structure = md.em_structure_map(Q, system)
+        if structure is None:  # ξ_Q exists exactly on the δ-cpos
             continue
-        xi_q = md.em_structure_map(Q, system).table
+        xi_q = structure.table
         continuous = tp.sigma_z_continuity(P, Q, system)
         delta = md.delta_tables(P, Q, system)
-        sups_q = [ps.sup_of(Q, m) for m in range(1 << Q.n)]
+        sups_q = ps.sup_table(Q)
         for f in ps.map_tables(P, Q):
             if not continuous(f):
                 continue

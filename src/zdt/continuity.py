@@ -407,7 +407,25 @@ def is_delta_z_continuous(P, system):
 
 
 def kz_compacts(P, system):
-    """k_Z(P) = {x : x ≺_Z x}."""
+    """k_Z(P) = {x : x ≺_Z x}: no nonempty Γ^Z-closed A misses x while its
+    cut captures x.
+
+    Where every D ∈ I_Z(P) has cut(D) = D, as for the principal ideals and
+    on a chain, no member constrains a lower set, so Γ^Z(P) is every lower
+    set.  A lower set misses x iff it lies inside U = P ∖ ↑x, itself a
+    lower set, and cut is monotone; so x is compact iff U is empty or
+    x ∉ cut(U).  That takes n cuts in place of the beneath table, which
+    enumerates Γ^Z(P).  A principal ideal ↓y is its own cut, as y is its
+    sup, so only the other member ideals need one.
+    """
+    principal = set(P.down)
+    if all(d in principal or ps.cut(P, d) == d for d in system.member_ideals(P)):
+        out = 0
+        for x in range(P.n):
+            outside = P.full & ~P.up[x]
+            if not outside or not (ps.cut(P, outside) >> x) & 1:
+                out |= 1 << x
+        return out
     ben = _beneath_all(P, system)
     out = 0
     for x in range(P.n):

@@ -112,10 +112,13 @@ def _small_families(n):
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def delta_object(P, system):
+    """δ(P): the compacts of Γ^Z(P).  Its poset is the restriction of the
+    Γ-lattice's to them, which has the labels and inclusion rows that
+    ``family_poset(P, sets)`` would build."""
     L = gamma_lattice(P, system)
     k = kz_compacts(L.poset, system)
     sets = tuple(L.elements[i] for i in ps.bits(k))
-    obj = DeltaObject(P, system, sets, family_poset(P, sets))
+    obj = DeltaObject(P, system, sets, ps.restrict(L.poset, k).poset)
     for p in range(P.n):
         if P.down[p] not in obj.index:
             raise ZdtError(
@@ -299,8 +302,11 @@ def is_delta_cpo(P, system):
     return delta_cpo_witness(P, system) is None
 
 
+@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def em_structure_map(P, system):
-    """The sup map as the algebra structure, present exactly on delta-cpos."""
+    """The sup map as the algebra structure, present exactly on delta-cpos;
+    built once per (P, system), as ``prop-em-morph`` reads it at every
+    codomain of every domain."""
     d = delta_object(P, system)
     table = []
     for a in d.sets:

@@ -473,6 +473,12 @@ def sup_of(P, mask):
     return least_of(P, upper_bounds(P, mask))
 
 
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def sup_table(P):
+    """sup_of(P, A) for every subset A of P, by mask, computed once per poset."""
+    return tuple(sup_of(P, a) for a in range(1 << P.n))
+
+
 def inf_of(P, mask):
     return greatest_of(P, lower_bounds(P, mask))
 
@@ -604,15 +610,19 @@ def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):
     return len(population(n, mode))
 
 
-def monotone_tables(P, Q, cap=ENUM_CAP + 2):
+def monotone_tables(P, Q, cap=ENUM_CAP + 2, allowed=None):
     """All monotone tables P -> Q as tuples, in lexicographic order.
 
     The values allowed at point i are the v above the value of every earlier
     point below i and below the value of every earlier point above it: the
-    intersection of those points' ``Q.up`` and ``Q.down`` rows.
+    intersection of those points' ``Q.up`` and ``Q.down`` rows.  ``allowed``,
+    if given, holds one mask of Q per point of P, and the tables are those
+    with each value inside its point's mask.
     """
     if P.n > cap or Q.n > cap:
         raise SizeCapError("monotone_tables", max(P.n, Q.n), cap)
+    if allowed is None:
+        allowed = (Q.full,) * P.n
     below = [tuple(bits(P.down[i] & ((1 << i) - 1))) for i in range(P.n)]
     above = [tuple(bits(P.up[i] & ((1 << i) - 1))) for i in range(P.n)]
     table = [0] * P.n
@@ -621,12 +631,12 @@ def monotone_tables(P, Q, cap=ENUM_CAP + 2):
         if i == P.n:
             yield tuple(table)
             return
-        allowed = Q.full
+        values = allowed[i]
         for j in below[i]:
-            allowed &= Q.up[table[j]]
+            values &= Q.up[table[j]]
         for j in above[i]:
-            allowed &= Q.down[table[j]]
-        for v in bits(allowed):
+            values &= Q.down[table[j]]
+        for v in bits(values):
             table[i] = v
             yield from rec(i + 1)
 

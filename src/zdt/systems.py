@@ -320,21 +320,20 @@ def check_ffup_instance(system, P, tuple_len=2, cap=ps.FINP_CAP):
 
 
 def family_poset(P, masks):
-    """A set family over P as a poset under inclusion."""
+    """A set family over P as a poset under inclusion; the set {a, b} is
+    labeled ``s_a_b`` and the empty set ``s_empty``."""
     masks = tuple(masks)
-    labels = tuple(_family_label(P, m) for m in masks)
+    names = P.labels
+    labels = []
     rows = []
     for a in masks:
+        labels.append("s_" + "_".join([names[i] for i in ps.bits(a)]) if a else "s_empty")
         row = 0
         for j, b in enumerate(masks):
             if a & ~b == 0:
                 row |= 1 << j
         rows.append(row)
     return ps.FinitePoset(labels, rows, _trusted=True)
-
-
-def _family_label(P, mask):
-    return "s_" + "_".join(P.names(mask)) if mask else "s_empty"
 
 
 def check_union_complete_instance(system, P):

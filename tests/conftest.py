@@ -1,6 +1,6 @@
 import pytest
 
-from zdt import claims, fixtures as fx, monad, topology
+from zdt import claims, continuity, fixtures as fx, galois, monad, poset, systems, topology
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +48,36 @@ def patch_closure(monkeypatch):
 
     yield patch
     clear()
+
+
+@pytest.fixture
+def patch_closed_sets(monkeypatch):
+    """``patch(base, dropped)`` takes the masks in ``dropped`` out of
+    Γ^Z(base) as ``topology.gamma_subbasis`` returns it, for every system.
+
+    A test builds the tables it wants from the real family before it
+    patches.  Whatever is built under the patch may be cached anywhere
+    downstream of Γ^Z, so the end of the test clears every cache of the
+    package: none of those tables outlives it.
+    """
+
+    def patch(base, dropped):
+        real = topology.gamma_subbasis
+
+        def patched(P, system):
+            family = real(P, system)
+            if P != base:
+                return family
+            kept = [c for c in family.closed if c not in dropped]
+            return topology.TopologyFamily(P, family.kind, kept)
+
+        monkeypatch.setattr(topology, "gamma_subbasis", patched)
+
+    yield patch
+    for module in (poset, systems, topology, continuity, galois, monad, claims):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 @pytest.fixture

@@ -1,11 +1,17 @@
 """Way-below, beneath, and the continuity property checkers."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from zdt import continuity as ct, fixtures as fx, poset as ps, topology as tp
+from test_kernels import random_orders
+from zdt import continuity as ct, fixtures as fx, monad as md, poset as ps, topology as tp
 from zdt.reports import Status
-from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, SINGLETONS, SYSTEMS
+from zdt.systems import (
+    CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SINGLETONS, SYSTEMS,
+)
 
 
 UP_TO_SIZE_5 = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
@@ -358,3 +364,56 @@ def test_compacts_and_prealgebraicity(vee, diamond, chain3):
     assert ct.prealgebraic_witness(vee, DIRECTED) is None
     assert ct.prealgebraic_witness(diamond, DIRECTED) is None
     assert ct.is_delta_z_continuous(vee, DIRECTED)
+
+
+# kz_compacts takes a closed form where every member ideal is its own cut,
+# and reads the beneath table elsewhere.  Both paths are held to the
+# diagonal of that table and, on at most 6 points, to the oracle's beneath
+# relation; the principal-ideals view shares the oracle of `singletons`.
+EVERY_SYSTEM = (*SYSTEMS.items(), ("singletons", PRINCIPAL_IDEALS))
+
+
+def _compacts_against_beneath(P, name, system, oracle=True):
+    """Assert kz_compacts against the beneath table's diagonal, and the
+    oracle's where asked and P has at most 6 points; return whether the
+    closed form answered."""
+    got = ct.kz_compacts(P, system)
+    ben = ct._beneath_all(P, system)
+    assert got == sum(1 << x for x in range(P.n) if (ben[x] >> x) & 1), (P, name)
+    if oracle and P.n <= 6:
+        pairs = oracles.beneath_pairs(P, name)
+        assert got == oracles.to_mask(x for x in range(P.n) if (x, x) in pairs), (P, name)
+    return all(ps.cut(P, d) == d for d in system.member_ideals(P))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_compacts_against_the_beneath_table_and_oracle(n):
+    paths = set()
+    for P in ps.enumerate_posets(n):
+        for name, system in EVERY_SYSTEM:
+            paths.add(_compacts_against_beneath(P, name, system))
+    # up to 2 points every member ideal is its own cut
+    assert paths == ({True} if n <= 2 else {True, False})
+
+
+def test_compacts_of_lattices_and_compact_posets_against_the_beneath_table():
+    # every Γ-lattice, δ(P) and δδ(P) poset of the posets with n <= 4; the
+    # lattices have up to 18 points, so the oracle reads the small ones only
+    paths = set()
+    for P in small_posets(4):
+        for name, system in EVERY_SYSTEM:
+            D1 = md.delta_object(P, system).poset
+            D2 = md.delta_object(D1, system).poset
+            for Q in (md.gamma_lattice(P, system).poset, D1, D2):
+                paths.add(_compacts_against_beneath(Q, name, system))
+    assert paths == {True, False}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(6, 9))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_compacts_on_random_posets_against_the_beneath_table(seed, n):
+    # the transitive closure of a random acyclic relation on 6 to 9 points
+    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    P = ps.FinitePoset(ps.default_labels(n), rows)
+    for name, system in EVERY_SYSTEM:
+        _compacts_against_beneath(P, name, system, oracle=False)

@@ -14,7 +14,8 @@ from zdt import claims as cl, poset as ps
 # those and the tables or groups a walk reads (the orbit representatives and
 # the symmetry groups of the naturality walk)
 INSTANCE_CACHES = (
-    "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.map_tables",
+    "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.sup_table",
+    "poset.map_tables",
     "poset.maxima", "poset.automorphisms", "poset.map_reps",
     "systems._members", "systems._member_ideals",
     "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
@@ -24,7 +25,7 @@ INSTANCE_CACHES = (
     "galois._connections",
     "monad.gamma_lattice", "monad.delta_object", "monad.compact_index",
     "monad.compact_table", "monad._domain_group", "monad._codomain_group",
-    "monad.eta", "monad.mu",
+    "monad.eta", "monad.mu", "monad.em_structure_map",
 )
 
 # the caches keyed by something else: a way-below query within an instance,

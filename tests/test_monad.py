@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
-from zdt import monad as md, poset as ps, topology as tp
+from zdt import monad as md, poset as ps, systems as zs, topology as tp
 from zdt.errors import NotMonotoneError, SizeCapError, SupMissingError, ZdtError
 from zdt.reports import CheckResult, Status
 from zdt.systems import CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SYSTEMS
@@ -61,6 +61,17 @@ def test_gamma_lattice_sups_are_closures(vee):
     everything = (1 << L.poset.n) - 1
     assert L.elements[L.sup(everything)] == vee.full
     assert L.elements[L.sup(0)] == 0
+
+
+def test_delta_poset_is_the_family_poset_of_its_sets():
+    # δ(P)'s poset, restricted from its Γ-lattice, and δδ(P)'s, against the
+    # inclusion poset of their sets built afresh
+    for P in small_posets(4):
+        for system in (*SYSTEMS.values(), PRINCIPAL_IDEALS):
+            D1 = md.delta_object(P, system)
+            D2 = md.delta_object(D1.poset, system)
+            assert D1.poset == zs.family_poset(P, D1.sets), P
+            assert D2.poset == zs.family_poset(D1.poset, D2.sets), P
 
 
 def test_delta_objects(anti2, wedge):
@@ -775,11 +786,57 @@ def test_em_loop_structure_map_not_unique(monkeypatch):
     D1 = md.delta_object(CHAIN2, DIRECTED).poset
     real = ps.monotone_tables
     monkeypatch.setattr(
-        ps, "monotone_tables", lambda P, Q, cap=8: iter(()) if P == D1 else real(P, Q, cap)
+        ps,
+        "monotone_tables",
+        lambda P, Q, cap=8, allowed=None: iter(()) if P == D1 else real(P, Q, cap, allowed),
     )
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
         "reason": "structure map not unique", "tables": []
     }
+
+
+def _record_pinned_searches(monkeypatch):
+    """Record every table that a pinned ``monotone_tables`` call yields."""
+    real = ps.monotone_tables
+    walked = []
+
+    def recorded(P, Q, cap=8, allowed=None):
+        for table in real(P, Q, cap, allowed):
+            if allowed is not None:
+                walked.append((P, table))
+            yield table
+
+    monkeypatch.setattr(ps, "monotone_tables", recorded)
+    return walked
+
+
+def test_em_search_walks_exactly_the_unit_law_tables(monkeypatch):
+    # the pinned search yields the monotone tables δ(P) -> P that pass the
+    # unit law, in table order, and nothing else
+    walked = _record_pinned_searches(monkeypatch)
+    for P in small_posets(3):
+        for system in (*SYSTEMS.values(), PRINCIPAL_IDEALS):
+            D1 = md.delta_object(P, system).poset
+            eta_p = md.eta(P, system).table
+            walked.clear()
+            cl._eval_thm_em(P, system)
+            want = [
+                t for t in ps.monotone_tables(D1, P, max(P.n, D1.n))
+                if all(t[e] == p for p, e in enumerate(eta_p))
+            ]
+            assert [t for dom, t in walked if dom == D1] == want, P
+
+
+def test_em_search_on_a_non_injective_unit_walks_no_table(monkeypatch):
+    # η of the 2-chain b < a sends both points to the top of δ(P), and the
+    # structure map is hidden, so the search runs: the two pins on the top
+    # intersect to nothing, and no table is walked, as none passes the
+    # unit law
+    _patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
+    _hide_structure_map(monkeypatch, CHAIN2)
+    walked = _record_pinned_searches(monkeypatch)
+    assert _thm_em_both_ways(CHAIN2, DIRECTED) == CheckResult.holds()
+    assert walked == []
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,16 @@ def test_operators_against_oracles_on_gamma_lattices():
         _operators_match_oracles(L)
 
 
+def test_subset_tables_against_oracles_labeled_n4():
+    for P in _labeled(4):
+        sups, cuts = ps.sup_table(P), ps.cut_table(P)
+        assert len(sups) == len(cuts) == 1 << P.n
+        for a in range(P.full + 1):
+            A = oracles.to_set(a)
+            assert sups[a] == oracles.sup(P, A), (P, a)
+            assert cuts[a] == oracles.to_mask(oracles.cut(P, A)), (P, a)
+
+
 def test_map_image_and_preimage_against_oracle():
     posets = list(_labeled(3))
     for P in posets:

@@ -157,6 +157,66 @@ def test_a_beneath_table_that_breaks_the_symmetry_shrinks_the_adjunction_group(m
     assert res.witness == {"part": "mediator", "reason": "beneath not preserved"}
 
 
+def test_a_closure_gap_that_breaks_the_symmetry_shrinks_the_adjunction_group(monkeypatch):
+    # the closure gaps of the 3-antichain on `finite` are {a, b}, {a, c} and
+    # {b, c}, each closing to the carrier.  Declaring that {b, c} closes to
+    # {a} leaves only the automorphisms that fix a, and fails every mediator
+    # that does not send c below b, as the full walk does
+    LP = md.gamma_lattice(ANTI3, FINITE)
+    _, sub = md.epsilon(LP.poset, FINITE)
+    real = tp.closure_gaps
+    gaps = real(ANTI3, FINITE)
+    assert gaps == ((1, 1, 4), (1, 2, 4), (2, 2, 4))
+    monkeypatch.setattr(
+        tp,
+        "closure_gaps",
+        lambda P, system: (*gaps[:2], (2, 2, 1)) if P == ANTI3 else real(P, system),
+    )
+    assert [moved for moved, _ in md._adjunction_actions(ANTI3, FINITE, LP, sub)] == [
+        (0, 2, 1)
+    ]
+    res = md.verify_adjunction(ANTI3, FINITE)
+    assert res == oracles.adjunction_walk(ANTI3, FINITE)
+    assert res.witness == {"part": "mediator", "reason": "no upper adjoint"}
+
+
+def test_a_compact_family_that_breaks_the_symmetry_shrinks_the_adjunction_group(
+    patch_closed_sets,
+):
+    # K(L) of the 3-antichain on `directed` is ∅ below {a}, {b} and {c};
+    # taking its closed set {∅, {a}, {b}} out of Γ^Z(K(L)) leaves only the
+    # swap of a and b, which maps the rest of that family onto itself
+    LP = md.gamma_lattice(ANTI3, DIRECTED)
+    _, sub = md.epsilon(LP.poset, DIRECTED)
+    assert len(md._adjunction_actions(ANTI3, DIRECTED, LP, sub)) == 5
+    # warm every cache the run reads, so the patch reaches the group and
+    # the continuity check alone
+    assert md.verify_adjunction(ANTI3, DIRECTED).status is Status.HOLDS
+    assert sub.poset.labels == ("s_empty", "s_a", "s_b", "s_c")
+    patch_closed_sets(sub.poset, {0b0111})
+    assert [moved for moved, _ in md._adjunction_actions(ANTI3, DIRECTED, LP, sub)] == [
+        (1, 0, 2)
+    ]
+    assert md.verify_adjunction(ANTI3, DIRECTED) == oracles.adjunction_walk(ANTI3, DIRECTED)
+
+
+def test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group(
+    patch_closed_sets,
+):
+    # Γ^Z of the 3-antichain on `directed` is every subset; without {a, b}
+    # only the swap of a and b maps it onto itself, and the naturality walk
+    # over that smaller group skips the maps that pull a closed set back to
+    # {a, b}, as the full walk does
+    eta_p, mu_p = md.eta(ANTI3, DIRECTED).table, md.mu(ANTI3, DIRECTED).table
+    assert md._domain_group(ANTI3, DIRECTED, eta_p, mu_p) == ps.automorphisms(ANTI3)
+    patch_closed_sets(ANTI3, {0b011})
+    md._domain_group.cache_clear()
+    assert md._domain_group(ANTI3, DIRECTED, eta_p, mu_p) == ((0, 1, 2), (1, 0, 2))
+    for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
+        got = md._naturality_failure(ANTI3, Q, DIRECTED, eta_p, mu_p)
+        assert got == oracles.naturality_walk(ANTI3, Q, DIRECTED, eta_p, mu_p), Q
+
+
 def test_naturality_on_a_closure_that_reads_more_than_down_sets(monkeypatch, patch_closure):
     # on the 2-chain a < b, b closing to itself keeps the closure monotone,
     # but not a function of down-sets: cl {b} ≠ cl ↓b.  So δf cannot fold at
