@@ -95,6 +95,33 @@ MUTANTS = (
             f"{MONAD}::test_naturality_loop_on_a_non_monotone_closure",
         ),
     ),
+    # the naturality pass's unfolded path without the cover check of δf
+    Mutant(
+        "src/zdt/monad.py",
+        "        if not folded:\n            _check_covers(df, D1, DQ)\n",
+        "",
+        (f"{MONAD}::test_naturality_loop_non_monotone_delta_f",),
+    ),
+    # the δ row loop going on past an image that is not compact
+    Mutant(
+        "src/zdt/monad.py",
+        "        if i is None:\n            break\n",
+        "",
+        (
+            f"{MONAD}::test_naturality_loop_escape_of_delta_f",
+            f"{MONAD}::test_delta_map_against_closure_oracle",
+        ),
+    ),
+    # σ^Z-continuity read at the first meet-irreducible closed set only
+    Mutant(
+        "src/zdt/topology.py",
+        "        for c in irreducible:\n            pre = 0",
+        "        for c in irreducible[:1]:\n            pre = 0",
+        (
+            "tests/test_topology.py::test_map_tables_against_object_loops",
+            f"{MONAD}::test_monad_naturality_against_the_object_loop",
+        ),
+    ),
     # the adjunction's walk skipping every other table
     Mutant(
         "src/zdt/monad.py",

@@ -187,7 +187,9 @@ def compact_table(Q, system):
     least closed set over m, and closed sets are lower sets.  While they
     do, every δf into Q is monotone, as A ⊆ B gives cl f(A) ⊆ cl f(B), and
     cl f(A) = cl f(max A) for a monotone f and a lower set A, as
-    f(max A) ⊆ f(A) ⊆ ↓f(max A).  Q may have at most
+    f(max A) ⊆ f(A) ⊆ ↓f(max A).  So where both flags of Q and δ(Q) hold,
+    the naturality pass folds δf and δδf at maximal points and skips their
+    cover checks (``_naturality_failure``).  Q may have at most
     ``COMPACT_TABLE_CAP`` points."""
     if Q.n > COMPACT_TABLE_CAP:
         raise SizeCapError("compact_table", Q.n, COMPACT_TABLE_CAP)
@@ -205,29 +207,57 @@ def compact_table(Q, system):
     return tuple(index.get(c) for c in closures), foldable
 
 
+def compacts_of(rows, values, compact):
+    """The ``compact`` entry of each row's image, the mask of ``values`` at
+    the row's points, in row order; stops before the first None, so a list
+    shorter than ``rows`` ends where an image escapes the compacts."""
+    out = []
+    for row in rows:
+        image = 0
+        for p in row:
+            image |= 1 << values[p]
+        i = compact[image]
+        if i is None:
+            break
+        out.append(i)
+    return out
+
+
+def _escape(dom, cod, system, a, values):
+    """The witness of a compact set ``a`` of ``dom`` whose image under
+    ``values`` does not close to a compact set of ``cod``."""
+    image = 0
+    for p in ps.bits(a):
+        image |= 1 << values[p]
+    closed = tp.closure_subbasic(cod, system, image)
+    return {"of": dom.names(a), "image_closure": cod.names(closed)}
+
+
+def _check_covers(table, DP, DQ):
+    """Raise the validating constructor's ``NotMonotoneError`` where a table
+    from δ-object ``DP`` to ``DQ`` breaks a cover pair of ``DP``."""
+    if not ps.monotone_on_covers(table, DP.covers, DQ.poset):
+        ps.MonotoneMap(DP.poset, DQ.poset, table)
+
+
 def delta_tables(dom, cod, system):
     """The endofunctor on function tables from ``dom`` to ``cod``: returns
     ``delta(values)``, the table A ↦ cl(f(A)) on the compacts and None, or
     None and a witness when some cl(f(A)) is not compact.  A table that
-    breaks a cover pair raises the validating constructor's error."""
+    breaks a cover pair raises the validating constructor's error.
+
+    It reads every point of each compact set and checks every cover pair,
+    so it takes any table, monotone or not, and any closure; the naturality
+    pass folds where the closures let it (``_naturality_failure``)."""
     DP, DQ = delta_object(dom, system), delta_object(cod, system)
     compact = compact_index(cod, system)
-    sets, points, covers = DP.sets, DP.points, DP.covers
+    sets, points = DP.sets, DP.points
 
     def delta(values):
-        table = []
-        for pts in points:
-            image = 0
-            for p in pts:
-                image |= 1 << values[p]
-            i = compact[image]
-            if i is None:
-                closed = tp.closure_subbasic(cod, system, image)
-                a = sets[len(table)]
-                return None, {"of": dom.names(a), "image_closure": cod.names(closed)}
-            table.append(i)
-        if not ps.monotone_on_covers(table, covers, DQ.poset):
-            ps.MonotoneMap(DP.poset, DQ.poset, table)  # raises NotMonotoneError
+        table = compacts_of(points, values, compact)
+        if len(table) < len(points):
+            return None, _escape(dom, cod, system, sets[len(table)], values)
+        _check_covers(table, DP, DQ)
         return table, None
 
     return delta
@@ -603,91 +633,69 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     """The witness of the first σ^Z-continuous f : P -> Q, in table order,
     that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None.
 
-    One loop decides each f: continuity on the meet-irreducible closed sets
-    of Q (as ``topology.sigma_z_continuity``), δf and δδf from the compact
-    tables of Q and δ(Q), and both equations.  Preimages are read from the
-    fibres of f.  While both closures are monotone and read sets through
-    their down-sets (``compact_table``), δf and δδf need no cover check, and
-    each folds at the maximal points of the compact sets, which are lower
-    sets.  Where a closure is not, where δ(Q) is too large to tabulate, or
-    where f fails any step, ``_map_naturality`` decides f again through
-    ``delta_tables``, so that its witness, or the ``NotMonotoneError`` it
-    raises, comes from the one δ definition.
+    One loop decides each f in the steps of the object loop: continuity
+    (``topology.sigma_z_continuity``), δf with its escape witness and its
+    cover check, the unit equation, δδf with both, and the multiplication
+    equation.  δf and δδf come from the one row loop, ``compacts_of``, as
+    ``delta_tables`` builds them; a δf or δδf that breaks a cover pair
+    raises ``NotMonotoneError``.  The data are picked once per (P, Q):
 
-    On that tabulated path the loop decides only the lex-least tables of
-    their orbits under f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q
-    (``_domain_group``, ``_codomain_group``).  The groups fix every table
-    that a decision reads, so every f of an orbit gets one verdict; the
-    first failing f in table order is the least of its orbit, as the least
-    one is no later and fails too, so the loop meets it, and returns its
-    witness.  Elsewhere it decides every map.
+    - folded, where ``compact_table`` covers δ(Q) and both closures fold:
+      each compact set is read at its maximal points through the tabulated
+      closures, and no cover check is needed (see ``compact_table``);
+    - unfolded, otherwise: every point of each compact set, read through
+      ``compact_index``, and the cover check.
+
+    On the folded path the loop decides only the lex-least tables of their
+    orbits under f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
+    ``_codomain_group``).  The groups fix every table that a decision
+    reads, so every f of an orbit gets one verdict; the first failing f in
+    table order is the least of its orbit, as the least one is no later and
+    fails too, so the loop meets it, and returns its witness.  The unfolded
+    path decides every map.
     """
     D1, DQ = delta_object(P, system), delta_object(Q, system)
+    D2, DDQ = delta_object(D1.poset, system), delta_object(DQ.poset, system)
     eta_q, mu_q = eta(Q, system).table, mu(Q, system).table
-    is_closed = tp.gamma_subbasis(P, system).is_closed
-    irreducible = tp.gamma_subbasis(Q, system).irreducible
-    if DQ.poset.n <= COMPACT_TABLE_CAP:
+    folded = DQ.poset.n <= COMPACT_TABLE_CAP
+    if folded:
         compact_q, foldable_q = compact_table(Q, system)
         compact_dq, foldable_dq = compact_table(DQ.poset, system)
-        tabulated = foldable_q and foldable_dq
-    else:
-        tabulated = False
-    if tabulated:
+        folded = foldable_q and foldable_dq
+    if folded:
+        rows_1, rows_2 = ps.maxima(P, D1.sets), ps.maxima(D1.poset, D2.sets)
         tables = ps.map_reps(
             P, Q,
             _domain_group(P, system, eta_p, mu_p),
             _codomain_group(Q, system, eta_q, mu_q),
         )
-        bits_q = tuple(1 << q for q in range(Q.n))
-        tops_1 = ps.maxima(P, D1.sets)
-        units = tuple(enumerate(eta_p))
-        D2 = delta_object(D1.poset, system)
-        mults = tuple(zip(ps.maxima(D1.poset, D2.sets), mu_p))
     else:
+        rows_1, rows_2 = D1.points, D2.points
+        compact_q = compact_index(Q, system)
+        compact_dq = compact_index(DQ.poset, system)
         tables = ps.map_tables(P, Q)
-
-    def natural(f):
-        """Both equations at f, from the compact tables; False also where
-        δf or δδf escapes the compacts."""
-        df = []
-        for pts in tops_1:
-            image = 0
-            for p in pts:
-                image |= bits_q[f[p]]
-            w = compact_q[image]
-            if w is None:
-                return False
-            df.append(w)
+    continuous = tp.sigma_z_continuity(P, Q, system)
+    units = tuple(enumerate(eta_p))
+    for f in tables:
+        if not continuous(f):
+            continue
+        df = compacts_of(rows_1, f, compact_q)
+        if len(df) < len(rows_1):
+            return {"law": "functoriality", **_escape(P, Q, system, D1.sets[len(df)], f)}
+        if not folded:
+            _check_covers(df, D1, DQ)
         for p, e in units:
             if df[e] != eta_q[f[p]]:
-                return False
-        bits = [1 << w for w in df]
-        for pts, m in mults:
-            image = 0
-            for a in pts:
-                image |= bits[a]
-            w = compact_dq[image]
-            if w is None or df[m] != mu_q[w]:
-                return False
-        return True
-
-    bits_p = tuple(1 << p for p in range(P.n))
-    members = tuple(tuple(ps.bits(c)) for c in irreducible)
-    for f in tables:
-        fibres = [0] * Q.n
-        for v, bit in zip(f, bits_p):
-            fibres[v] |= bit
-        for qs in members:
-            pre = 0
-            for q in qs:
-                pre |= fibres[q]
-            if not is_closed(pre):
-                break
-        else:
-            if not (tabulated and natural(f)):
-                bad = _map_naturality(P, Q, system, f, eta_p, mu_p)
-                if bad is not None:
-                    return bad
+                return {"law": "unit naturality", "map": f}
+        ddf = compacts_of(rows_2, df, compact_dq)
+        if len(ddf) < len(rows_2):
+            a = D2.sets[len(ddf)]
+            return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
+        if not folded:
+            _check_covers(ddf, D2, DDQ)
+        for m, d in zip(mu_p, ddf):
+            if df[m] != mu_q[d]:
+                return {"law": "multiplication naturality", "map": f}
     return None
 
 
@@ -743,21 +751,3 @@ def _codomain_group(Q, system, eta_q, mu_q):
         and ps.fixes(compact_q, tp.subset_images(rho), hat)
         and ps.fixes(compact_dq, tp.subset_images(hat), twice)
     )
-
-
-def _map_naturality(P, Q, system, f, eta_p, mu_p):
-    """Naturality at one map f : P -> Q through ``delta_tables``: the
-    witness of its first failing step, or None; a δf or δδf that breaks a
-    cover pair raises ``NotMonotoneError``."""
-    df, bad = delta_tables(P, Q, system)(f)
-    if df is None:
-        return {"law": "functoriality", **bad}
-    if [df[e] for e in eta_p] != [eta(Q, system).table[v] for v in f]:
-        return {"law": "unit naturality", "map": f}
-    D1, DQ = delta_object(P, system), delta_object(Q, system)
-    ddf, bad = delta_tables(D1.poset, DQ.poset, system)(df)
-    if ddf is None:
-        return {"law": "functoriality", **bad}
-    if [df[m] for m in mu_p] != [mu(Q, system).table[d] for d in ddf]:
-        return {"law": "multiplication naturality", "map": f}
-    return None

@@ -688,8 +688,8 @@ def delta_map(f, system):
 def monad_naturality_failure(P, system, naturality_size):
     """The witness of the first failure of the monad's naturality at P, or
     None: the loop over maps that ``monad.verify_monad_laws`` ran before it
-    read tables, over every σ^Z-continuous f from P to each poset of at most
-    ``naturality_size`` points.
+    read tables, ``naturality_walk`` at each poset of at most
+    ``naturality_size`` points in turn.
 
     Unlike the rest of this module, it deliberately uses the package's own
     objects (``eta``, ``mu`` and ``MonotoneMap.compose``, with ``delta_map``
@@ -698,27 +698,39 @@ def monad_naturality_failure(P, system, naturality_size):
     errors included.  ``test_delta_map_against_closure_oracle`` checks
     ``monad.delta_map`` itself against ``closure``.
     """
-    from zdt import monad as md, poset as ps
+    from zdt import poset as ps
 
-    eta_p = md.eta(P, system)
-    mu_p = md.mu(P, system)
     for n in range(1, naturality_size + 1):
         for Q in ps.enumerate_posets(n):
-            eta_q = md.eta(Q, system)
-            mu_q = md.mu(Q, system)
-            for f in ps.enumerate_monotone_maps(P, Q):
-                if not map_sigma_continuous(f, system):
-                    continue
-                df, bad = delta_map(f, system)
-                if df is None:
-                    return {"law": "functoriality", **bad}
-                if df.compose(eta_p).table != eta_q.compose(f).table:
-                    return {"law": "unit naturality", "map": f.table}
-                ddf, bad = delta_map(df, system)
-                if ddf is None:
-                    return {"law": "functoriality", **bad}
-                if df.compose(mu_p).table != mu_q.compose(ddf).table:
-                    return {"law": "multiplication naturality", "map": f.table}
+            bad = naturality_walk(P, Q, system)
+            if bad is not None:
+                return bad
+    return None
+
+
+def naturality_walk(P, Q, system):
+    """The witness of the first σ^Z-continuous f : P -> Q, in table order,
+    that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None: the
+    object loop of ``monad_naturality_failure`` at one codomain, over every
+    monotone map, with δ from this module's ``delta_map``.  It reads no
+    table of ``monad``'s naturality pass, which it is the slow path of."""
+    from zdt import monad as md, poset as ps
+
+    eta_p, mu_p = md.eta(P, system), md.mu(P, system)
+    eta_q, mu_q = md.eta(Q, system), md.mu(Q, system)
+    for f in ps.enumerate_monotone_maps(P, Q):
+        if not map_sigma_continuous(f, system):
+            continue
+        df, bad = delta_map(f, system)
+        if df is None:
+            return {"law": "functoriality", **bad}
+        if df.compose(eta_p).table != eta_q.compose(f).table:
+            return {"law": "unit naturality", "map": f.table}
+        ddf, bad = delta_map(df, system)
+        if ddf is None:
+            return {"law": "functoriality", **bad}
+        if df.compose(mu_p).table != mu_q.compose(ddf).table:
+            return {"law": "multiplication naturality", "map": f.table}
     return None
 
 
@@ -913,11 +925,11 @@ def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
 
 # -- full walks ------------------------------------------------------------
 #
-# The adjunction's walk over P -> K(L) and the monad's naturality walk as the
-# package ran them before they decided one table per orbit: every monotone
-# table, in order.  They read the package's own tables and functions through
-# its modules, so that a test can hold each orbit walk to the full walk,
-# patched functions and tables included.
+# The adjunction's walk over P -> K(L) as the package ran it before it
+# decided one table per orbit: every monotone table, in order.  It reads the
+# package's own tables and functions through its modules, so that a test can
+# hold the orbit walk to the full walk, patched functions and tables
+# included.  The naturality walk's full walk is ``naturality_walk``.
 
 
 def adjunction_walk(P, system, L=None):
@@ -981,51 +993,6 @@ def adjunction_walk(P, system, L=None):
         if not sup_determined:
             return CheckResult.fails(part="uniqueness", reason="sup-determination")
     return CheckResult.holds()
-
-
-def naturality_walk(P, Q, system, eta_p, mu_p):
-    """``monad._naturality_failure`` deciding every monotone f : P -> Q, with
-    δf and δδf read from the fibres of f at every point of each compact set,
-    and ``monad._map_naturality`` on each f that the table pass fails."""
-    from zdt import monad as md, poset as ps, topology as tp
-
-    D1, DQ = md.delta_object(P, system), md.delta_object(Q, system)
-    sets_1, points_2 = D1.sets, md.delta_object(D1.poset, system).points
-    eta_q, mu_q = md.eta(Q, system).table, md.mu(Q, system).table
-    is_closed = tp.gamma_subbasis(P, system).is_closed
-    irreducible = tp.gamma_subbasis(Q, system).irreducible
-    if DQ.poset.n <= md.COMPACT_TABLE_CAP:
-        compact_q, monotone_q = md.compact_table(Q, system)
-        compact_dq, monotone_dq = md.compact_table(DQ.poset, system)
-        tabulated = monotone_q and monotone_dq
-    else:
-        tabulated = False
-    for f in ps.map_tables(P, Q):
-        fibres = [0] * Q.n
-        for p, v in enumerate(f):
-            fibres[v] |= 1 << p
-        if not all(
-            is_closed(sum(fibres[q] for q in range(Q.n) if (c >> q) & 1))
-            for c in irreducible
-        ):
-            continue
-        ok = tabulated
-        if ok:
-            df = [
-                compact_q[sum(1 << q for q in range(Q.n) if fibres[q] & a)]
-                for a in sets_1
-            ]
-            ok = None not in df
-        ok = ok and all(df[e] == eta_q[f[p]] for p, e in enumerate(eta_p))
-        if ok:
-            ddf = [compact_dq[sum(1 << w for w in {df[a] for a in pts})] for pts in points_2]
-            ok = None not in ddf
-        ok = ok and all(df[m] == mu_q[ddf[i]] for i, m in enumerate(mu_p))
-        if not ok:
-            bad = md._map_naturality(P, Q, system, f, eta_p, mu_p)
-            if bad is not None:
-                return bad
-    return None
 
 
 def automorphisms(P):

@@ -2,10 +2,13 @@
 
 import collections
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_kernels import random_orders
 from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
 from zdt import monad as md, poset as ps, systems as zs, topology as tp
 from zdt.errors import NotMonotoneError, SizeCapError, SupMissingError, ZdtError
@@ -390,29 +393,36 @@ def test_monad_naturality_against_the_object_loop(n):
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(5, 6))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_monad_naturality_on_random_posets_against_the_object_loop(seed, n):
+    # the transitive closure of a random acyclic relation on 5 or 6 points,
+    # past the exhaustive populations above, on every system whose Γ-lattice
+    # thm-monad walks (at most claims.LATTICE_CAP points)
+    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    P = ps.FinitePoset(ps.default_labels(n), rows)
+    for system in SYSTEMS.values():
+        if md.gamma_lattice(P, system).poset.n <= cl.LATTICE_CAP:
+            _same_as_the_object_loop(P, system)
+
+
 def test_naturality_into_codomains_too_large_to_tabulate(monkeypatch):
     # at naturality size 4 some δ(Q) has more points than compact_table
-    # takes: every continuous map into such a Q, and only those, is decided
-    # through delta_tables, with the object loop's result
+    # takes: the pass decides every table into such a Q, on the unfolded
+    # path, with the object loop's result
     large = [
         Q for Q in ps.enumerate_posets(4)
         if md.delta_object(Q, CONNECTED).poset.n > md.COMPACT_TABLE_CAP
     ]
-    real = md._map_naturality
-    calls = []
-
-    def counted(P, Q, system, f, eta_p, mu_p):
-        calls.append((Q, f))
-        return real(P, Q, system, f, eta_p, mu_p)
-
-    monkeypatch.setattr(md, "_map_naturality", counted)
     assert oracles.monad_naturality_failure(CHAIN2, CONNECTED, 4) is None
     assert md.verify_monad_laws(CHAIN2, CONNECTED, naturality_size=4).status is Status.HOLDS
-    want = []
+    eta_p, mu_p = md.eta(CHAIN2, CONNECTED).table, md.mu(CHAIN2, CONNECTED).table
+    decided = _continuity_against_the_fibre_walk(monkeypatch)
     for Q in large:
-        continuous = tp.sigma_z_continuity(CHAIN2, Q, CONNECTED)
-        want += [(Q, f) for f in ps.map_tables(CHAIN2, Q) if continuous(f)]
-    assert want and calls == want
+        decided.clear()
+        assert md._naturality_failure(CHAIN2, Q, CONNECTED, eta_p, mu_p) is None
+        assert [f for f, _ in decided] == list(ps.map_tables(CHAIN2, Q)), Q
+    assert large
     with pytest.raises(SizeCapError):
         md.compact_table(md.delta_object(large[0], CONNECTED).poset, CONNECTED)
 
@@ -571,21 +581,15 @@ def test_naturality_loop_non_monotone_delta_f(patch_closure):
 def test_naturality_loop_on_a_non_monotone_closure(monkeypatch, patch_closure):
     # the 3-antichain's carrier closing to ∅ makes its closure non-monotone,
     # though no image of the 2-chain is the carrier: δf into it then needs
-    # its cover check, so each continuous map into it is decided through
-    # delta_tables, with the object loop's result
+    # its cover check, so the pass decides every table into it, on the
+    # unfolded path, with the object loop's result
     patch_closure(ANTI3, {7: 0})
-    real = md._map_naturality
-    calls = []
-
-    def counted(P, Q, system, f, eta_p, mu_p):
-        calls.append((Q, f))
-        return real(P, Q, system, f, eta_p, mu_p)
-
-    monkeypatch.setattr(md, "_map_naturality", counted)
     assert _same_as_the_object_loop(CHAIN2, DIRECTED).status is Status.HOLDS
-    continuous = tp.sigma_z_continuity(CHAIN2, ANTI3, DIRECTED)
-    assert calls == [(ANTI3, f) for f in ps.map_tables(CHAIN2, ANTI3) if continuous(f)]
-    assert calls
+    eta_p, mu_p = md.eta(CHAIN2, DIRECTED).table, md.mu(CHAIN2, DIRECTED).table
+    decided = _continuity_against_the_fibre_walk(monkeypatch)
+    assert md._naturality_failure(CHAIN2, ANTI3, DIRECTED, eta_p, mu_p) is None
+    assert [f for f, _ in decided] == list(ps.map_tables(CHAIN2, ANTI3))
+    assert any(found for _, found in decided)
 
 
 def test_monotone_on_covers_against_the_constructor():

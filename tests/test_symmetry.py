@@ -1,7 +1,8 @@
 """Automorphisms, orbit representatives, and the two walks that decide one
 function table per orbit: the adjunction's over P -> K(L) and the monad's
 naturality over P -> Q.  Each is held to a brute-force group or to the full
-walk it replaced (``oracles.adjunction_walk``, ``oracles.naturality_walk``)."""
+walk it replaced (``oracles.adjunction_walk``, and the object loop
+``oracles.naturality_walk``)."""
 
 import random
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from test_kernels import random_orders
-from test_monad import ANTI2, ANTI3, CHAIN2, POINT, _patch_table
+from test_monad import (
+    ANTI2, ANTI3, CHAIN2, POINT, _continuity_against_the_fibre_walk, _patch_table,
+)
 from zdt import continuity as ct, monad as md, poset as ps, topology as tp
 from zdt.reports import CheckResult, Status
 from zdt.systems import DIRECTED, FINITE, PRINCIPAL_IDEALS, SYSTEMS
@@ -56,16 +59,15 @@ def test_orbit_walks_match_the_full_walks(n):
             eta_p, mu_p = md.eta(P, system).table, md.mu(P, system).table
             for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
                 got = md._naturality_failure(P, Q, system, eta_p, mu_p)
-                want = oracles.naturality_walk(P, Q, system, eta_p, mu_p)
+                want = oracles.naturality_walk(P, Q, system)
                 assert got == want, (P, Q, system.name)
 
 
 def _naturality(P, system):
     """verify_monad_laws's naturality result at P, and the full walk's."""
-    eta_p, mu_p = md.eta(P, system).table, md.mu(P, system).table
     want = None
     for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
-        want = want or oracles.naturality_walk(P, Q, system, eta_p, mu_p)
+        want = want or oracles.naturality_walk(P, Q, system)
     want = CheckResult.holds() if want is None else CheckResult.fails(**want)
     return md.verify_monad_laws(P, system), want
 
@@ -214,27 +216,20 @@ def test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group(
     assert md._domain_group(ANTI3, DIRECTED, eta_p, mu_p) == ((0, 1, 2), (1, 0, 2))
     for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
         got = md._naturality_failure(ANTI3, Q, DIRECTED, eta_p, mu_p)
-        assert got == oracles.naturality_walk(ANTI3, Q, DIRECTED, eta_p, mu_p), Q
+        assert got == oracles.naturality_walk(ANTI3, Q, DIRECTED), Q
 
 
 def test_naturality_on_a_closure_that_reads_more_than_down_sets(monkeypatch, patch_closure):
     # on the 2-chain a < b, b closing to itself keeps the closure monotone,
     # but not a function of down-sets: cl {b} ≠ cl ↓b.  So δf cannot fold at
-    # maximal points, and every continuous map into it, up to the first that
-    # fails, is decided through delta_tables, with the full walk's result
+    # maximal points, and the pass decides every table into it, up to the
+    # first that fails, on the unfolded path, with the full walk's result
     Q = ps.from_order_pairs(["a", "b"], [("a", "b")])
     patch_closure(Q, {2: 2})
     assert not md.compact_table(Q, DIRECTED)[1]
-    real = md._map_naturality
-    calls = []
-
-    def counted(P, Q, system, f, eta_p, mu_p):
-        calls.append(f)
-        return real(P, Q, system, f, eta_p, mu_p)
-
-    monkeypatch.setattr(md, "_map_naturality", counted)
     eta_p, mu_p = md.eta(ANTI2, DIRECTED).table, md.mu(ANTI2, DIRECTED).table
+    decided = _continuity_against_the_fibre_walk(monkeypatch)
     got = md._naturality_failure(ANTI2, Q, DIRECTED, eta_p, mu_p)
     assert got == {"law": "functoriality", "of": ("b",), "image_closure": ("b",)}
-    assert calls == [(0, 0), (0, 1)]
-    assert oracles.naturality_walk(ANTI2, Q, DIRECTED, eta_p, mu_p) == got
+    assert [f for f, _ in decided] == list(ps.map_tables(ANTI2, Q)[:2])
+    assert oracles.naturality_walk(ANTI2, Q, DIRECTED) == got
