@@ -19,7 +19,7 @@ from itertools import islice, product
 from zdt import continuity as ct, galois as gl, io as zio, monad as md
 from zdt import poset as ps, topology as tp
 from zdt.errors import LabelDependenceError, SizeCapError, SupMissingError, UnknownClaimError
-from zdt.reports import CheckResult, ClaimReport, Status
+from zdt.reports import WITNESS_CAP, CheckResult, ClaimReport, Status
 from zdt.systems import (
     PRINCIPAL_IDEAL_SYSTEMS,
     PRINCIPAL_IDEALS,
@@ -35,9 +35,9 @@ LATTICE_CAP = 24  # largest Γ-lattice the double-family claims will walk
 
 
 @lru_cache(maxsize=8)
-def _inner_posets(size=INNER_SIZE):
+def _inner_posets():
     return tuple(
-        P for n in range(1, size + 1) for P in ps.enumerate_posets(n)
+        P for n in range(1, INNER_SIZE + 1) for P in ps.enumerate_posets(n)
     )
 
 
@@ -316,9 +316,6 @@ def _eval_thm_monad(P, system):
     return _guarded(md.verify_monad_laws, P, system)
 
 
-EM_SEARCH_LIMIT = 300_000
-
-
 def _eval_thm_em(P, system):
     if md.gamma_lattice(P, system).poset.n > LATTICE_CAP:
         return CheckResult.inapplicable(reason="lattice too large")
@@ -332,27 +329,25 @@ def _eval_thm_em(P, system):
         res = em_laws(xi.table)
         if not res.ok:
             return res
-    if P.n ** d.poset.n <= EM_SEARCH_LIMIT:
-        # every survivor meets the unit law ξ(η_P(p)) = p, so the search
-        # walks only the tables that do; two points with one unit value
-        # leave that value no choice, and the search no table
-        pins = [P.full] * d.poset.n
-        for p, e in enumerate(md.eta(P, system).table):
-            pins[e] &= 1 << p
-        survivors = []
-        cap = max(P.n, d.poset.n)
-        continuous = tp.sigma_z_continuity(d.poset, P, system)
-        for cand in ps.monotone_tables(d.poset, P, cap, pins):
-            if not continuous(cand):
-                continue
-            if em_laws(cand).ok:
-                survivors.append(cand)
-        if xi is None and survivors:
-            return CheckResult.fails(
-                reason="structure map on a non-delta-cpo", tables=survivors
-            )
-        if xi is not None and survivors != [xi.table]:
-            return CheckResult.fails(reason="structure map not unique", tables=survivors)
+    # every survivor meets the unit law ξ(η_P(p)) = p, so the search walks
+    # only the tables that do; two points with one unit value leave that
+    # value no choice, and the search no table
+    pins = [P.full] * d.poset.n
+    for p, e in enumerate(md.eta(P, system).table):
+        pins[e] &= 1 << p
+    survivors = []
+    continuous = tp.sigma_z_continuity(d.poset, P, system)
+    for cand in ps.monotone_tables(d.poset, P, pins):
+        if not continuous(cand):
+            continue
+        if em_laws(cand).ok:
+            survivors.append(cand)
+    if xi is None and survivors:
+        return CheckResult.fails(
+            reason="structure map on a non-delta-cpo", tables=survivors
+        )
+    if xi is not None and survivors != [xi.table]:
+        return CheckResult.fails(reason="structure map not unique", tables=survivors)
     return CheckResult.holds()
 
 
@@ -664,18 +659,18 @@ class _SharedEvaluation:
 def _worker(claim_id, tasks):
     """Evaluate one claim on a worker's cells, in order.
 
-    A task is (system, n, mode, index, up): the worker takes the poset from
-    its own population by index, so each instance stays one object in one
-    worker and its cached tables serve every later claim.  ``up`` guards
-    that the worker's population is the caller's.  An instance's cells all
+    A task is (system, n, index, up): the worker takes the poset from its
+    own up-to-iso population by index, so each instance stays one object in
+    one worker and its cached tables serve every later claim.  ``up``
+    guards that the worker's population is the caller's.  An instance's cells all
     go to the same worker, so it shares them as the caller would.
     """
     evaluate = _SharedEvaluation(get_claim(claim_id).evaluate, [t[0] for t in tasks])
     out = []
-    for system_name, n, mode, index, up in tasks:
-        P = ps.population(n, mode)[index]
+    for system_name, n, index, up in tasks:
+        P = ps.population(n)[index]
         if P.up != up:
-            raise RuntimeError(f"worker's {mode} n={n} population differs at {index}")
+            raise RuntimeError(f"worker's n={n} population differs at {index}")
         res = evaluate(system_name, P, (n, index))
         out.append((res.status.value, res.witness))
     return out
@@ -757,13 +752,13 @@ def close_workers():
 atexit.register(close_workers)
 
 
-def _run_pooled(claim_id, mode, cells, count):
+def _run_pooled(claim_id, cells, count):
     """Each cell's result, computed by worker ``index % count``: one batch per
     worker, and the same worker for an instance on every call.  An exception
     in a worker reaches the caller and the pool is thrown away."""
     batches = [[] for _ in range(count)]
     for _, name, n, index, P in cells:
-        batches[index % count].append((name, n, mode, index, P.up))
+        batches[index % count].append((name, n, index, P.up))
     try:
         workers = _worker_set(count)
         for w, batch in zip(workers, batches):
@@ -790,7 +785,7 @@ def _evaluate_cells(claim, cells, jobs):
     for i, (_, name, n, index, P) in enumerate(cells):
         count = min(workers, len(cells) - i)
         if count > 1 and _clock() - start >= POOL_AFTER_S:
-            return results + _run_pooled(claim.id, "up_to_iso", cells[i:], count)
+            return results + _run_pooled(claim.id, cells[i:], count)
         results.append(evaluate(name, P, (n, index)))
     return results
 
@@ -800,7 +795,7 @@ def _record_labeled(report, claim, system_name, n, class_results):
 
     By orbit-stabilizer a class stands for n!/|Aut P| labeled orders, and
     every claim is a statement up to isomorphism.  The witnesses are the
-    first ``witness_cap`` labeled orders, in enumeration order, whose class
+    first ``WITNESS_CAP`` labeled orders, in enumeration order, whose class
     fails; each is evaluated itself, so its witness names its own labels.
     One that does not fail raises ``LabelDependenceError``: a count built on
     a checker that reads labels would not be exact.
@@ -810,7 +805,7 @@ def _record_labeled(report, claim, system_name, n, class_results):
     rows, classes, sizes = ps.labeled_orbits(n)
     failing = sum(size for res, size in zip(class_results, sizes) if res.status is Status.FAILS)
     taken = [0] * len(sizes)
-    wanted = min(report.witness_cap, failing)
+    wanted = min(WITNESS_CAP, failing)
     for up, c in zip(rows, classes):
         if len(report.witnesses) == wanted:
             break
@@ -831,16 +826,9 @@ def _record_labeled(report, claim, system_name, n, class_results):
             report.record(res, count=size - done)
 
 
-def run_claim(
-    claim_id,
-    max_size=None,
-    mode="up_to_iso",
-    systems=None,
-    jobs=1,
-    witness_cap=10,
-    min_size=1,
-):
-    """Evaluate one claim over all posets of the given sizes and systems.
+def run_claim(claim_id, max_size=None, mode="up_to_iso", systems=None, jobs=1):
+    """Evaluate one claim over all posets of 1 to ``max_size`` points and
+    the given systems.
 
     Returns one ClaimReport per (system, size), deterministically; ``jobs``
     only parallelizes, it never reorders, and only what is left of a call
@@ -860,18 +848,16 @@ def run_claim(
         max_size = claim.max_size
     if max_size > ps.ENUM_CAP:
         raise SizeCapError("run_claim", max_size, ps.ENUM_CAP)
-    if max_size < min_size:
-        raise ValueError(f"max_size {max_size} is below min_size {min_size}")
+    if max_size < 1:
+        raise ValueError(f"max_size {max_size} is below 1")
     system_names = claim.systems if systems is None else tuple(systems)
     for name in system_names:
         get_system(name)  # unknown names raise ValueError before any work
     reports = []
     cells = []
     for name in system_names:
-        for n in range(min_size, max_size + 1):
-            report = ClaimReport(
-                claim_id, f"{name} n={n}", witness_cap=witness_cap
-            )
+        for n in range(1, max_size + 1):
+            report = ClaimReport(claim_id, f"{name} n={n}")
             reports.append(report)
             for index, P in enumerate(ps.enumerate_posets(n)):
                 cells.append((report, name, n, index, P))
@@ -882,7 +868,7 @@ def run_claim(
         return reports
     # the cells of a report are consecutive, one per class
     results = iter(results)
-    for report, (name, n) in zip(reports, product(system_names, range(min_size, max_size + 1))):
+    for report, (name, n) in zip(reports, product(system_names, range(1, max_size + 1))):
         _record_labeled(report, claim, name, n, list(islice(results, ps.count_posets(n))))
     return reports
 

@@ -125,7 +125,7 @@ def is_s_z_continuous(P, system):
     return s_z_witness(P, system) is None
 
 
-def quasicontinuity_witness(P, system, cap=ps.FINP_CAP):
+def quasicontinuity_witness(P, system):
     """The first p whose ω-family {↑F : F ≪_Z p} is not a member of
     Z(Fin P), or does not meet in ↑p; None when there is none.
 
@@ -133,7 +133,7 @@ def quasicontinuity_witness(P, system, cap=ps.FINP_CAP):
     ↑U.  So the families are built in one pass over the points of Fin P:
     each U joins the family of every p outside ``_wb`` of U.
     """
-    fp = ps.fin_poset(P, cap=cap)
+    fp = ps.fin_poset(P)
     families = [0] * P.n
     for i, u in enumerate(fp.sets):
         above = P.full & ~_wb(P, system, u)
@@ -156,8 +156,8 @@ def quasicontinuity_witness(P, system, cap=ps.FINP_CAP):
     return None
 
 
-def is_s_z_quasicontinuous(P, system, cap=ps.FINP_CAP):
-    return quasicontinuity_witness(P, system, cap=cap) is None
+def is_s_z_quasicontinuous(P, system):
+    return quasicontinuity_witness(P, system) is None
 
 
 # -- meet continuity ----------------------------------------------------

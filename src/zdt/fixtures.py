@@ -15,13 +15,13 @@ from zdt.reports import CheckResult, ClaimReport
 from zdt.systems import DIRECTED, FINITE
 
 
-def chain(k, labels=None):
-    labels = labels or ps.default_labels(k)
+def chain(k):
+    labels = ps.default_labels(k)
     return ps.from_order_pairs(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
 
 
-def antichain(k, labels=None):
-    return ps.from_order_pairs(labels or ps.default_labels(k), [])
+def antichain(k):
+    return ps.from_order_pairs(ps.default_labels(k), [])
 
 
 def vee():

@@ -143,20 +143,21 @@ def iso_class_keys(n):
 
 def enumerate_labeled_orders(n):
     """All partial orders on n labeled points, as sorted tuples of row masks."""
-    return [rows for rows, _ in labeled_orbits(n)]
+    return [rows for rows, _ in labeled_orbits(iso_class_keys(n))]
 
 
-def labeled_orbits(n):
-    """Each partial order on n labeled points with the index of its class in
-    ``iso_class_keys(n)``, as (rows, class) pairs sorted by rows.
+def labeled_orbits(keys):
+    """Each partial order on the points of the class keys ``keys``, one key
+    per class on n points, with the index of its class in ``keys``, as
+    (rows, class) pairs sorted by rows.
 
     Each labeled order is a relabeling of exactly one class key, so the orbits
     of the keys under all permutations cover every labeled order, and the key
     it came from is its class.
     """
-    perms = list(permutations(range(n)))
+    perms = list(permutations(range(len(keys[0]))))
     return sorted(
-        {_relabel(key, perm): c for c, key in enumerate(iso_class_keys(n)) for perm in perms}.items()
+        {_relabel(key, perm): c for c, key in enumerate(keys) for perm in perms}.items()
     )
 
 

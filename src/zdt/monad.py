@@ -527,7 +527,7 @@ def verify_adjunction(P, system, L=None):
     tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
     actions = _adjunction_actions(P, system, LP, sub) if own else ()
-    for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
+    for f in ps.monotone_tables(P, sub.poset):
         if actions and not ps.lex_least(f, actions):
             continue
         if not continuous(f):
@@ -588,8 +588,9 @@ def _adjunction_actions(P, system, LP, sub):
     return tuple(actions)
 
 
-def verify_monad_laws(P, system, naturality_size=3):
-    """Unit and associativity laws plus naturality on small codomains.
+def verify_monad_laws(P, system):
+    """Unit and associativity laws plus naturality on the codomains of one
+    to three points.
 
     Naturality reads every map as a function table, in one pass per codomain
     (``_naturality_failure``); a ``MonotoneMap`` is built only to raise the
@@ -621,7 +622,7 @@ def verify_monad_laws(P, system, naturality_size=3):
     if mu_p.compose(mu_d1).table != mu_p.compose(d_mu).table:
         return CheckResult.fails(law="associativity")
 
-    for n in range(1, naturality_size + 1):
+    for n in (1, 2, 3):
         for Q in ps.enumerate_posets(n):
             bad = _naturality_failure(P, Q, system, eta_p.table, mu_p.table)
             if bad is not None:
@@ -640,11 +641,13 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     ``delta_tables`` builds them; a δf or δδf that breaks a cover pair
     raises ``NotMonotoneError``.  The data are picked once per (P, Q):
 
-    - folded, where ``compact_table`` covers δ(Q) and both closures fold:
-      each compact set is read at its maximal points through the tabulated
-      closures, and no cover check is needed (see ``compact_table``);
-    - unfolded, otherwise: every point of each compact set, read through
-      ``compact_index``, and the cover check.
+    - folded, where both closures fold: each compact set is read at its
+      maximal points through the tabulated closures, and no cover check is
+      needed (see ``compact_table``, which takes δ(Q): Q has at most three
+      points, so δ(Q) at most eight);
+    - unfolded, otherwise, which only a tampered closure reaches: every
+      point of each compact set, read through ``compact_index``, and the
+      cover check.
 
     On the folded path the loop decides only the lex-least tables of their
     orbits under f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
@@ -657,11 +660,9 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     D1, DQ = delta_object(P, system), delta_object(Q, system)
     D2, DDQ = delta_object(D1.poset, system), delta_object(DQ.poset, system)
     eta_q, mu_q = eta(Q, system).table, mu(Q, system).table
-    folded = DQ.poset.n <= COMPACT_TABLE_CAP
-    if folded:
-        compact_q, foldable_q = compact_table(Q, system)
-        compact_dq, foldable_dq = compact_table(DQ.poset, system)
-        folded = foldable_q and foldable_dq
+    compact_q, foldable_q = compact_table(Q, system)
+    compact_dq, foldable_dq = compact_table(DQ.poset, system)
+    folded = foldable_q and foldable_dq
     if folded:
         rows_1, rows_2 = ps.maxima(P, D1.sets), ps.maxima(D1.poset, D2.sets)
         tables = ps.map_reps(

@@ -174,11 +174,11 @@ class FinP:
 
     __slots__ = ("base", "sets", "poset", "index")
 
-    def __init__(self, base, cap=FINP_CAP):
+    def __init__(self, base):
         if base.n == 0:
             raise EmptyInputError("Fin P needs a nonempty poset")
-        if base.n > cap:
-            raise SizeCapError("fin_poset", base.n, cap)
+        if base.n > FINP_CAP:
+            raise SizeCapError("fin_poset", base.n, FINP_CAP)
         filters = [m for m in kernels.order_ideals(base.n, base.down, base.up) if m]
         rows = []
         for u in filters:
@@ -325,8 +325,8 @@ def principal_downs(P):
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
-def fin_poset(P, cap=FINP_CAP):
-    return FinP(P, cap=cap)
+def fin_poset(P):
+    return FinP(P)
 
 
 # -- subset operators --------------------------------------------------
@@ -551,14 +551,14 @@ def canonical_form(P):
     return FinitePoset(default_labels(P.n), key, _trusted=True)
 
 
-def enumerate_posets(n, mode="up_to_iso", cap=ENUM_CAP):
+def enumerate_posets(n, mode="up_to_iso"):
     """Yield the labeled posets on n points, or one poset per iso class.
 
     Each population is built once per process, so every call yields the same
     poset objects and the instance caches find them by identity.
     """
-    if not 1 <= n <= cap:
-        raise SizeCapError("enumerate_posets", n, cap)
+    if not 1 <= n <= ENUM_CAP:
+        raise SizeCapError("enumerate_posets", n, ENUM_CAP)
     if mode not in ("labeled", "up_to_iso"):
         raise ValueError(f"unknown mode {mode!r}")
     yield from population(n, mode)
@@ -577,11 +577,10 @@ def labeled_orbits(n):
     ``population(n, "labeled")[i]``, ``classes[i]`` the index of its class in
     ``population(n, "up_to_iso")``, and ``sizes[c]`` the number of labeled
     orders in class c, n!/|Aut P| by orbit-stabilizer."""
-    # the class indices of kernels.labeled_orbits index iso_class_keys(n),
-    # the keys _iso_representatives(n) holds in the same order
-    pairs = kernels.labeled_orbits(n)
+    keys = [P.up for P in _iso_representatives(n)]
+    pairs = kernels.labeled_orbits(keys)
     classes = tuple(c for _, c in pairs)
-    sizes = [0] * len(_iso_representatives(n))
+    sizes = [0] * len(keys)
     for c in classes:
         sizes[c] += 1
     return tuple(rows for rows, _ in pairs), classes, tuple(sizes)
@@ -604,13 +603,13 @@ def _iso_representatives(n):
     return _population(n, kernels.grow_classes(n - 1, smaller))
 
 
-def count_posets(n, mode="up_to_iso", cap=ENUM_CAP):
-    if not 1 <= n <= cap:
-        raise SizeCapError("count_posets", n, cap)
+def count_posets(n, mode="up_to_iso"):
+    if not 1 <= n <= ENUM_CAP:
+        raise SizeCapError("count_posets", n, ENUM_CAP)
     return len(population(n, mode))
 
 
-def monotone_tables(P, Q, cap=ENUM_CAP + 2, allowed=None):
+def monotone_tables(P, Q, allowed=None):
     """All monotone tables P -> Q as tuples, in lexicographic order.
 
     The values allowed at point i are the v above the value of every earlier
@@ -619,8 +618,6 @@ def monotone_tables(P, Q, cap=ENUM_CAP + 2, allowed=None):
     if given, holds one mask of Q per point of P, and the tables are those
     with each value inside its point's mask.
     """
-    if P.n > cap or Q.n > cap:
-        raise SizeCapError("monotone_tables", max(P.n, Q.n), cap)
     if allowed is None:
         allowed = (Q.full,) * P.n
     below = [tuple(bits(P.down[i] & ((1 << i) - 1))) for i in range(P.n)]
@@ -653,9 +650,12 @@ def map_tables(P, Q):
     return tuple(monotone_tables(P, Q))
 
 
-def enumerate_monotone_maps(P, Q, cap=ENUM_CAP + 2):
-    """All monotone maps P -> Q, in lexicographic table order."""
-    for table in monotone_tables(P, Q, cap):
+def enumerate_monotone_maps(P, Q):
+    """All monotone maps P -> Q, in lexicographic table order, for posets
+    of at most ``ENUM_CAP + 2`` points."""
+    if P.n > ENUM_CAP + 2 or Q.n > ENUM_CAP + 2:
+        raise SizeCapError("enumerate_monotone_maps", max(P.n, Q.n), ENUM_CAP + 2)
+    for table in monotone_tables(P, Q):
         yield MonotoneMap(P, Q, table, _trusted=True)
 
 

@@ -43,7 +43,7 @@ WITNESS_CAP = 10
 class ClaimReport:
     """Aggregated outcome of a claim over a population of instances.
 
-    Counts are always exact; at most ``witness_cap`` failure witnesses are
+    Counts are always exact; at most ``WITNESS_CAP`` failure witnesses are
     retained, each a ``(poset, data)`` pair reproducible from the poset text
     format.
     """
@@ -54,16 +54,15 @@ class ClaimReport:
     fails: int = 0
     inapplicable: int = 0
     witnesses: list = field(default_factory=list)
-    witness_cap: int = WITNESS_CAP
 
     def record(self, result, instance=None, count=1):
         """Count ``count`` instances with this result; a failure keeps one
-        witness while fewer than ``witness_cap`` are kept."""
+        witness while fewer than ``WITNESS_CAP`` are kept."""
         if result.status is Status.HOLDS:
             self.holds += count
         elif result.status is Status.FAILS:
             self.fails += count
-            if len(self.witnesses) < self.witness_cap:
+            if len(self.witnesses) < WITNESS_CAP:
                 self.witnesses.append((instance, result.witness))
         else:
             self.inapplicable += count

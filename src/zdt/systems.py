@@ -192,14 +192,14 @@ def is_zcpo(P, system):
 AXIOM_CAP = 4
 
 
-def check_system_axioms(system, size_bound=3, cap=AXIOM_CAP):
+def check_system_axioms(system, size_bound=3):
     """Singleton membership and closure under monotone images, exhaustively.
 
     Runs over all labeled posets with at most ``size_bound`` elements and all
     monotone maps between them; instance evidence, not a universal proof.
     """
-    if size_bound > cap:
-        raise SizeCapError("check_system_axioms", size_bound, cap)
+    if size_bound > AXIOM_CAP:
+        raise SizeCapError("check_system_axioms", size_bound, AXIOM_CAP)
     report = ClaimReport("system-axioms", f"{system.name} n<={size_bound}")
     posets = [
         P for n in range(1, size_bound + 1) for P in ps.enumerate_posets(n, "labeled")
@@ -238,11 +238,11 @@ def _reflects_order(P, Q, table):
     return True
 
 
-def check_subset_hereditary_instances(system, size_bound=3, cap=AXIOM_CAP):
+def check_subset_hereditary_instances(system, size_bound=3):
     """D ∈ Z(P) iff f(D) ∈ Z(Q), over all order embeddings at bounded size:
     the monotone tables that reflect the order."""
-    if size_bound > cap:
-        raise SizeCapError("check_subset_hereditary_instances", size_bound, cap)
+    if size_bound > AXIOM_CAP:
+        raise SizeCapError("check_subset_hereditary_instances", size_bound, AXIOM_CAP)
     report = ClaimReport("subset-hereditary", f"{system.name} n<={size_bound}")
     posets = [
         P for n in range(1, size_bound + 1) for P in ps.enumerate_posets(n, "labeled")
@@ -266,9 +266,9 @@ def check_subset_hereditary_instances(system, size_bound=3, cap=AXIOM_CAP):
     return report
 
 
-def check_property_M_instance(system, P, cap=ps.FINP_CAP):
+def check_property_M_instance(system, P):
     """Principal down-families of Fin P belong to Z(Fin P), per element of Fin P."""
-    fp = ps.fin_poset(P, cap=cap)
+    fp = ps.fin_poset(P)
     report = ClaimReport("property-M", f"{system.name} on {P.n}-poset")
     for i, u in enumerate(fp.sets):
         family = 0
@@ -284,21 +284,19 @@ def check_property_M_instance(system, P, cap=ps.FINP_CAP):
     return report
 
 
-def check_ffup_instance(system, P, tuple_len=2, cap=ps.FINP_CAP):
+def check_ffup_instance(system, P):
     """Element-wise unions of member families of Z(Fin P) stay members.
 
-    Checks tuples up to the given length (1 and 2 by default; longer tuples
-    reduce to iterated pairs only heuristically, so both are exercised).
+    Checks every member family and every pair of them; longer tuples
+    reduce to iterated pairs only heuristically.
     """
-    fp = ps.fin_poset(P, cap=cap)
+    fp = ps.fin_poset(P)
     FP = fp.poset
     mem = system.members(FP)
     report = ClaimReport("ffup", f"{system.name} on {P.n}-poset")
     for fam in mem:
         report.record(CheckResult.holds() if system.contains(FP, fam)
                       else CheckResult.fails(family=fam), fam)
-    if tuple_len < 2:
-        return report
     for fam1 in mem:
         for fam2 in mem:
             union_family = 0

@@ -685,11 +685,11 @@ def delta_map(f, system):
     return ps.MonotoneMap(DP.poset, DQ.poset, table), None
 
 
-def monad_naturality_failure(P, system, naturality_size):
+def monad_naturality_failure(P, system):
     """The witness of the first failure of the monad's naturality at P, or
     None: the loop over maps that ``monad.verify_monad_laws`` ran before it
-    read tables, ``naturality_walk`` at each poset of at most
-    ``naturality_size`` points in turn.
+    read tables, ``naturality_walk`` at each poset of one to three points in
+    turn.
 
     Unlike the rest of this module, it deliberately uses the package's own
     objects (``eta``, ``mu`` and ``MonotoneMap.compose``, with ``delta_map``
@@ -700,7 +700,7 @@ def monad_naturality_failure(P, system, naturality_size):
     """
     from zdt import poset as ps
 
-    for n in range(1, naturality_size + 1):
+    for n in (1, 2, 3):
         for Q in ps.enumerate_posets(n):
             bad = naturality_walk(P, Q, system)
             if bad is not None:
@@ -830,10 +830,12 @@ def em_check(P, xi, system):
     return CheckResult.holds()
 
 
-def em_theorem(P, system, search_limit):
+def em_theorem(P, system):
     """``thm-em`` at P, below the lattice cap: the structure map passes
-    ``em_check``, and when P^|δ(P)| is at most ``search_limit`` it is the
-    only continuous candidate that does."""
+    ``em_check``, and it is the only continuous candidate that does, over
+    every monotone table δ(P) -> P from this module's ``monotone_tables``.
+    The walk needs no bound at the sizes the tests give it: on the posets
+    of at most four points it yields at most 106 tables for any system."""
     from zdt import monad as md, poset as ps
     from zdt.reports import CheckResult
 
@@ -846,18 +848,17 @@ def em_theorem(P, system, search_limit):
         res = em_check(P, xi, system)
         if not res.ok:
             return res
-    if P.n ** d.poset.n <= search_limit:
-        survivors = []
-        cap = max(P.n, d.poset.n)
-        for cand in ps.enumerate_monotone_maps(d.poset, P, cap=cap):
-            if map_sigma_continuous(cand, system) and em_check(P, cand, system).ok:
-                survivors.append(cand.table)
-        if xi is None and survivors:
-            return CheckResult.fails(
-                reason="structure map on a non-delta-cpo", tables=survivors
-            )
-        if xi is not None and survivors != [xi.table]:
-            return CheckResult.fails(reason="structure map not unique", tables=survivors)
+    survivors = []
+    for table in monotone_tables(d.poset, P, {}):
+        cand = ps.MonotoneMap(d.poset, P, table)
+        if map_sigma_continuous(cand, system) and em_check(P, cand, system).ok:
+            survivors.append(table)
+    if xi is None and survivors:
+        return CheckResult.fails(
+            reason="structure map on a non-delta-cpo", tables=survivors
+        )
+    if xi is not None and survivors != [xi.table]:
+        return CheckResult.fails(reason="structure map not unique", tables=survivors)
     return CheckResult.holds()
 
 
@@ -892,7 +893,7 @@ def em_morphisms(P, system, codomains):
     return CheckResult.holds()
 
 
-def per_system_reports(claim_id, max_size, mode, systems=None, witness_cap=10):
+def per_system_reports(claim_id, max_size, mode, systems=None):
     """``run_claim``'s reports by evaluating every poset of the ``mode``
     population with each system itself, as the harness did before it
     counted labeled classes by orbit weight and shared one evaluation among
@@ -910,17 +911,17 @@ def per_system_reports(claim_id, max_size, mode, systems=None, witness_cap=10):
     reports = []
     for name in claim.systems if systems is None else systems:
         for n in range(1, max_size + 1):
-            report = ClaimReport(claim_id, f"{name} n={n}", witness_cap=witness_cap)
+            report = ClaimReport(claim_id, f"{name} n={n}")
             for P in ps.enumerate_posets(n, mode):
                 report.record(cl._guarded(claim.evaluate, P, get_system(name)), P)
             reports.append(report)
     return reports
 
 
-def labeled_reports(claim_id, max_size, systems=None, witness_cap=10):
+def labeled_reports(claim_id, max_size, systems=None):
     """``run_claim(mode="labeled")`` by evaluating every labeled order itself:
     the verdict of each labeled order must equal the verdict of its class."""
-    return per_system_reports(claim_id, max_size, "labeled", systems, witness_cap)
+    return per_system_reports(claim_id, max_size, "labeled", systems)
 
 
 # -- full walks ------------------------------------------------------------
@@ -976,7 +977,7 @@ def adjunction_walk(P, system, L=None):
     gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
     tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
-    for f in ps.monotone_tables(P, sub.poset, cap=max(P.n, sub.poset.n)):
+    for f in ps.monotone_tables(P, sub.poset):
         if not continuous(f):
             continue
         values = [sub.embed[v] for v in f]

@@ -10,7 +10,7 @@ from test_instance_tables import INSTANCE_CACHES, clear_zdt_caches, zdt_caches
 from zdt import claims as cl, continuity as ct, poset as ps, topology as tp
 from zdt import fixtures as fx
 from zdt.errors import SizeCapError, UnknownClaimError
-from zdt.reports import CheckResult, Status
+from zdt.reports import WITNESS_CAP, CheckResult, Status
 from zdt.systems import FINITE, SYSTEMS
 
 
@@ -88,7 +88,7 @@ def test_in_process_run_evaluates_the_enumerated_posets(monkeypatch):
     probe = cl.Claim("probe", "every instance fails", ("finite", "chains"), evaluate, 3)
     monkeypatch.setattr(cl, "_CLAIMS", [probe])
     monkeypatch.setattr(ps.FinitePoset, "__init__", counting)
-    reports = cl.run_claim("probe", witness_cap=8)
+    reports = cl.run_claim("probe")
     assert len(built) == 1 + 2 + 5
     assert len(seen) == 2 * len(built)
     assert all(a is b for a, b in zip(seen[: len(built)], seen[len(built) :]))
@@ -231,7 +231,7 @@ def test_workers_keep_their_instance_tables(monkeypatch):
     cl.run_claim("thm-s4-equiv", 5, jobs=2)
     before = _misses_per_worker()
     assert all(m["topology.is_lower_hereditary"] > 100 for m in before)
-    cl.run_claim("prop-up-cont", 5, systems=("finite", "chains"), min_size=2, jobs=2)
+    cl.run_claim("prop-up-cont", 5, systems=("finite", "chains"), jobs=2)
     assert _misses_per_worker() == before
 
 
@@ -258,13 +258,12 @@ def test_run_claim_rejects_jobs_below_one(jobs):
 
 
 def test_witness_cap_and_exact_counts():
-    reports = cl.run_claim(
-        "thm-local-wmc", 5, systems=("finite",), witness_cap=3
-    )
+    reports = cl.run_claim("thm-local-wmc", 5, systems=("finite",))
     total_fails = sum(r.fails for r in reports)
     assert total_fails == 39
+    assert max(r.fails for r in reports) > WITNESS_CAP
     for r in reports:
-        assert len(r.witnesses) <= 3
+        assert len(r.witnesses) == min(r.fails, WITNESS_CAP)
         assert r.holds + r.fails + r.inapplicable == r.total
 
 
@@ -296,10 +295,11 @@ def test_run_claim_rejects_unknown_system_before_enumerating(monkeypatch):
         cl.run_claim("lemma-wmc", 2, systems=("finite", "nonsense"))
 
 
-@pytest.mark.parametrize("max_size, min_size", [(0, 1), (-1, 1), (2, 3)])
+@pytest.mark.parametrize("max_size, min_size", [(0, 1), (-1, 1)])
 def test_run_claim_rejects_max_size_below_min_size(max_size, min_size):
-    with pytest.raises(ValueError, match="max_size"):
-        cl.run_claim("lemma-wmc", max_size, min_size=min_size)
+    # every run starts at min_size 1
+    with pytest.raises(ValueError, match=f"max_size {max_size} is below {min_size}"):
+        cl.run_claim("lemma-wmc", max_size)
 
 
 @pytest.mark.parametrize("max_size", [ps.ENUM_CAP + 1, 9])

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from zdt import claims as cl, cli, poset as ps
+from zdt import claims as cl, cli, fixtures as fx, io as zio, poset as ps
 from zdt.reports import CheckResult
 
 VEE = """\
@@ -163,6 +163,19 @@ def test_monad_subcommand(vee_file, capsys):
                          "--verify", verify]) == 0
     out = capsys.readouterr().out
     assert "CLAIM thm-em HOLDS" in out
+
+
+def test_monad_subcommand_on_a_nine_point_chain(tmp_path, capsys):
+    # the naturality and algebra-morphism walks from P into codomains of at
+    # most three points take a poset file past ENUM_CAP + 2 points
+    path = tmp_path / "chain9.poset"
+    path.write_text(zio.format_poset_text(fx.chain(9), "chain9"))
+    for verify in ("monad-laws", "em"):
+        assert cli.main(["monad", "--poset", str(path), "--system", "directed",
+                         "--verify", verify]) == 0
+    out = capsys.readouterr().out
+    for claim in ("thm-monad", "thm-em", "prop-em-morph"):
+        assert f"CLAIM {claim} HOLDS" in out
 
 
 def test_search_pass_and_fail(capsys, tmp_path):

@@ -68,6 +68,22 @@ def test_way_below_against_oracle_n5():
     assert_way_below_readers_match_oracle(ps.enumerate_posets(5))
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_dd_set_on_random_posets_against_oracle(seed):
+    # the transitive closure of a random acyclic relation, at 6 points only:
+    # oracles.way_below walks every pair of subsets against every member,
+    # 4,096 pairs here and 65,536 at 8 points
+    rows = random_orders(random.Random(seed), 6, 5)[seed % 5]
+    P = ps.FinitePoset(ps.default_labels(6), rows)
+    for name, system in SYSTEMS.items():
+        pairs = oracles.way_below(P, name)
+        for x in range(P.n):
+            assert ct.dd_set(P, system, x) == oracles.to_mask(
+                y for y in range(P.n) if (frozenset({y}), frozenset({x})) in pairs
+            ), (P, name)
+
+
 def test_way_below_order_compatibility():
     for P in small_posets(5):
         for system in SYSTEMS.values():

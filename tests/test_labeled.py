@@ -67,13 +67,13 @@ def test_labeled_classes_agree_with_canonical_keys(n):
 
 
 def test_labeled_orbits_list_each_order_once():
-    orbits = kernels.labeled_orbits(4)
+    orbits = kernels.labeled_orbits([P.up for P in ps.population(4)])
     assert [rows for rows, _ in orbits] == kernels.enumerate_labeled_orders(4)
     assert {c for _, c in orbits} == set(range(CLASSES[4]))
 
 
 def test_record_counts_many_instances_with_one_witness():
-    report = ClaimReport("c", "p", witness_cap=2)
+    report = ClaimReport("c", "p")
     report.record(CheckResult.fails(x=1), "P", count=3)
     report.record(CheckResult.holds(), count=4)
     report.record(CheckResult.inapplicable(), count=5)

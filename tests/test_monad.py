@@ -222,7 +222,7 @@ def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
             res = md.verify_adjunction(P, system)
             assert res.status is Status.HOLDS, (P, name, res.witness)
             _, kq = md.epsilon(LP, system)
-            tables = list(ps.monotone_tables(P, kq.poset, cap=max(P.n, kq.poset.n)))
+            tables = list(ps.monotone_tables(P, kq.poset))
             pairs = _lattice_automorphisms(P, system, kq)
             reps = [t for t in tables if t == min(oracles.orbit(t, pairs))]
             assert [t for t, _ in decided] == reps, (P, name)
@@ -305,8 +305,8 @@ def test_mediator_search_finds_no_competitor(n):
             _, kq = md.epsilon(LP.poset, system)
             ben = oracles.beneath_pairs(LP.poset, system.name)
             sets = [oracles.to_set(a) for a in LP.elements]
-            cap = max(P.n, kq.poset.n)
-            for f in ps.enumerate_monotone_maps(P, kq.poset, cap=cap):
+            for table in ps.monotone_tables(P, kq.poset):
+                f = ps.MonotoneMap(P, kq.poset, table, _trusted=True)
                 if not tp.is_sigma_z_continuous(f, system):
                     continue
                 pinned = {LP.index[P.down[p]]: kq.embed[f(p)] for p in range(P.n)}
@@ -360,21 +360,21 @@ def test_adjunction_against_a_foreign_lattice():
 def test_monad_laws():
     for P in small_posets(3):
         for system in SYSTEMS.values():
-            res = md.verify_monad_laws(P, system, naturality_size=2)
+            res = md.verify_monad_laws(P, system)
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
 
 
 def test_monad_laws_directed_n4():
     for P in ps.enumerate_posets(4):
-        res = md.verify_monad_laws(P, DIRECTED, naturality_size=2)
+        res = md.verify_monad_laws(P, DIRECTED)
         assert res.status is Status.HOLDS, (P, res.witness)
 
 
 def _same_as_the_object_loop(P, system):
-    """verify_monad_laws at its default naturality size gives the object
-    loop's result, or raises the same NotMonotoneError; returns either."""
+    """verify_monad_laws gives the object loop's result, or raises the
+    same NotMonotoneError; returns either."""
     try:
-        want = oracles.monad_naturality_failure(P, system, 3)
+        want = oracles.monad_naturality_failure(P, system)
     except NotMonotoneError as err:
         with pytest.raises(NotMonotoneError) as got:
             md.verify_monad_laws(P, system)
@@ -406,25 +406,13 @@ def test_monad_naturality_on_random_posets_against_the_object_loop(seed, n):
             _same_as_the_object_loop(P, system)
 
 
-def test_naturality_into_codomains_too_large_to_tabulate(monkeypatch):
-    # at naturality size 4 some δ(Q) has more points than compact_table
-    # takes: the pass decides every table into such a Q, on the unfolded
-    # path, with the object loop's result
-    large = [
-        Q for Q in ps.enumerate_posets(4)
-        if md.delta_object(Q, CONNECTED).poset.n > md.COMPACT_TABLE_CAP
-    ]
-    assert oracles.monad_naturality_failure(CHAIN2, CONNECTED, 4) is None
-    assert md.verify_monad_laws(CHAIN2, CONNECTED, naturality_size=4).status is Status.HOLDS
-    eta_p, mu_p = md.eta(CHAIN2, CONNECTED).table, md.mu(CHAIN2, CONNECTED).table
-    decided = _continuity_against_the_fibre_walk(monkeypatch)
-    for Q in large:
-        decided.clear()
-        assert md._naturality_failure(CHAIN2, Q, CONNECTED, eta_p, mu_p) is None
-        assert [f for f, _ in decided] == list(ps.map_tables(CHAIN2, Q)), Q
-    assert large
+def test_compact_table_cap():
+    # every naturality codomain's δ(Q) fits; a larger poset is refused
+    for Q in (q for n in (1, 2, 3) for q in ps.enumerate_posets(n)):
+        for system in SYSTEMS.values():
+            assert md.delta_object(Q, system).poset.n <= md.COMPACT_TABLE_CAP
     with pytest.raises(SizeCapError):
-        md.compact_table(md.delta_object(large[0], CONNECTED).poset, CONNECTED)
+        md.compact_table(fx.chain(md.COMPACT_TABLE_CAP + 1), CONNECTED)
 
 
 def test_delta_map_against_closure_oracle():
@@ -470,9 +458,9 @@ def test_map_tables_are_enumerated_once_per_pair(monkeypatch):
     counts = collections.Counter()
     real = ps.monotone_tables
 
-    def counted(P, Q, cap=ps.ENUM_CAP + 2):
+    def counted(P, Q):
         counts[P, Q] += 1
-        return real(P, Q, cap)
+        return real(P, Q)
 
     monkeypatch.setattr(ps, "monotone_tables", counted)
     ps.map_tables.cache_clear()
@@ -695,7 +683,7 @@ def test_em_laws_against_the_object_loop(n):
         for system in SYSTEMS.values():
             if md.gamma_lattice(P, system).poset.n > cl.LATTICE_CAP:
                 continue
-            want = oracles.em_theorem(P, system, cl.EM_SEARCH_LIMIT)
+            want = oracles.em_theorem(P, system)
             assert cl._eval_thm_em(P, system) == want, (P, system.name)
             D1 = md.delta_object(P, system).poset
             eta_p = md.eta(P, system).table
@@ -724,7 +712,7 @@ def test_em_morphisms_against_the_object_loop(n):
 
 def _thm_em_both_ways(P, system):
     got = _outcome(lambda: cl._eval_thm_em(P, system))
-    assert got == _outcome(lambda: oracles.em_theorem(P, system, cl.EM_SEARCH_LIMIT))
+    assert got == _outcome(lambda: oracles.em_theorem(P, system))
     return got
 
 
@@ -786,13 +774,19 @@ def test_em_loop_structure_map_on_a_non_delta_cpo(monkeypatch):
 
 
 def test_em_loop_structure_map_not_unique(monkeypatch):
-    # a candidate search that finds nothing leaves the structure map alone
+    # a candidate search that finds nothing leaves the structure map alone;
+    # the oracle walks δ(P) -> P with its own generator, so both are emptied
     D1 = md.delta_object(CHAIN2, DIRECTED).poset
-    real = ps.monotone_tables
+    real, real_oracle = ps.monotone_tables, oracles.monotone_tables
     monkeypatch.setattr(
         ps,
         "monotone_tables",
-        lambda P, Q, cap=8, allowed=None: iter(()) if P == D1 else real(P, Q, cap, allowed),
+        lambda P, Q, allowed=None: iter(()) if P == D1 else real(P, Q, allowed),
+    )
+    monkeypatch.setattr(
+        oracles,
+        "monotone_tables",
+        lambda P, Q, pinned: iter(()) if P == D1 else real_oracle(P, Q, pinned),
     )
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {
         "reason": "structure map not unique", "tables": []
@@ -804,8 +798,8 @@ def _record_pinned_searches(monkeypatch):
     real = ps.monotone_tables
     walked = []
 
-    def recorded(P, Q, cap=8, allowed=None):
-        for table in real(P, Q, cap, allowed):
+    def recorded(P, Q, allowed=None):
+        for table in real(P, Q, allowed):
             if allowed is not None:
                 walked.append((P, table))
             yield table
@@ -825,7 +819,7 @@ def test_em_search_walks_exactly_the_unit_law_tables(monkeypatch):
             walked.clear()
             cl._eval_thm_em(P, system)
             want = [
-                t for t in ps.monotone_tables(D1, P, max(P.n, D1.n))
+                t for t in ps.monotone_tables(D1, P)
                 if all(t[e] == p for p, e in enumerate(eta_p))
             ]
             assert [t for dom, t in walked if dom == D1] == want, P

@@ -131,7 +131,7 @@ def test_fin_poset(anti2, chain3):
     one = ps.from_order_pairs(["x"], [])
     assert ps.fin_poset(one).poset.n == 1
     with pytest.raises(SizeCapError):
-        ps.fin_poset(chain3, cap=2)
+        ps.fin_poset(fx.antichain(ps.FINP_CAP + 1))
 
 
 def test_fin_poset_order_is_reverse_inclusion():
@@ -193,11 +193,12 @@ def test_monotone_tables_against_backtracking_oracle():
             assert [m.table for m in ps.enumerate_monotone_maps(P, Q)] == want
 
 
-def test_map_tables_cap_names_monotone_tables():
-    # the error names the function that enforces the cap
-    with pytest.raises(SizeCapError) as exc:
-        ps.map_tables(fx.chain(9), fx.chain(1))
-    assert (exc.value.what, exc.value.size, exc.value.cap) == ("monotone_tables", 9, 8)
+def test_enumerate_monotone_maps_cap_names_it():
+    # the error names the function that enforces the cap, on either side
+    for P, Q in ((fx.chain(9), fx.chain(1)), (fx.chain(1), fx.antichain(9))):
+        with pytest.raises(SizeCapError) as exc:
+            next(ps.enumerate_monotone_maps(P, Q))
+        assert (exc.value.what, exc.value.size, exc.value.cap) == ("enumerate_monotone_maps", 9, 8)
 
 
 def test_map_tables_are_the_monotone_tables():

@@ -1,8 +1,12 @@
 """Closed families, closures, interiors, and map continuity."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_kernels import random_orders
 from zdt import fixtures as fx, poset as ps, topology as tp
 from zdt.systems import (
     CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SINGLETONS, SYSTEMS,
@@ -44,6 +48,19 @@ def test_gamma_against_oracle():
         for name in SYSTEMS:
             expected = sorted(oracles.to_mask(a) for a in oracles.gamma(P, name))
             assert list(tp.gamma_subbasis(P, SYSTEMS[name]).closed) == expected
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(6, 8))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_gamma_on_random_posets_against_oracle(seed, n):
+    # the transitive closure of a random acyclic relation on 6 to 8 points,
+    # past the exhaustive populations, through the closed forms of each
+    # system's member ideals; the principal-ideals view shares directed's I_Z
+    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    P = ps.FinitePoset(ps.default_labels(n), rows)
+    for name, system in (*SYSTEMS.items(), ("directed", PRINCIPAL_IDEALS)):
+        expected = sorted(oracles.to_mask(a) for a in oracles.gamma(P, name))
+        assert list(tp.gamma_subbasis(P, system).closed) == expected, (P, name)
 
 
 def test_sigma_matches_its_direct_definition():
