@@ -98,7 +98,7 @@ MUTANTS = (
     # the naturality pass's unfolded path without the cover check of δf
     Mutant(
         "src/zdt/monad.py",
-        "        if not folded:\n            _check_covers(df, D1, DQ)\n",
+        "        if not folded:\n            _check_monotone(df, D1.poset, DQ.poset, D1.covers)\n",
         "",
         (f"{MONAD}::test_naturality_loop_non_monotone_delta_f",),
     ),
@@ -188,6 +188,30 @@ MUTANTS = (
         "    return tuple(sup_of(P, a) for a in range(1 << P.n))",
         "    return tuple(inf_of(P, a) for a in range(1 << P.n))",
         ("tests/test_poset.py::test_subset_tables_against_oracles_labeled_n4",),
+    ),
+    # the adjunction's lattice-side triangle reading ε at one fixed index
+    Mutant(
+        "src/zdt/monad.py",
+        "        if eps[family_index[dq.sets[e]]] != sub.embed[q]:",
+        "        if eps[0] != sub.embed[q]:",
+        (f"{MONAD}::test_adjunction_lattice_side_reads_the_counit",),
+    ),
+    # the shared monotone check of μ, ξ, ε and δf letting every table through
+    Mutant(
+        "src/zdt/monad.py",
+        "    if not ps.monotone_on_covers(table, covers, cod):",
+        "    if False:",
+        (
+            f"{MONAD}::test_sup_tables_are_checked_monotone",
+            f"{MONAD}::test_naturality_loop_non_monotone_delta_f",
+        ),
+    ),
+    # δ(P)'s unit table storing the index after each ↓p
+    Mutant(
+        "src/zdt/monad.py",
+        "        unit.append(i)\n",
+        "        unit.append(i + 1)\n",
+        (f"{MONAD}::test_eta_is_order_embedding",),
     ),
     # prop-em-morph reading the codomain's cuts as its sups
     Mutant(

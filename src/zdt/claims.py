@@ -321,19 +321,16 @@ def _eval_thm_em(P, system):
         return CheckResult.inapplicable(reason="lattice too large")
     d = md.delta_object(P, system)
     xi = md.em_structure_map(P, system)
-    dcpo = md.is_delta_cpo(P, system)
-    if dcpo != (xi is not None):
-        return CheckResult.fails(delta_cpo=dcpo, structure_map=xi is not None)
     em_laws = md.em_laws(P, system)
     if xi is not None:
-        res = em_laws(xi.table)
+        res = em_laws(xi)
         if not res.ok:
             return res
     # every survivor meets the unit law ξ(η_P(p)) = p, so the search walks
     # only the tables that do; two points with one unit value leave that
     # value no choice, and the search no table
     pins = [P.full] * d.poset.n
-    for p, e in enumerate(md.eta(P, system).table):
+    for p, e in enumerate(md.eta(P, system)):
         pins[e] &= 1 << p
     survivors = []
     continuous = tp.sigma_z_continuity(d.poset, P, system)
@@ -346,7 +343,7 @@ def _eval_thm_em(P, system):
         return CheckResult.fails(
             reason="structure map on a non-delta-cpo", tables=survivors
         )
-    if xi is not None and survivors != [xi.table]:
+    if xi is not None and survivors != [xi]:
         return CheckResult.fails(reason="structure map not unique", tables=survivors)
     return CheckResult.holds()
 
@@ -355,13 +352,12 @@ def _eval_prop_em_morph(P, system):
     if not md.is_delta_cpo(P, system):
         return CheckResult.inapplicable(reason="domain not a delta-cpo")
     # ξ_P's table holds sup A for each compact A; both sides read it
-    xi_p = md.em_structure_map(P, system).table
+    xi_p = md.em_structure_map(P, system)
     compacts = md.delta_object(P, system).sets
     for Q in _inner_posets():
-        structure = md.em_structure_map(Q, system)
-        if structure is None:  # ξ_Q exists exactly on the δ-cpos
+        xi_q = md.em_structure_map(Q, system)
+        if xi_q is None:  # ξ_Q exists exactly on the δ-cpos
             continue
-        xi_q = structure.table
         continuous = tp.sigma_z_continuity(P, Q, system)
         delta = md.delta_tables(P, Q, system)
         sups_q = ps.sup_table(Q)

@@ -97,7 +97,7 @@ def cmd_monad(args):
         else:
             d = md.delta_object(P, system)
             pairs = ", ".join(
-                f"{zio.format_set(P, a)}↦{P.labels[xi(i)]}" for i, a in enumerate(d.sets)
+                f"{zio.format_set(P, a)}↦{P.labels[xi[i]]}" for i, a in enumerate(d.sets)
             )
             print(f"structure map: {pairs}")
     code = 0

@@ -4,7 +4,9 @@ induced monad, and Eilenberg-Moore algebra checks.
 Objects: ``gamma_lattice(P, Z)`` is Γ^Z(P) under inclusion (a complete
 lattice); ``delta_object(P, Z)`` is its poset of Z-compact elements, the value
 of the composite endofunctor on P.  The unit sends p to ↓p; the
-multiplication takes the sup inside the compact poset.
+multiplication takes the sup inside the compact poset.  The unit, the
+multiplication, the counit and the algebra structure maps are function
+tables: tuples of indices into their codomains.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ class DeltaObject:
     """The Z-compact members of Γ^Z(P), still ordered by inclusion.
 
     ``points[i]`` lists the points of P in ``sets[i]``; ``covers`` holds the
-    cover pairs of ``poset``.
+    cover pairs of ``poset``; ``unit`` is the table of η_P, the index of ↓p
+    for each point p.
     """
 
-    __slots__ = ("base", "system", "sets", "poset", "index", "points", "covers")
+    __slots__ = ("base", "system", "sets", "poset", "index", "points", "covers", "unit")
 
     def __init__(self, base, system, sets, poset):
         self.base = base
@@ -112,38 +115,28 @@ def _small_families(n):
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def delta_object(P, system):
-    """δ(P): the compacts of Γ^Z(P).  Its poset is the restriction of the
-    Γ-lattice's to them, which has the labels and inclusion rows that
-    ``family_poset(P, sets)`` would build."""
+    """δ(P): the compacts of Γ^Z(P), with the unit's table.  Its poset is
+    the restriction of the Γ-lattice's to them, which has the labels and
+    inclusion rows that ``family_poset(P, sets)`` would build."""
     L = gamma_lattice(P, system)
     k = kz_compacts(L.poset, system)
     sets = tuple(L.elements[i] for i in ps.bits(k))
     obj = DeltaObject(P, system, sets, ps.restrict(L.poset, k).poset)
+    unit = []
     for p in range(P.n):
-        if P.down[p] not in obj.index:
+        i = obj.index.get(P.down[p])
+        if i is None:
             raise ZdtError(
                 f"principal ideal of {P.labels[p]} is not compact; unit ill-typed"
             )
+        unit.append(i)
+    obj.unit = tuple(unit)
     return obj
 
 
-@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def eta(P, system):
-    """The unit at P: p ↦ ↓p, an order embedding into the compact poset."""
-    d = delta_object(P, system)
-    return ps.MonotoneMap(
-        P, d.poset, tuple(d.index[P.down[p]] for p in range(P.n)), _trusted=True
-    )
-
-
-def gamma_map(f, system):
-    """Γ^Z on morphisms: A ↦ cl(f(A)), between the two Γ-lattices."""
-    LP = gamma_lattice(f.dom, system)
-    LQ = gamma_lattice(f.cod, system)
-    table = tuple(
-        LQ.index[tp.closure_subbasic(f.cod, system, f.image(a))] for a in LP.elements
-    )
-    return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
+    """The unit at P as a table, p ↦ ↓p, an order embedding into δ(P)."""
+    return delta_object(P, system).unit
 
 
 class _CompactIndex(dict):
@@ -233,11 +226,11 @@ def _escape(dom, cod, system, a, values):
     return {"of": dom.names(a), "image_closure": cod.names(closed)}
 
 
-def _check_covers(table, DP, DQ):
+def _check_monotone(table, dom, cod, covers):
     """Raise the validating constructor's ``NotMonotoneError`` where a table
-    from δ-object ``DP`` to ``DQ`` breaks a cover pair of ``DP``."""
-    if not ps.monotone_on_covers(table, DP.covers, DQ.poset):
-        ps.MonotoneMap(DP.poset, DQ.poset, table)
+    from ``dom`` to ``cod`` breaks one of the ``covers`` of ``dom``."""
+    if not ps.monotone_on_covers(table, covers, cod):
+        ps.MonotoneMap(dom, cod, table)
 
 
 def delta_tables(dom, cod, system):
@@ -257,46 +250,38 @@ def delta_tables(dom, cod, system):
         table = compacts_of(points, values, compact)
         if len(table) < len(points):
             return None, _escape(dom, cod, system, sets[len(table)], values)
-        _check_covers(table, DP, DQ)
+        _check_monotone(table, DP.poset, DQ.poset, DP.covers)
         return table, None
 
     return delta
 
 
-def delta_map(f, system):
-    """The endofunctor on morphisms; None plus witness when an image escapes
-    the compacts (cannot happen for genuine σ^Z-continuous maps)."""
-    table, bad = delta_tables(f.dom, f.cod, system)(f.table)
-    if table is None:
-        return None, bad
-    DP, DQ = delta_object(f.dom, system), delta_object(f.cod, system)
-    return ps.MonotoneMap(DP.poset, DQ.poset, table, _trusted=True), None
-
-
 def epsilon(L_poset, system):
     """The counit at a complete lattice: a closed family of compacts ↦ its sup.
 
-    Returns the map from the closed-family poset of the compact subposet into
-    the lattice, together with that subposet.
+    Returns the table from the Γ-lattice of the compact subposet into the
+    lattice, by the index of each family there, together with that subposet.
     """
     k = kz_compacts(L_poset, system)
     sub = ps.restrict(L_poset, k)
-    members = tp.gamma_subbasis(sub.poset, system).closed
-    dom = family_poset(sub.poset, members)
+    families = gamma_lattice(sub.poset, system)
     table = []
-    for e in members:
+    for e in families.elements:
         s = ps.sup_of(L_poset, sub.to_parent(e))
         if s is None:
             raise SupMissingError("counit needs sups of compact families")
         table.append(s)
-    return ps.MonotoneMap(dom, L_poset, tuple(table)), sub
+    table = tuple(table)
+    _check_monotone(table, families.poset, L_poset, ps.covers(families.poset))
+    return table, sub
 
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def mu(P, system):
-    """The multiplication: sup inside the compact poset, cross-checked against
-    the union-closure prediction whenever that value is itself compact.  It is
-    built, validated and cross-checked once per (P, system)."""
+    """The multiplication as a table δδ(P) -> δ(P): sup inside the compact
+    poset, cross-checked against the union-closure prediction whenever that
+    value is itself compact.  It is built, checked monotone and
+    cross-checked once per (P, system)."""
     D1 = delta_object(P, system)
     D2 = delta_object(D1.poset, system)
     table = []
@@ -313,7 +298,9 @@ def mu(P, system):
         if predicted in D1.index and D1.index[predicted] != s:
             raise ZdtError("multiplication disagrees with the union closure")
         table.append(s)
-    return ps.MonotoneMap(D2.poset, D1.poset, tuple(table))
+    table = tuple(table)
+    _check_monotone(table, D2.poset, D1.poset, D2.covers)
+    return table
 
 
 # -- delta-cpos and Eilenberg-Moore algebras -----------------------------
@@ -329,14 +316,14 @@ def delta_cpo_witness(P, system):
 
 def is_delta_cpo(P, system):
     """Every compact closed set, as a subset of P, has a supremum in P."""
-    return delta_cpo_witness(P, system) is None
+    return em_structure_map(P, system) is not None
 
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def em_structure_map(P, system):
-    """The sup map as the algebra structure, present exactly on delta-cpos;
-    built once per (P, system), as ``prop-em-morph`` reads it at every
-    codomain of every domain."""
+    """The sup map as the algebra structure, a table δ(P) -> P checked
+    monotone, present exactly on delta-cpos; built once per (P, system), as
+    ``prop-em-morph`` reads it at every codomain of every domain."""
     d = delta_object(P, system)
     table = []
     for a in d.sets:
@@ -344,7 +331,9 @@ def em_structure_map(P, system):
         if s is None:
             return None
         table.append(s)
-    return ps.MonotoneMap(d.poset, P, tuple(table))
+    table = tuple(table)
+    _check_monotone(table, d.poset, P, d.covers)
+    return table
 
 
 def em_laws(P, system):
@@ -352,7 +341,7 @@ def em_laws(P, system):
     as a function of its table δ(P) -> P.  μ_P is built once, on the first
     table that passes the unit law, the first that needs it."""
     D1 = delta_object(P, system)
-    eta_p = eta(P, system).table
+    eta_p = eta(P, system)
     continuous = tp.sigma_z_continuity(D1.poset, P, system)
     late = []
 
@@ -361,7 +350,7 @@ def em_laws(P, system):
             if xi[e] != p:
                 return CheckResult.fails(law="unit", element=P.labels[p])
         if not late:
-            late.extend((mu(P, system).table, delta_tables(D1.poset, P, system)))
+            late.extend((mu(P, system), delta_tables(D1.poset, P, system)))
         mu_p, delta_xi = late
         dxi, bad = delta_xi(xi)
         if dxi is None:
@@ -486,12 +475,12 @@ def verify_adjunction(P, system, L=None):
     if own:
         L = LP
 
-    # triangle at P: counit after Γ^Z(unit) is the identity on Γ^Z(P)
+    # triangle at P: counit after Γ^Z(unit) is the identity on Γ^Z(P);
+    # Γ^Z(unit) sends A to cl η[A], a closed family of δ(P)
     D1 = delta_object(P, system)
-    g_eta = gamma_map(eta(P, system), system)
-    gamma_d1 = gamma_lattice(D1.poset, system)
-    for i, a in enumerate(LP.elements):
-        fam = gamma_d1.elements[g_eta(i)]
+    images = tp.subset_images(eta(P, system))
+    for a in LP.elements:
+        fam = tp.closure_subbasic(D1.poset, system, images[a])
         union = 0
         for j in ps.bits(fam):
             union |= D1.sets[j]
@@ -501,14 +490,13 @@ def verify_adjunction(P, system, L=None):
                 triangle="poset side", closed_set=P.names(a), got=P.names(back)
             )
 
-    # triangle at L: compacts of L travel through the counit unchanged
+    # triangle at L: compacts of L travel through the counit unchanged; ε
+    # is read at ↓q by its index among the closed families of K(L)
     eps, sub = epsilon(L.poset, system)
-    et_q = eta(sub.poset, system)
+    family_index = gamma_lattice(sub.poset, system).index
     dq = delta_object(sub.poset, system)
-    for q in range(sub.poset.n):
-        fam = dq.sets[et_q(q)]
-        s = ps.sup_of(L.poset, sub.to_parent(fam))
-        if s != sub.embed[q]:
+    for q, e in enumerate(eta(sub.poset, system)):
+        if eps[family_index[dq.sets[e]]] != sub.embed[q]:
             return CheckResult.fails(
                 triangle="lattice side", compact=L.poset.labels[sub.embed[q]]
             )
@@ -592,39 +580,41 @@ def verify_monad_laws(P, system):
     """Unit and associativity laws plus naturality on the codomains of one
     to three points.
 
-    Naturality reads every map as a function table, in one pass per codomain
-    (``_naturality_failure``); a ``MonotoneMap`` is built only to raise the
-    ``NotMonotoneError`` of a δf or δδf that breaks a cover pair.
+    Every map is a function table: δη and δμ come from ``delta_tables``,
+    and naturality runs one pass per codomain (``_naturality_failure``); a
+    ``MonotoneMap`` is built only to raise the ``NotMonotoneError`` of a δf
+    or δδf that breaks a cover pair.
     """
     D1 = delta_object(P, system)
+    D2 = delta_object(D1.poset, system)
     eta_p = eta(P, system)
-    if not tp.is_sigma_z_continuous(eta_p, system):
+    if not tp.sigma_z_continuity(P, D1.poset, system)(eta_p):
         return CheckResult.fails(law="unit continuity")
     mu_p = mu(P, system)
-    if not tp.is_sigma_z_continuous(mu_p, system):
+    if not tp.sigma_z_continuity(D2.poset, D1.poset, system)(mu_p):
         return CheckResult.fails(law="multiplication continuity")
 
     eta_d1 = eta(D1.poset, system)
     for a in range(D1.poset.n):
-        if mu_p(eta_d1(a)) != a:
+        if mu_p[eta_d1[a]] != a:
             return CheckResult.fails(law="left unit", element=D1.poset.labels[a])
-    d_eta, bad = delta_map(eta_p, system)
+    d_eta, bad = delta_tables(P, D1.poset, system)(eta_p)
     if d_eta is None:
         return CheckResult.fails(law="right unit", reason="δ(η) ill-typed", **bad)
     for a in range(D1.poset.n):
-        if mu_p(d_eta(a)) != a:
+        if mu_p[d_eta[a]] != a:
             return CheckResult.fails(law="right unit", element=D1.poset.labels[a])
 
     mu_d1 = mu(D1.poset, system)
-    d_mu, bad = delta_map(mu_p, system)
+    d_mu, bad = delta_tables(D2.poset, D1.poset, system)(mu_p)
     if d_mu is None:
         return CheckResult.fails(law="associativity", reason="δ(μ) ill-typed", **bad)
-    if mu_p.compose(mu_d1).table != mu_p.compose(d_mu).table:
+    if [mu_p[v] for v in mu_d1] != [mu_p[v] for v in d_mu]:
         return CheckResult.fails(law="associativity")
 
     for n in (1, 2, 3):
         for Q in ps.enumerate_posets(n):
-            bad = _naturality_failure(P, Q, system, eta_p.table, mu_p.table)
+            bad = _naturality_failure(P, Q, system, eta_p, mu_p)
             if bad is not None:
                 return CheckResult.fails(**bad)
     return CheckResult.holds()
@@ -659,7 +649,7 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     """
     D1, DQ = delta_object(P, system), delta_object(Q, system)
     D2, DDQ = delta_object(D1.poset, system), delta_object(DQ.poset, system)
-    eta_q, mu_q = eta(Q, system).table, mu(Q, system).table
+    eta_q, mu_q = eta(Q, system), mu(Q, system)
     compact_q, foldable_q = compact_table(Q, system)
     compact_dq, foldable_dq = compact_table(DQ.poset, system)
     folded = foldable_q and foldable_dq
@@ -684,7 +674,7 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
         if len(df) < len(rows_1):
             return {"law": "functoriality", **_escape(P, Q, system, D1.sets[len(df)], f)}
         if not folded:
-            _check_covers(df, D1, DQ)
+            _check_monotone(df, D1.poset, DQ.poset, D1.covers)
         for p, e in units:
             if df[e] != eta_q[f[p]]:
                 return {"law": "unit naturality", "map": f}
@@ -693,7 +683,7 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
             a = D2.sets[len(ddf)]
             return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
         if not folded:
-            _check_covers(ddf, D2, DDQ)
+            _check_monotone(ddf, D2.poset, DDQ.poset, D2.covers)
         for m, d in zip(mu_p, ddf):
             if df[m] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}

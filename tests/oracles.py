@@ -171,16 +171,22 @@ def closure(P, name, M):
 
 
 def way_below(P, name):
-    """Every pair (A, B) of subsets with A ≪_Z B: each member whose cut meets
-    ↑B meets ↑A."""
+    """A ≪_Z B as a predicate of one pair (A, B) of subsets: each member
+    whose cut meets ↑B meets ↑A.  The members and their cuts are listed
+    once; each pair reads its two up-sets, each computed on first use."""
     mem = [(S, cut(P, S)) for S in members(P, name)]
-    ups = {A: up(P, A) for A in subsets(P)}
-    return frozenset(
-        (A, B)
-        for A in ups
-        for B in ups
-        if all(not (c & ups[B]) or (S & ups[A]) for S, c in mem)
-    )
+    ups = {}
+
+    def up_of(A):
+        if A not in ups:
+            ups[A] = up(P, A)
+        return ups[A]
+
+    def holds(A, B):
+        up_a, up_b = up_of(A), up_of(B)
+        return all(not (c & up_b) or (S & up_a) for S, c in mem)
+
+    return holds
 
 
 class _ReverseInclusion:
@@ -201,10 +207,10 @@ def quasicontinuity_failure(P, name):
     Each system's membership reads only the order among a set's own points,
     so the family is tested as the subposet of Fin P it spans.
     """
-    pairs = way_below(P, name)
+    way_below_p = way_below(P, name)
     finite = list(subsets(P, nonempty=True))
     for p in elements(P):
-        family = list({up(P, F) for F in finite if (F, frozenset({p})) in pairs})
+        family = list({up(P, F) for F in finite if way_below_p(F, frozenset({p}))})
         if not family or not MEMBER_PREDICATES[name](
             _ReverseInclusion(family), range(len(family))
         ):
@@ -685,6 +691,36 @@ def delta_map(f, system):
     return ps.MonotoneMap(DP.poset, DQ.poset, table), None
 
 
+def eta_map(P, system):
+    """The package's unit table at P as a ``MonotoneMap`` into δ(P)."""
+    from zdt import monad as md, poset as ps
+
+    return ps.MonotoneMap(
+        P, md.delta_object(P, system).poset, md.eta(P, system), _trusted=True
+    )
+
+
+def mu_map(P, system):
+    """The package's multiplication table at P as a ``MonotoneMap``
+    δδ(P) -> δ(P)."""
+    from zdt import monad as md, poset as ps
+
+    D1 = md.delta_object(P, system)
+    D2 = md.delta_object(D1.poset, system)
+    return ps.MonotoneMap(D2.poset, D1.poset, md.mu(P, system), _trusted=True)
+
+
+def structure_map(P, system):
+    """The package's structure table at P as a ``MonotoneMap`` δ(P) -> P,
+    or None where it has none."""
+    from zdt import monad as md, poset as ps
+
+    xi = md.em_structure_map(P, system)
+    if xi is None:
+        return None
+    return ps.MonotoneMap(md.delta_object(P, system).poset, P, xi, _trusted=True)
+
+
 def monad_naturality_failure(P, system):
     """The witness of the first failure of the monad's naturality at P, or
     None: the loop over maps that ``monad.verify_monad_laws`` ran before it
@@ -692,11 +728,12 @@ def monad_naturality_failure(P, system):
     turn.
 
     Unlike the rest of this module, it deliberately uses the package's own
-    objects (``eta``, ``mu`` and ``MonotoneMap.compose``, with ``delta_map``
-    and ``map_sigma_continuous`` of this module), so that a test can hold the
+    tables (``eta`` and ``mu``, wrapped by ``eta_map`` and ``mu_map``) and
+    objects (``MonotoneMap.compose``, with ``delta_map`` and
+    ``map_sigma_continuous`` of this module), so that a test can hold the
     table loop to the object loop it replaced, patched functions and raised
     errors included.  ``test_delta_map_against_closure_oracle`` checks
-    ``monad.delta_map`` itself against ``closure``.
+    ``monad.delta_tables`` itself against ``closure``.
     """
     from zdt import poset as ps
 
@@ -714,10 +751,10 @@ def naturality_walk(P, Q, system):
     object loop of ``monad_naturality_failure`` at one codomain, over every
     monotone map, with δ from this module's ``delta_map``.  It reads no
     table of ``monad``'s naturality pass, which it is the slow path of."""
-    from zdt import monad as md, poset as ps
+    from zdt import poset as ps
 
-    eta_p, mu_p = md.eta(P, system), md.mu(P, system)
-    eta_q, mu_q = md.eta(Q, system), md.mu(Q, system)
+    eta_p, mu_p = eta_map(P, system), mu_map(P, system)
+    eta_q, mu_q = eta_map(Q, system), mu_map(Q, system)
     for f in ps.enumerate_monotone_maps(P, Q):
         if not map_sigma_continuous(f, system):
             continue
@@ -738,8 +775,9 @@ def naturality_walk(P, Q, system):
 #
 # The loops that the package ran on validated ``MonotoneMap`` objects before
 # its map claims read function tables.  Like ``monad_naturality_failure``,
-# they use the package's own objects (``preimage``, ``image``, ``compose``,
-# ``eta``, ``mu``) and this module's ``delta_map``, so that a test can hold
+# they use the package's own objects (``preimage``, ``image``, ``compose``)
+# and tables (``eta``, ``mu``, ``em_structure_map``, wrapped as maps here)
+# and this module's ``delta_map``, so that a test can hold
 # each table loop to the loop it replaced, patched functions and raised
 # errors included.
 
@@ -812,14 +850,13 @@ def sigma_cont_lemma(P, system, codomains):
 def em_check(P, xi, system):
     """The unit, multiplication and continuity laws of a structure map, with
     a fresh η, μ, δξ and two compositions per call."""
-    from zdt import monad as md
     from zdt.reports import CheckResult
 
-    et = md.eta(P, system)
+    et = eta_map(P, system)
     for p in range(P.n):
         if xi(et(p)) != p:
             return CheckResult.fails(law="unit", element=P.labels[p])
-    mu_p = md.mu(P, system)
+    mu_p = mu_map(P, system)
     dxi, bad = delta_map(xi, system)
     if dxi is None:
         return CheckResult.fails(law="multiplication", reason="δ(ξ) ill-typed", **bad)
@@ -840,7 +877,7 @@ def em_theorem(P, system):
     from zdt.reports import CheckResult
 
     d = md.delta_object(P, system)
-    xi = md.em_structure_map(P, system)
+    xi = structure_map(P, system)
     dcpo = md.is_delta_cpo(P, system)
     if dcpo != (xi is not None):
         return CheckResult.fails(delta_cpo=dcpo, structure_map=xi is not None)
@@ -870,11 +907,11 @@ def em_morphisms(P, system, codomains):
 
     if not md.is_delta_cpo(P, system):
         return CheckResult.inapplicable(reason="domain not a delta-cpo")
-    xi_p = md.em_structure_map(P, system)
+    xi_p = structure_map(P, system)
     for Q in codomains:
         if not md.is_delta_cpo(Q, system):
             continue
-        xi_q = md.em_structure_map(Q, system)
+        xi_q = structure_map(Q, system)
         for f in ps.enumerate_monotone_maps(P, Q):
             if not map_sigma_continuous(f, system):
                 continue
@@ -933,6 +970,19 @@ def labeled_reports(claim_id, max_size, systems=None):
 # included.  The naturality walk's full walk is ``naturality_walk``.
 
 
+def _gamma_map(f, system):
+    """Γ^Z on morphisms: A ↦ cl(f(A)), between the two Γ-lattices, as the
+    package built it before the adjunction read cl η[A] from subset images."""
+    from zdt import monad as md, poset as ps, topology as tp
+
+    LP = md.gamma_lattice(f.dom, system)
+    LQ = md.gamma_lattice(f.cod, system)
+    table = tuple(
+        LQ.index[tp.closure_subbasic(f.cod, system, f.image(a))] for a in LP.elements
+    )
+    return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
+
+
 def adjunction_walk(P, system, L=None):
     """``monad.verify_adjunction`` deciding every monotone table P -> K(L)."""
     from zdt import monad as md, poset as ps, topology as tp
@@ -943,7 +993,7 @@ def adjunction_walk(P, system, L=None):
         L = LP
 
     D1 = md.delta_object(P, system)
-    g_eta = md.gamma_map(md.eta(P, system), system)
+    g_eta = _gamma_map(eta_map(P, system), system)
     gamma_d1 = md.gamma_lattice(D1.poset, system)
     for i, a in enumerate(LP.elements):
         fam = gamma_d1.elements[g_eta(i)]
@@ -956,11 +1006,11 @@ def adjunction_walk(P, system, L=None):
                 triangle="poset side", closed_set=P.names(a), got=P.names(back)
             )
 
-    eps, sub = md.epsilon(L.poset, system)
+    _, sub = md.epsilon(L.poset, system)
     et_q = md.eta(sub.poset, system)
     dq = md.delta_object(sub.poset, system)
     for q in range(sub.poset.n):
-        fam = dq.sets[et_q(q)]
+        fam = dq.sets[et_q[q]]
         s = ps.sup_of(L.poset, sub.to_parent(fam))
         if s != sub.embed[q]:
             return CheckResult.fails(

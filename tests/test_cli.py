@@ -157,12 +157,23 @@ def test_relation_matrix_and_pairs(vee_file, capsys):
     assert out == ["a -< a", "a -< c", "b -< b", "b -< c"]
 
 
-def test_monad_subcommand(vee_file, capsys):
+def test_monad_subcommand(vee_file, tmp_path, capsys):
     for verify in ("adjunction", "monad-laws", "em"):
         assert cli.main(["monad", "--poset", vee_file, "--system", "directed",
                          "--verify", verify]) == 0
     out = capsys.readouterr().out
     assert "CLAIM thm-em HOLDS" in out
+    assert "no algebra structure: not every compact closed set has a sup\n" in out
+    # the wedge is a δ-cpo: its structure map sends each compact set to its sup
+    wedge = tmp_path / "wedge.poset"
+    wedge.write_text(zio.format_poset_text(fx.wedge(), "wedge"))
+    assert cli.main(["monad", "--poset", str(wedge), "--system", "directed",
+                     "--verify", "em"]) == 0
+    assert capsys.readouterr().out == (
+        "structure map: {}↦o, {o}↦o, {o,a}↦a, {o,b}↦b\n"
+        "CLAIM thm-em HOLDS\n"
+        "CLAIM prop-em-morph HOLDS\n"
+    )
 
 
 def test_monad_subcommand_on_a_nine_point_chain(tmp_path, capsys):

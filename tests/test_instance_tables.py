@@ -25,7 +25,7 @@ INSTANCE_CACHES = (
     "galois._connections",
     "monad.gamma_lattice", "monad.delta_object", "monad.compact_index",
     "monad.compact_table", "monad._domain_group", "monad._codomain_group",
-    "monad.eta", "monad.mu", "monad.em_structure_map",
+    "monad.mu", "monad.em_structure_map",
 )
 
 # the caches keyed by something else: a way-below query within an instance,

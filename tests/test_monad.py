@@ -91,18 +91,23 @@ def test_delta_objects(anti2, wedge):
     assert len(md.delta_object(one, DIRECTED).sets) == 2
 
 
+def _assert_unit_embeds(P, system):
+    # η_P, read through eta, is the unit table that δ(P) keeps
+    d = md.delta_object(P, system)
+    e = md.eta(P, system)
+    assert e is d.unit
+    assert [d.sets[i] for i in e] == list(P.down)
+    for x in range(P.n):
+        for y in range(P.n):
+            assert P.leq(x, y) == d.poset.leq(e[x], e[y])
+
+
 def test_eta_is_order_embedding():
     for P in small_posets(5):
-        e = md.eta(P, DIRECTED)
-        for x in range(P.n):
-            for y in range(P.n):
-                assert P.leq(x, y) == e.cod.leq(e(x), e(y))
+        _assert_unit_embeds(P, DIRECTED)
     for P in small_posets(3):
         for system in SYSTEMS.values():
-            e = md.eta(P, system)
-            for x in range(P.n):
-                for y in range(P.n):
-                    assert P.leq(x, y) == e.cod.leq(e(x), e(y))
+            _assert_unit_embeds(P, system)
 
 
 def test_union_sup(anti2):
@@ -115,11 +120,13 @@ def test_union_sup(anti2):
 def test_epsilon_on_gamma_lattice(anti2):
     L = md.gamma_lattice(anti2, DIRECTED)
     eps, sub = md.epsilon(L.poset, system=DIRECTED)
-    # the counit hits each compact family's sup; on the square the compacts
-    # are the bottom and the two atoms
+    # the counit hits each compact family's sup, one value per closed family
+    # of the compacts; on the square the compacts are the bottom and the two
+    # atoms
     assert sub.poset.n == 3
-    for e in range(eps.dom.n):
-        assert eps(e) in range(L.poset.n)
+    assert len(eps) == md.gamma_lattice(sub.poset, DIRECTED).poset.n
+    for v in eps:
+        assert v in range(L.poset.n)
 
 
 def test_mu_against_union_prediction(wedge):
@@ -127,7 +134,7 @@ def test_mu_against_union_prediction(wedge):
         m = md.mu(wedge, system)  # raises on any disagreement
         d1 = md.delta_object(wedge, system)
         d2 = md.delta_object(d1.poset, system)
-        assert m.dom == d2.poset and m.cod == d1.poset
+        assert len(m) == d2.poset.n and set(m) <= set(range(d1.poset.n))
 
 
 def _beneath_against_objects(monkeypatch):
@@ -293,6 +300,29 @@ def test_adjunction_beneath_branch(monkeypatch):
     assert beneath[-1] is False
 
 
+def test_adjunction_lattice_side_reads_the_counit(monkeypatch, anti2):
+    # K(L) of the Boolean square on `directed` is the bottom and the two
+    # atoms; the counit's value at the closed family ↓q of one compact q
+    # moved off q fails the lattice-side triangle at q, and at no other
+    L = md.gamma_lattice(anti2, DIRECTED).poset
+    assert md.verify_adjunction(anti2, DIRECTED).status is Status.HOLDS
+    real = md.epsilon
+    eps, sub = real(L, DIRECTED)
+    families = md.gamma_lattice(sub.poset, DIRECTED).index
+    assert sub.poset.n == 3
+    for q in range(sub.poset.n):
+        i = families[sub.poset.down[q]]
+        assert eps[i] == sub.embed[q]
+        moved = (*eps[:i], (eps[i] + 1) % L.n, *eps[i + 1:])
+        monkeypatch.setattr(
+            md, "epsilon",
+            lambda L_poset, system, moved=moved: (moved, sub)
+            if L_poset == L else real(L_poset, system),
+        )
+        res = md.verify_adjunction(anti2, DIRECTED)
+        assert res.witness == {"triangle": "lattice side", "compact": L.labels[sub.embed[q]]}
+
+
 @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
 def test_mediator_search_finds_no_competitor(n):
     # the brute-force search over every monotone candidate pinned on the
@@ -416,10 +446,11 @@ def test_compact_table_cap():
 
 
 def test_delta_map_against_closure_oracle():
-    # δf sends each compact set A to cl(f(A)), read off the oracle's Γ^Z(Q).
-    # Every table P -> Q is tried, monotone or not: some cl(f(A)) of a table
-    # that is not monotone escapes the compacts, and the witness names the
-    # first compact A whose closure does; a continuous f never escapes
+    # δf, from delta_tables, sends each compact set A to cl(f(A)), read off
+    # the oracle's Γ^Z(Q).  Every table P -> Q is tried, monotone or not:
+    # some cl(f(A)) of a table that is not monotone escapes the compacts,
+    # and the witness names the first compact A whose closure does; a
+    # continuous f never escapes
     posets = list(small_posets(3))
     escapes = 0
     for system in SYSTEMS.values():
@@ -428,8 +459,8 @@ def test_delta_map_against_closure_oracle():
             closed = oracles.gamma(Q, system.name)
             for P in posets:
                 DP = md.delta_object(P, system)
+                delta = md.delta_tables(P, Q, system)
                 for t in itertools.product(range(Q.n), repeat=P.n):
-                    f = ps.MonotoneMap(P, Q, t, _trusted=True)
                     table, want = [], None
                     for A in DP.sets:
                         image = frozenset(t[p] for p in oracles.to_set(A))
@@ -440,15 +471,14 @@ def test_delta_map_against_closure_oracle():
                             want = {"of": P.names(A), "image_closure": Q.names(hull)}
                             break
                         table.append(DQ.sets.index(hull))
-                    df, bad = md.delta_map(f, system)
+                    df, bad = delta(t)
                     assert bad == want, (P, Q, t)
                     if want is not None:
                         assert df is None
-                        assert not tp.is_sigma_z_continuous(f, system)
+                        assert not tp.sigma_z_continuity(P, Q, system)(t)
                         escapes += 1
                         continue
-                    assert df.dom == DP.poset and df.cod == DQ.poset
-                    assert df.table == tuple(table), (P, Q, t)
+                    assert df == table, (P, Q, t)
     assert escapes > 0
 
 
@@ -487,14 +517,9 @@ CHAIN3, ANTI3 = _poset(3, (1, 3, 7)), _poset(3, (1, 2, 4))
 
 def _patch_table(monkeypatch, name, target, table):
     real = getattr(md, name)
-
-    def patched(Q, system):
-        m = real(Q, system)
-        if Q != target:
-            return m
-        return ps.MonotoneMap(m.dom, m.cod, table, _trusted=True)
-
-    monkeypatch.setattr(md, name, patched)
+    monkeypatch.setattr(
+        md, name, lambda Q, system: table if Q == target else real(Q, system)
+    )
 
 
 def _patch_not_closed(monkeypatch, base, mask):
@@ -573,7 +598,7 @@ def test_naturality_loop_on_a_non_monotone_closure(monkeypatch, patch_closure):
     # unfolded path, with the object loop's result
     patch_closure(ANTI3, {7: 0})
     assert _same_as_the_object_loop(CHAIN2, DIRECTED).status is Status.HOLDS
-    eta_p, mu_p = md.eta(CHAIN2, DIRECTED).table, md.mu(CHAIN2, DIRECTED).table
+    eta_p, mu_p = md.eta(CHAIN2, DIRECTED), md.mu(CHAIN2, DIRECTED)
     decided = _continuity_against_the_fibre_walk(monkeypatch)
     assert md._naturality_failure(CHAIN2, ANTI3, DIRECTED, eta_p, mu_p) is None
     assert [f for f, _ in decided] == list(ps.map_tables(CHAIN2, ANTI3))
@@ -594,6 +619,38 @@ def test_monotone_on_covers_against_the_constructor():
                 assert ps.monotone_on_covers(table, covers, Q) == monotone
 
 
+def test_sup_tables_are_checked_monotone(monkeypatch, patch_closure):
+    # μ, ξ and ε check their tables on cover pairs and raise the validating
+    # constructor's NotMonotoneError, as building them as maps did.  A sup
+    # of the empty set sent to the top makes each table start above its
+    # next value.  Every table they read is built before the patch, and μ's
+    # union closures on the 2-chain are sent to {a}, which is not compact,
+    # so that its cross-check lets the patched sup through
+    D1 = md.delta_object(CHAIN2, DIRECTED).poset
+    md.delta_object(D1, DIRECTED)
+    L = md.gamma_lattice(CHAIN2, DIRECTED).poset
+    md.epsilon(L, DIRECTED)
+    patch_closure(CHAIN2, {m: 1 for m in range(4)})
+    real = ps.sup_of
+    cases = ((md.mu, CHAIN2, D1), (md.em_structure_map, CHAIN2, CHAIN2), (md.epsilon, L, L))
+    md.mu.cache_clear()
+    md.em_structure_map.cache_clear()
+    try:
+        for build, arg, target in cases:
+            top = real(target, target.full)
+            monkeypatch.setattr(
+                ps, "sup_of",
+                lambda X, m, target=target, top=top: (
+                    top if X == target and m == 0 else real(X, m)
+                ),
+            )
+            with pytest.raises(NotMonotoneError, match="broken by the table"):
+                build(arg, DIRECTED)
+    finally:
+        md.mu.cache_clear()
+        md.em_structure_map.cache_clear()
+
+
 def test_em_uniqueness_search_handles_wide_delta_posets():
     # chains on the 4-antichain produce a 9-element compact poset; the
     # uniqueness search must still run rather than bail on a size cap
@@ -608,7 +665,7 @@ def test_delta_cpo_and_structure(anti2, wedge):
     assert md.is_delta_cpo(wedge, DIRECTED)
     xi = md.em_structure_map(wedge, DIRECTED)
     assert xi is not None
-    assert md.em_laws(wedge, DIRECTED)(xi.table).status is Status.HOLDS
+    assert md.em_laws(wedge, DIRECTED)(xi).status is Status.HOLDS
     # complete lattices always carry a structure map
     for P in (fx.diamond(), fx.chain(3)):
         for system in SYSTEMS.values():
@@ -618,7 +675,7 @@ def test_delta_cpo_and_structure(anti2, wedge):
 def _equation_failure(f, P, Q, system):
     """``md._sup_failure`` as prop-em-morph calls it: the index of the first
     compact A of P with f(sup A) ≠ sup f(A) in Q, or None."""
-    sups = md.em_structure_map(P, system).table
+    sups = md.em_structure_map(P, system)
     compacts = md.delta_object(P, system).sets
     return md._sup_failure(f, sups, compacts, [ps.sup_of(Q, m) for m in range(1 << Q.n)])
 
@@ -686,7 +743,7 @@ def test_em_laws_against_the_object_loop(n):
             want = oracles.em_theorem(P, system)
             assert cl._eval_thm_em(P, system) == want, (P, system.name)
             D1 = md.delta_object(P, system).poset
-            eta_p = md.eta(P, system).table
+            eta_p = md.eta(P, system)
             if n ** (D1.n - P.n) > 5000:
                 continue
             laws = md.em_laws(P, system)
@@ -815,7 +872,7 @@ def test_em_search_walks_exactly_the_unit_law_tables(monkeypatch):
     for P in small_posets(3):
         for system in (*SYSTEMS.values(), PRINCIPAL_IDEALS):
             D1 = md.delta_object(P, system).poset
-            eta_p = md.eta(P, system).table
+            eta_p = md.eta(P, system)
             walked.clear()
             cl._eval_thm_em(P, system)
             want = [

@@ -56,7 +56,7 @@ def test_orbit_walks_match_the_full_walks(n):
         for system in EVERY_SYSTEM:
             res = md.verify_adjunction(P, system)
             assert res == oracles.adjunction_walk(P, system), (P, system.name)
-            eta_p, mu_p = md.eta(P, system).table, md.mu(P, system).table
+            eta_p, mu_p = md.eta(P, system), md.mu(P, system)
             for Q in (Q for k in (1, 2, 3) for Q in ps.enumerate_posets(k)):
                 got = md._naturality_failure(P, Q, system, eta_p, mu_p)
                 want = oracles.naturality_walk(P, Q, system)
@@ -75,11 +75,11 @@ def _naturality(P, system):
 def test_a_unit_that_breaks_the_symmetry_shrinks_the_codomain_group(monkeypatch):
     # η of the 2-antichain made (1, 0): its swap no longer commutes with η,
     # so only the identity is left to act on the tables into it
-    eta_q, mu_q = md.eta(ANTI2, FINITE).table, md.mu(ANTI2, FINITE).table
+    eta_q, mu_q = md.eta(ANTI2, FINITE), md.mu(ANTI2, FINITE)
     assert md._codomain_group(ANTI2, FINITE, eta_q, mu_q) == ps.automorphisms(ANTI2)
     assert len(ps.automorphisms(ANTI2)) == 2
     _patch_table(monkeypatch, "eta", ANTI2, (1, 0))
-    patched = md.eta(ANTI2, FINITE).table
+    patched = md.eta(ANTI2, FINITE)
     assert md._codomain_group(ANTI2, FINITE, patched, mu_q) == ((0, 1),)
     got, want = _naturality(ANTI3, FINITE)
     assert got == want and got.status is Status.FAILS
@@ -89,10 +89,10 @@ def test_a_multiplication_that_breaks_the_symmetry_shrinks_the_codomain_group(mo
     # μ of the 2-antichain sends the compact family {{b}} to {a} in place of
     # {b}: the swap no longer commutes with μ, and the map of the point to b
     # fails, while the map to a, the least table of its orbit, passes
-    eta_q, mu_q = md.eta(ANTI2, DIRECTED).table, md.mu(ANTI2, DIRECTED).table
+    eta_q, mu_q = md.eta(ANTI2, DIRECTED), md.mu(ANTI2, DIRECTED)
     assert mu_q == (0, 0, 1, 2)
     _patch_table(monkeypatch, "mu", ANTI2, (0, 0, 1, 1))
-    patched = md.mu(ANTI2, DIRECTED).table
+    patched = md.mu(ANTI2, DIRECTED)
     assert md._codomain_group(ANTI2, DIRECTED, eta_q, patched) == ((0, 1),)
     got, want = _naturality(POINT, DIRECTED)
     assert got == want
@@ -107,7 +107,7 @@ def test_a_closure_that_breaks_the_symmetry_shrinks_the_codomain_group(patch_clo
     # under all of Aut Q the least table of its orbit would be (0, 1), which
     # passes, as does every other table of that walk
     def group():
-        eta_q, mu_q = md.eta(ANTI3, DIRECTED).table, md.mu(ANTI3, DIRECTED).table
+        eta_q, mu_q = md.eta(ANTI3, DIRECTED), md.mu(ANTI3, DIRECTED)
         return md._codomain_group(ANTI3, DIRECTED, eta_q, mu_q)
 
     assert group() == ps.automorphisms(ANTI3) and len(group()) == 6
@@ -209,7 +209,7 @@ def test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group(
     # only the swap of a and b maps it onto itself, and the naturality walk
     # over that smaller group skips the maps that pull a closed set back to
     # {a, b}, as the full walk does
-    eta_p, mu_p = md.eta(ANTI3, DIRECTED).table, md.mu(ANTI3, DIRECTED).table
+    eta_p, mu_p = md.eta(ANTI3, DIRECTED), md.mu(ANTI3, DIRECTED)
     assert md._domain_group(ANTI3, DIRECTED, eta_p, mu_p) == ps.automorphisms(ANTI3)
     patch_closed_sets(ANTI3, {0b011})
     md._domain_group.cache_clear()
@@ -227,7 +227,7 @@ def test_naturality_on_a_closure_that_reads_more_than_down_sets(monkeypatch, pat
     Q = ps.from_order_pairs(["a", "b"], [("a", "b")])
     patch_closure(Q, {2: 2})
     assert not md.compact_table(Q, DIRECTED)[1]
-    eta_p, mu_p = md.eta(ANTI2, DIRECTED).table, md.mu(ANTI2, DIRECTED).table
+    eta_p, mu_p = md.eta(ANTI2, DIRECTED), md.mu(ANTI2, DIRECTED)
     decided = _continuity_against_the_fibre_walk(monkeypatch)
     got = md._naturality_failure(ANTI2, Q, DIRECTED, eta_p, mu_p)
     assert got == {"law": "functoriality", "of": ("b",), "image_closure": ("b",)}
