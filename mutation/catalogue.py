@@ -71,13 +71,6 @@ MUTANTS = (
         "        if False:",
         (f"{SYMMETRY}::test_a_beneath_table_that_breaks_the_symmetry_shrinks_the_adjunction_group",),
     ),
-    # an explicit L walked by orbits of Aut P
-    Mutant(
-        "src/zdt/monad.py",
-        "actions = _adjunction_actions(P, system, LP, sub) if own else ()",
-        "actions = _adjunction_actions(P, system, LP, sub) if True else ()",
-        (f"{SYMMETRY}::test_explicit_lattice_keeps_the_full_walk",),
-    ),
     # the maxima fold allowed for a closure that reads more than down-sets
     Mutant(
         "src/zdt/monad.py",
@@ -98,7 +91,7 @@ MUTANTS = (
     # the naturality pass's unfolded path without the cover check of δf
     Mutant(
         "src/zdt/monad.py",
-        "        if not folded:\n            _check_monotone(df, D1.poset, DQ.poset, D1.covers)\n",
+        "        if not folded:\n            ps.check_monotone(df, D1.poset, DQ.poset, D1.covers)\n",
         "",
         (f"{MONAD}::test_naturality_loop_non_monotone_delta_f",),
     ),
@@ -198,13 +191,21 @@ MUTANTS = (
     ),
     # the shared monotone check of μ, ξ, ε and δf letting every table through
     Mutant(
-        "src/zdt/monad.py",
-        "    if not ps.monotone_on_covers(table, covers, cod):",
-        "    if False:",
+        "src/zdt/poset.py",
+        "    if monotone_on_covers(table, covers, cod):\n        return\n",
+        "    return\n",
         (
             f"{MONAD}::test_sup_tables_are_checked_monotone",
             f"{MONAD}::test_naturality_loop_non_monotone_delta_f",
         ),
+    ),
+    # the shared monotone check naming the last broken pair at its point
+    Mutant(
+        "src/zdt/poset.py",
+        "        for j in bits(dom.up[i]):\n            if not (up[table[i]] >> table[j]) & 1:",
+        "        for j in reversed(list(bits(dom.up[i]))):\n"
+        "            if not (up[table[i]] >> table[j]) & 1:",
+        ("tests/test_poset.py::test_check_monotone_names_the_constructors_pair",),
     ),
     # δ(P)'s unit table storing the index after each ↓p
     Mutant(

@@ -8,13 +8,9 @@ from zdt.kernels import BACKEND
 from zdt.poset import (
     FinitePoset,
     FinP,
-    MonotoneMap,
     Subposet,
-    canonical_form,
     cut,
     down_set,
-    dual,
-    enumerate_monotone_maps,
     enumerate_posets,
     fin_poset,
     from_order_pairs,
@@ -22,19 +18,17 @@ from zdt.poset import (
     is_filtered,
     lower_bounds,
     min_of_upset,
-    principal_down_subposet,
     relative_cut,
     restrict,
     sup_of,
     up_set,
     upper_bounds,
 )
-from zdt.systems import SYSTEMS, SubsetSystem, get_system, is_zcpo, z_contains, z_members
+from zdt.systems import SYSTEMS, SubsetSystem, get_system, is_zcpo
 from zdt.topology import (
     TopologyFamily,
     gamma_subbasis,
     is_lower_hereditary,
-    is_sigma_z_continuous,
     lower_topology,
     sigma_subbasis,
     sigma_topology,
@@ -48,16 +42,12 @@ __all__ = [
     "Claim",
     "FinP",
     "FinitePoset",
-    "MonotoneMap",
     "SYSTEMS",
     "SubsetSystem",
     "Subposet",
     "TopologyFamily",
-    "canonical_form",
     "cut",
     "down_set",
-    "dual",
-    "enumerate_monotone_maps",
     "enumerate_posets",
     "fin_poset",
     "from_order_pairs",
@@ -67,12 +57,10 @@ __all__ = [
     "inf_of",
     "is_filtered",
     "is_lower_hereditary",
-    "is_sigma_z_continuous",
     "is_zcpo",
     "lower_bounds",
     "lower_topology",
     "min_of_upset",
-    "principal_down_subposet",
     "registry",
     "relative_cut",
     "restrict",
@@ -82,6 +70,4 @@ __all__ = [
     "sup_of",
     "up_set",
     "upper_bounds",
-    "z_contains",
-    "z_members",
 ]

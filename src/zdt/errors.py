@@ -17,10 +17,6 @@ class AntisymmetryError(ZdtError):
     """The asserted order pairs close into a cycle."""
 
 
-class UnknownElementError(ZdtError):
-    pass
-
-
 class NotASubsetError(ZdtError):
     pass
 

@@ -100,9 +100,11 @@ def export_dot(P, name="poset", overlay=None, system=None):
     """Hasse diagram in DOT, cover edges bottom-to-top, optional dashed overlay.
 
     ``overlay`` is one of None, "waybelow", "beneath"; relation edges are
-    dashed and labeled, reflexive pairs suppressed.
+    dashed and labeled, reflexive pairs suppressed.  The name is quoted
+    with its backslashes and double quotes escaped.
     """
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{quoted}" {{', "  rankdir=BT;"]
     for lbl in P.labels:
         lines.append(f'  "{lbl}";')
     for i, j in ps.covers(P):

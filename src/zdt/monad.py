@@ -226,18 +226,11 @@ def _escape(dom, cod, system, a, values):
     return {"of": dom.names(a), "image_closure": cod.names(closed)}
 
 
-def _check_monotone(table, dom, cod, covers):
-    """Raise the validating constructor's ``NotMonotoneError`` where a table
-    from ``dom`` to ``cod`` breaks one of the ``covers`` of ``dom``."""
-    if not ps.monotone_on_covers(table, covers, cod):
-        ps.MonotoneMap(dom, cod, table)
-
-
 def delta_tables(dom, cod, system):
     """The endofunctor on function tables from ``dom`` to ``cod``: returns
     ``delta(values)``, the table A ↦ cl(f(A)) on the compacts and None, or
     None and a witness when some cl(f(A)) is not compact.  A table that
-    breaks a cover pair raises the validating constructor's error.
+    breaks a cover pair raises ``NotMonotoneError`` (``poset.check_monotone``).
 
     It reads every point of each compact set and checks every cover pair,
     so it takes any table, monotone or not, and any closure; the naturality
@@ -250,7 +243,7 @@ def delta_tables(dom, cod, system):
         table = compacts_of(points, values, compact)
         if len(table) < len(points):
             return None, _escape(dom, cod, system, sets[len(table)], values)
-        _check_monotone(table, DP.poset, DQ.poset, DP.covers)
+        ps.check_monotone(table, DP.poset, DQ.poset, DP.covers)
         return table, None
 
     return delta
@@ -272,7 +265,7 @@ def epsilon(L_poset, system):
             raise SupMissingError("counit needs sups of compact families")
         table.append(s)
     table = tuple(table)
-    _check_monotone(table, families.poset, L_poset, ps.covers(families.poset))
+    ps.check_monotone(table, families.poset, L_poset, ps.covers(families.poset))
     return table, sub
 
 
@@ -299,7 +292,7 @@ def mu(P, system):
             raise ZdtError("multiplication disagrees with the union closure")
         table.append(s)
     table = tuple(table)
-    _check_monotone(table, D2.poset, D1.poset, D2.covers)
+    ps.check_monotone(table, D2.poset, D1.poset, D2.covers)
     return table
 
 
@@ -332,7 +325,7 @@ def em_structure_map(P, system):
             return None
         table.append(s)
     table = tuple(table)
-    _check_monotone(table, d.poset, P, d.covers)
+    ps.check_monotone(table, d.poset, P, d.covers)
     return table
 
 
@@ -439,17 +432,17 @@ def preserves_joins(table, dom, cod):
     return True
 
 
-def verify_adjunction(P, system, L=None):
-    """Triangle identities and the universal property of the unit.
+def verify_adjunction(P, system):
+    """Triangle identities and the universal property of the unit, at the
+    Γ-lattice L = Γ^Z(P).
 
-    ``L`` defaults to the Γ-lattice of P itself.  The mediator for a
-    continuous f into the compacts of L is A ↦ sup f(A), folded over L's join
-    table at the maximal points of A, as f is monotone; so it factors f, as
-    ↓p has the one maximal point p.  It is unique once every element of
-    Γ^Z(P) is the sup of the principal ideals inside it: any rival mediator
-    has an upper adjoint, so it preserves every join, and it agrees with the
-    mediator on principal ideals, where both factor f.  That
-    sup-determination does not depend on f, so it is checked once and
+    The mediator for a continuous f into the compacts of L is A ↦ sup f(A),
+    folded over L's join table at the maximal points of A, as f is monotone;
+    so it factors f, as ↓p has the one maximal point p.  It is unique once
+    every element of Γ^Z(P) is the sup of the principal ideals inside it:
+    any rival mediator has an upper adjoint, so it preserves every join, and
+    it agrees with the mediator on principal ideals, where both factor f.
+    That sup-determination does not depend on f, so it is checked once and
     reported at the first f whose mediator passes the other checks.
 
     The mediator has an upper adjoint iff it preserves the bottom and binary
@@ -459,21 +452,17 @@ def verify_adjunction(P, system, L=None):
     tables.  Either way the mediator is monotone, as ``preserves_beneath``
     requires.
 
-    For the default ``L`` the walk decides only the tables that are
-    lex-least in their orbits under the group of ``_adjunction_actions``,
-    f ↦ σ̂∘f∘σ⁻¹.  A table's verdict (skipped, passed, or the part and
-    reason of its failure) is a function of the table and of the instance
-    tables the walk reads, and the group fixes each of them, so every
-    table of an orbit has the same verdict.  The first failing table in
-    table order is the least of its orbit, as the least one is no later and
-    fails too; so the walk over the lex-least tables meets the same first
-    failure, and holds where the full walk holds.  An explicit ``L`` keeps
-    the full walk.
+    The walk decides only the tables that are lex-least in their orbits
+    under the group of ``_adjunction_actions``, f ↦ σ̂∘f∘σ⁻¹.  A table's
+    verdict (skipped, passed, or the part and reason of its failure) is a
+    function of the table and of the instance tables the walk reads, and the
+    group fixes each of them, so every table of an orbit has the same
+    verdict.  The first failing table in table order is the least of its
+    orbit, as the least one is no later and fails too; so the walk over the
+    lex-least tables meets the same first failure, and holds where the full
+    walk holds.
     """
     LP = gamma_lattice(P, system)
-    own = L is None
-    if own:
-        L = LP
 
     # triangle at P: counit after Γ^Z(unit) is the identity on Γ^Z(P);
     # Γ^Z(unit) sends A to cl η[A], a closed family of δ(P)
@@ -492,13 +481,13 @@ def verify_adjunction(P, system, L=None):
 
     # triangle at L: compacts of L travel through the counit unchanged; ε
     # is read at ↓q by its index among the closed families of K(L)
-    eps, sub = epsilon(L.poset, system)
+    eps, sub = epsilon(LP.poset, system)
     family_index = gamma_lattice(sub.poset, system).index
     dq = delta_object(sub.poset, system)
     for q, e in enumerate(eta(sub.poset, system)):
         if eps[family_index[dq.sets[e]]] != sub.embed[q]:
             return CheckResult.fails(
-                triangle="lattice side", compact=L.poset.labels[sub.embed[q]]
+                triangle="lattice side", compact=LP.poset.labels[sub.embed[q]]
             )
 
     # universal property of the unit
@@ -508,13 +497,13 @@ def verify_adjunction(P, system, L=None):
         LP.sup(sum(1 << principal[p] for p in ps.bits(a))) == i
         for i, a in enumerate(LP.elements)
     )
-    joins_l = join_table(L.poset)
+    joins_l = join_table(LP.poset)
     bottom, join = joins_l
     # Γ^Z(P)'s least member, cl ∅, is index 0: it lies inside every member
     gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
     tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
-    actions = _adjunction_actions(P, system, LP, sub) if own else ()
+    actions = _adjunction_actions(P, system, LP, sub)
     for f in ps.monotone_tables(P, sub.poset):
         if actions and not ps.lex_least(f, actions):
             continue
@@ -529,7 +518,7 @@ def verify_adjunction(P, system, L=None):
             mediator.append(s)
         if not preserves_joins(mediator, gaps, joins_l):
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
-        if not preserves_beneath(mediator, LP.poset, L.poset, system):
+        if not preserves_beneath(mediator, LP.poset, LP.poset, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
         if not sup_determined:
             return CheckResult.fails(part="uniqueness", reason="sup-determination")
@@ -582,8 +571,8 @@ def verify_monad_laws(P, system):
 
     Every map is a function table: δη and δμ come from ``delta_tables``,
     and naturality runs one pass per codomain (``_naturality_failure``); a
-    ``MonotoneMap`` is built only to raise the ``NotMonotoneError`` of a δf
-    or δδf that breaks a cover pair.
+    δf or δδf that breaks a cover pair raises ``NotMonotoneError``
+    (``poset.check_monotone``).
     """
     D1 = delta_object(P, system)
     D2 = delta_object(D1.poset, system)
@@ -674,7 +663,7 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
         if len(df) < len(rows_1):
             return {"law": "functoriality", **_escape(P, Q, system, D1.sets[len(df)], f)}
         if not folded:
-            _check_monotone(df, D1.poset, DQ.poset, D1.covers)
+            ps.check_monotone(df, D1.poset, DQ.poset, D1.covers)
         for p, e in units:
             if df[e] != eta_q[f[p]]:
                 return {"law": "unit naturality", "map": f}
@@ -683,7 +672,7 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
             a = D2.sets[len(ddf)]
             return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
         if not folded:
-            _check_monotone(ddf, D2.poset, DDQ.poset, D2.covers)
+            ps.check_monotone(ddf, D2.poset, DDQ.poset, D2.covers)
         for m, d in zip(mu_p, ddf):
             if df[m] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}

@@ -23,14 +23,12 @@ from zdt.errors import (
     NotASubsetError,
     NotMonotoneError,
     SizeCapError,
-    UnknownElementError,
     UnknownLabelError,
 )
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 ENUM_CAP = 6
-CANONICAL_CAP = 7
 FINP_CAP = 12
 
 # The bound of every cache keyed by one (poset, system) instance or one poset.
@@ -196,83 +194,6 @@ class FinP:
         self.index = {m: i for i, m in enumerate(filters)}
 
 
-class MonotoneMap:
-    """A total order-preserving function table between two finite posets."""
-
-    __slots__ = ("dom", "cod", "table", "_hash")
-
-    def __init__(self, dom, cod, table, *, _trusted=False):
-        table = tuple(table)
-        if len(table) != dom.n:
-            raise NotMonotoneError("table length disagrees with the domain")
-        if not _trusted:
-            for v in table:
-                if not 0 <= v < cod.n:
-                    raise UnknownElementError(f"table value {v} outside codomain")
-            for i in range(dom.n):
-                for j in bits(dom.up[i]):
-                    if not cod.leq(table[i], table[j]):
-                        raise NotMonotoneError(
-                            f"{dom.labels[i]}<={dom.labels[j]} broken by the table"
-                        )
-        self.dom = dom
-        self.cod = cod
-        self.table = table
-        self._hash = hash((dom, cod, table))
-
-    def __call__(self, i):
-        return self.table[i]
-
-    def image(self, mask):
-        table = self.table
-        out = 0
-        while mask:
-            lsb = mask & -mask
-            mask ^= lsb
-            out |= 1 << table[lsb.bit_length() - 1]
-        return out
-
-    def preimage(self, mask):
-        out = 0
-        bit = 1
-        for v in self.table:
-            if (mask >> v) & 1:
-                out |= bit
-            bit <<= 1
-        return out
-
-    def compose(self, other):
-        """self ∘ other (apply ``other`` first)."""
-        if other.cod is not self.dom and other.cod != self.dom:
-            raise NotMonotoneError("composition domains disagree")
-        return MonotoneMap(
-            other.dom, self.cod, tuple(self.table[v] for v in other.table),
-            _trusted=True,
-        )
-
-    @classmethod
-    def identity(cls, P):
-        return cls(P, P, tuple(range(P.n)), _trusted=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonotoneMap)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        pairs = ", ".join(
-            f"{self.dom.labels[i]}↦{self.cod.labels[v]}"
-            for i, v in enumerate(self.table)
-        )
-        return f"MonotoneMap({pairs})"
-
-
 # -- constructors ------------------------------------------------------
 
 
@@ -303,19 +224,8 @@ def from_order_pairs(labels, pairs):
     return FinitePoset(labels, closed, _trusted=True)
 
 
-def dual(P):
-    """The opposite poset on the same labels."""
-    return FinitePoset(P.labels, P.down, _trusted=True)
-
-
 def restrict(P, mask):
     return Subposet(P, mask)
-
-
-def principal_down_subposet(P, x):
-    if not 0 <= x < P.n:
-        raise UnknownElementError(f"element index {x} out of range")
-    return principal_downs(P)[x]
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
@@ -540,15 +450,22 @@ def monotone_on_covers(table, cover_pairs, cod):
     return True
 
 
+def check_monotone(table, dom, cod, covers):
+    """Raise ``NotMonotoneError`` where a table from ``dom`` to ``cod``
+    breaks one of the cover pairs ``covers`` of ``dom``, naming the first
+    broken pair i <= j, i ascending and then j ascending."""
+    if monotone_on_covers(table, covers, cod):
+        return
+    up = cod.up
+    for i in range(dom.n):
+        for j in bits(dom.up[i]):
+            if not (up[table[i]] >> table[j]) & 1:
+                raise NotMonotoneError(
+                    f"{dom.labels[i]}<={dom.labels[j]} broken by the table"
+                )
+
+
 # -- enumeration -------------------------------------------------------
-
-
-def canonical_form(P):
-    """Representative poset of P's isomorphism class, canonically labeled."""
-    if P.n > CANONICAL_CAP:
-        raise SizeCapError("canonical_form", P.n, CANONICAL_CAP)
-    key = kernels.canonical_key(P.n, P.up)
-    return FinitePoset(default_labels(P.n), key, _trusted=True)
 
 
 def enumerate_posets(n, mode="up_to_iso"):
@@ -603,10 +520,10 @@ def _iso_representatives(n):
     return _population(n, kernels.grow_classes(n - 1, smaller))
 
 
-def count_posets(n, mode="up_to_iso"):
+def count_posets(n):
     if not 1 <= n <= ENUM_CAP:
         raise SizeCapError("count_posets", n, ENUM_CAP)
-    return len(population(n, mode))
+    return len(population(n))
 
 
 def monotone_tables(P, Q, allowed=None):
@@ -648,16 +565,6 @@ def map_tables(P, Q):
     over (every system shares them); a large codomain, as in the P -> K(L)
     walk of the adjunction, keeps the generator."""
     return tuple(monotone_tables(P, Q))
-
-
-def enumerate_monotone_maps(P, Q):
-    """All monotone maps P -> Q, in lexicographic table order, for posets
-    of at most ``ENUM_CAP + 2`` points."""
-    if P.n > ENUM_CAP + 2 or Q.n > ENUM_CAP + 2:
-        raise SizeCapError("enumerate_monotone_maps", max(P.n, Q.n), ENUM_CAP + 2)
-    for table in monotone_tables(P, Q):
-        yield MonotoneMap(P, Q, table, _trusted=True)
-
 
 
 # -- symmetry ----------------------------------------------------------

@@ -151,14 +151,6 @@ def get_system(name):
         ) from None
 
 
-def z_members(system, P):
-    return system.members(P)
-
-
-def z_contains(system, P, mask):
-    return system.contains(P, mask)
-
-
 def first_member(P, system, ideals):
     """The first member S of Z(P) in mask order with ↓S in ``ideals``.
 

@@ -230,11 +230,6 @@ def sigma_z_continuity(dom, cod, system):
     return continuous
 
 
-def is_sigma_z_continuous(f, system):
-    """Preimages of subbasic closed sets of the codomain are subbasic closed."""
-    return sigma_z_continuity(f.dom, f.cod, system)(f.table)
-
-
 def subset_images(table):
     """The image of every subset of the domain of a function table, by mask."""
     images = [0] * (1 << len(table))

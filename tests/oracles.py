@@ -3,9 +3,9 @@
 Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
 internals; tests compare the fast implementations against these.  The
-exceptions are ``lower_hereditary_witness``, ``monad_naturality_failure``,
-the slow paths and the full walks at the end of the module, which say why in
-their docstrings.
+exceptions are ``lower_hereditary_witness``, the map objects with their
+object loops (``monad_naturality_failure`` and the slow paths), and the full
+walks at the end of the module, which say why in their docstrings.
 """
 
 from itertools import chain, combinations, permutations, product
@@ -401,6 +401,25 @@ def canonical_key(n, rows):
     return tuple(best)
 
 
+def random_orders(rng, n, count):
+    """``count`` seeded labeled orders on n points: the transitive closure of
+    a random acyclic relation on shuffled points, sparse to dense."""
+    out = []
+    for i in range(count):
+        density = (i % 5 + 1) / 6
+        place = list(range(n))
+        rng.shuffle(place)
+        rel = [[a == b or (place[a] < place[b] and rng.random() < density)
+                for b in range(n)] for a in range(n)]
+        for k in range(n):
+            for a in range(n):
+                if rel[a][k]:
+                    rel[a] = [x or y for x, y in zip(rel[a], rel[k])]
+        out.append(tuple(to_mask(b for b in range(n) if rel[a][b])
+                         for a in range(n)))
+    return out
+
+
 def automorphism_count(n, rows):
     """|Aut P|: the relabelings that leave the order matrix as it is."""
     return sum(relabel(rows, perm) == tuple(rows) for perm in permutations(range(n)))
@@ -671,13 +690,135 @@ def lower_hereditary_witness(P, system):
     return None
 
 
+# -- map objects -----------------------------------------------------------
+#
+# The object form of maps that the package ran its map claims on before they
+# read function tables.  The object loops below use it as their reference;
+# ``poset.check_monotone`` raises the constructor's message.
+
+
+class MonotoneMap:
+    """A total order-preserving function table between two finite posets,
+    validated on construction unless the caller vouches for it."""
+
+    __slots__ = ("dom", "cod", "table", "_hash")
+
+    def __init__(self, dom, cod, table, *, _trusted=False):
+        from zdt.errors import NotMonotoneError
+
+        table = tuple(table)
+        if len(table) != dom.n:
+            raise NotMonotoneError("table length disagrees with the domain")
+        if not _trusted:
+            for v in table:
+                if not 0 <= v < cod.n:
+                    raise ValueError(f"table value {v} outside codomain")
+            for i in range(dom.n):
+                for j in range(dom.n):
+                    if dom.leq(i, j) and not cod.leq(table[i], table[j]):
+                        raise NotMonotoneError(
+                            f"{dom.labels[i]}<={dom.labels[j]} broken by the table"
+                        )
+        self.dom = dom
+        self.cod = cod
+        self.table = table
+        self._hash = hash((dom, cod, table))
+
+    def __call__(self, i):
+        return self.table[i]
+
+    def image(self, mask):
+        table = self.table
+        out = 0
+        while mask:
+            lsb = mask & -mask
+            mask ^= lsb
+            out |= 1 << table[lsb.bit_length() - 1]
+        return out
+
+    def preimage(self, mask):
+        out = 0
+        bit = 1
+        for v in self.table:
+            if (mask >> v) & 1:
+                out |= bit
+            bit <<= 1
+        return out
+
+    def compose(self, other):
+        """self ∘ other (apply ``other`` first)."""
+        from zdt.errors import NotMonotoneError
+
+        if other.cod is not self.dom and other.cod != self.dom:
+            raise NotMonotoneError("composition domains disagree")
+        return MonotoneMap(
+            other.dom, self.cod, tuple(self.table[v] for v in other.table),
+            _trusted=True,
+        )
+
+    @classmethod
+    def identity(cls, P):
+        return cls(P, P, tuple(range(P.n)), _trusted=True)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MonotoneMap)
+            and self.dom == other.dom
+            and self.cod == other.cod
+            and self.table == other.table
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        pairs = ", ".join(
+            f"{self.dom.labels[i]}↦{self.cod.labels[v]}"
+            for i, v in enumerate(self.table)
+        )
+        return f"MonotoneMap({pairs})"
+
+
+def enumerate_monotone_maps(P, Q):
+    """All monotone maps P -> Q, in the lexicographic table order of
+    ``poset.monotone_tables``, the order of the package's table walks."""
+    from zdt import poset as ps
+
+    for table in ps.monotone_tables(P, Q):
+        yield MonotoneMap(P, Q, table, _trusted=True)
+
+
+def is_sigma_z_continuous(f, system):
+    """The package's σ^Z-continuity (``topology.sigma_z_continuity``) of a
+    map object."""
+    from zdt import topology as tp
+
+    return tp.sigma_z_continuity(f.dom, f.cod, system)(f.table)
+
+
+def dual(P):
+    """The opposite poset on the same labels."""
+    from zdt import poset as ps
+
+    return ps.FinitePoset(P.labels, P.down, _trusted=True)
+
+
+def canonical_form(P):
+    """The representative poset of P's isomorphism class, on the default
+    labels: ``kernels.canonical_key`` wrapped as a poset."""
+    from zdt import kernels, poset as ps
+
+    key = kernels.canonical_key(P.n, P.up)
+    return ps.FinitePoset(ps.default_labels(P.n), key, _trusted=True)
+
+
 def delta_map(f, system):
     """δf, A ↦ cl f(A) on the compacts of f's domain, with one
     ``TopologyFamily.closure`` per compact set and the validating
     ``MonotoneMap`` constructor; or None and the first compact A whose
     cl f(A) is not compact.  It shares no table with ``monad.delta_tables``,
     which it is the slow path of."""
-    from zdt import monad as md, poset as ps, topology as tp
+    from zdt import monad as md, topology as tp
 
     DP = md.delta_object(f.dom, system)
     DQ = md.delta_object(f.cod, system)
@@ -688,14 +829,14 @@ def delta_map(f, system):
         if closed not in DQ.index:
             return None, {"of": f.dom.names(a), "image_closure": f.cod.names(closed)}
         table.append(DQ.index[closed])
-    return ps.MonotoneMap(DP.poset, DQ.poset, table), None
+    return MonotoneMap(DP.poset, DQ.poset, table), None
 
 
 def eta_map(P, system):
     """The package's unit table at P as a ``MonotoneMap`` into δ(P)."""
-    from zdt import monad as md, poset as ps
+    from zdt import monad as md
 
-    return ps.MonotoneMap(
+    return MonotoneMap(
         P, md.delta_object(P, system).poset, md.eta(P, system), _trusted=True
     )
 
@@ -703,22 +844,22 @@ def eta_map(P, system):
 def mu_map(P, system):
     """The package's multiplication table at P as a ``MonotoneMap``
     δδ(P) -> δ(P)."""
-    from zdt import monad as md, poset as ps
+    from zdt import monad as md
 
     D1 = md.delta_object(P, system)
     D2 = md.delta_object(D1.poset, system)
-    return ps.MonotoneMap(D2.poset, D1.poset, md.mu(P, system), _trusted=True)
+    return MonotoneMap(D2.poset, D1.poset, md.mu(P, system), _trusted=True)
 
 
 def structure_map(P, system):
     """The package's structure table at P as a ``MonotoneMap`` δ(P) -> P,
     or None where it has none."""
-    from zdt import monad as md, poset as ps
+    from zdt import monad as md
 
     xi = md.em_structure_map(P, system)
     if xi is None:
         return None
-    return ps.MonotoneMap(md.delta_object(P, system).poset, P, xi, _trusted=True)
+    return MonotoneMap(md.delta_object(P, system).poset, P, xi, _trusted=True)
 
 
 def monad_naturality_failure(P, system):
@@ -751,11 +892,9 @@ def naturality_walk(P, Q, system):
     object loop of ``monad_naturality_failure`` at one codomain, over every
     monotone map, with δ from this module's ``delta_map``.  It reads no
     table of ``monad``'s naturality pass, which it is the slow path of."""
-    from zdt import poset as ps
-
     eta_p, mu_p = eta_map(P, system), mu_map(P, system)
     eta_q, mu_q = eta_map(Q, system), mu_map(Q, system)
-    for f in ps.enumerate_monotone_maps(P, Q):
+    for f in enumerate_monotone_maps(P, Q):
         if not map_sigma_continuous(f, system):
             continue
         df, bad = delta_map(f, system)
@@ -829,11 +968,10 @@ def map_preserves_closures(f, system):
 
 def sigma_cont_lemma(P, system, codomains):
     """``lemma-sigma-cont`` at P over the ``codomains``, on map objects."""
-    from zdt import poset as ps
     from zdt.reports import CheckResult
 
     for Q in codomains:
-        for f in ps.enumerate_monotone_maps(P, Q):
+        for f in enumerate_monotone_maps(P, Q):
             c1 = map_sigma_continuous(f, system)
             c2 = map_preserves_cuts(f, system)
             if c1 != c2:
@@ -868,17 +1006,19 @@ def em_check(P, xi, system):
 
 
 def em_theorem(P, system):
-    """``thm-em`` at P, below the lattice cap: the structure map passes
-    ``em_check``, and it is the only continuous candidate that does, over
+    """``thm-em`` at P, below the lattice cap: the structure map exists
+    exactly where ``monad.delta_cpo_witness``, a sup loop of its own, finds
+    no compact set without a sup; it passes ``em_check``; and it is the only
+    continuous candidate that does, over
     every monotone table δ(P) -> P from this module's ``monotone_tables``.
     The walk needs no bound at the sizes the tests give it: on the posets
     of at most four points it yields at most 106 tables for any system."""
-    from zdt import monad as md, poset as ps
+    from zdt import monad as md
     from zdt.reports import CheckResult
 
     d = md.delta_object(P, system)
     xi = structure_map(P, system)
-    dcpo = md.is_delta_cpo(P, system)
+    dcpo = md.delta_cpo_witness(P, system) is None
     if dcpo != (xi is not None):
         return CheckResult.fails(delta_cpo=dcpo, structure_map=xi is not None)
     if xi is not None:
@@ -887,7 +1027,7 @@ def em_theorem(P, system):
             return res
     survivors = []
     for table in monotone_tables(d.poset, P, {}):
-        cand = ps.MonotoneMap(d.poset, P, table)
+        cand = MonotoneMap(d.poset, P, table)
         if map_sigma_continuous(cand, system) and em_check(P, cand, system).ok:
             survivors.append(table)
     if xi is None and survivors:
@@ -912,7 +1052,7 @@ def em_morphisms(P, system, codomains):
         if not md.is_delta_cpo(Q, system):
             continue
         xi_q = structure_map(Q, system)
-        for f in ps.enumerate_monotone_maps(P, Q):
+        for f in enumerate_monotone_maps(P, Q):
             if not map_sigma_continuous(f, system):
                 continue
             eq = all(
@@ -973,18 +1113,19 @@ def labeled_reports(claim_id, max_size, systems=None):
 def _gamma_map(f, system):
     """Γ^Z on morphisms: A ↦ cl(f(A)), between the two Γ-lattices, as the
     package built it before the adjunction read cl η[A] from subset images."""
-    from zdt import monad as md, poset as ps, topology as tp
+    from zdt import monad as md, topology as tp
 
     LP = md.gamma_lattice(f.dom, system)
     LQ = md.gamma_lattice(f.cod, system)
     table = tuple(
         LQ.index[tp.closure_subbasic(f.cod, system, f.image(a))] for a in LP.elements
     )
-    return ps.MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
+    return MonotoneMap(LP.poset, LQ.poset, table, _trusted=True)
 
 
 def adjunction_walk(P, system, L=None):
-    """``monad.verify_adjunction`` deciding every monotone table P -> K(L)."""
+    """``monad.verify_adjunction`` deciding every monotone table P -> K(L),
+    at L = Γ^Z(P) or at any Γ-lattice ``L`` a test gives it."""
     from zdt import monad as md, poset as ps, topology as tp
     from zdt.reports import CheckResult
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_kernels import random_orders
 from zdt import continuity as ct, fixtures as fx, monad as md, poset as ps, topology as tp
 from zdt.reports import Status
 from zdt.systems import (
@@ -74,7 +73,7 @@ def test_dd_set_on_random_posets_against_oracle(seed):
     # the transitive closure of a random acyclic relation on 8 points:
     # oracles.way_below decides one pair at a time, so the n² singleton
     # pairs cost little beside listing the members of the 256 subsets
-    rows = random_orders(random.Random(seed), 8, 5)[seed % 5]
+    rows = oracles.random_orders(random.Random(seed), 8, 5)[seed % 5]
     P = ps.FinitePoset(ps.default_labels(8), rows)
     for name, system in SYSTEMS.items():
         way_below = oracles.way_below(P, name)
@@ -326,7 +325,7 @@ def test_preserves_beneath_against_oracle():
         ben = {P: oracles.beneath_pairs(P, name) for P in posets}
         for P in posets:
             for Q in posets:
-                for f in ps.enumerate_monotone_maps(P, Q):
+                for f in oracles.enumerate_monotone_maps(P, Q):
                     expected = all((f(x), f(y)) in ben[Q] for x, y in ben[P])
                     got = ct.preserves_beneath(f.table, P, Q, system)
                     assert got == expected, (name, f)
@@ -348,7 +347,7 @@ def test_preserves_beneath_reads_every_maximal_point(monkeypatch):
         ct, "_beneath_all", lambda P, system: (P.full,) * P.n if P == dom else real(P, system)
     )
     for table, expected in (((bottom, 1 - bottom), False), ((bottom, bottom), True)):
-        f = ps.MonotoneMap(dom, chain, table)
+        f = oracles.MonotoneMap(dom, chain, table)
         assert ct.preserves_beneath(table, dom, chain, FINITE) is expected
         assert oracles.map_preserves_beneath(f, FINITE) is expected
 
@@ -426,7 +425,7 @@ def test_compacts_of_lattices_and_compact_posets_against_the_beneath_table():
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_compacts_on_random_posets_against_the_beneath_table(seed, n):
     # the transitive closure of a random acyclic relation on 6 to 9 points
-    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    rows = oracles.random_orders(random.Random(seed), n, 5)[seed % 5]
     P = ps.FinitePoset(ps.default_labels(n), rows)
     for name, system in EVERY_SYSTEM:
         _compacts_against_beneath(P, name, system, oracle=False)

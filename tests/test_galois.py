@@ -63,7 +63,7 @@ def test_adjoints_against_the_oracle():
                     assert oracles.is_galois(T, S, d, g)
                 lower = oracles.lower_adjoint_of(T, S, d)
                 assert (lower is not None) == oracles.has_upper_adjoint(
-                    ps.dual(T), ps.dual(S), d
+                    oracles.dual(T), oracles.dual(S), d
                 )
                 if lower is not None:
                     assert oracles.is_galois(S, T, lower, d)

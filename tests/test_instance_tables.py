@@ -101,7 +101,7 @@ def test_each_table_is_computed_once_per_sweep():
     assert _cache_infos()["topology.gamma_subbasis"].misses > 1000
     first = list(ps.enumerate_posets(4, "labeled"))
     again = list(ps.enumerate_posets(4, "labeled"))
-    assert len(first) == ps.count_posets(4, "labeled") == 219
+    assert len(first) == len(ps.population(4, "labeled")) == 219
     assert all(a is b for a, b in zip(first, again))
 
 

@@ -1,5 +1,7 @@
 """Text format round-trips, parse errors, DOT output."""
 
+import re
+
 import pytest
 
 from zdt import fixtures as fx, io as zio, poset as ps
@@ -58,6 +60,20 @@ def test_dot_plain():
     assert dot.count("->") == 2
     assert "rankdir=BT" in dot
     assert zio.export_dot(fx.antichain(2), "a2").count("->") == 0
+
+
+@pytest.mark.parametrize("name", ['a"b', 'a\\', '"', 'a\\"b'])
+def test_dot_quotes_the_poset_name(name):
+    # a name the text format accepts gives a graph header whose quoted
+    # string a DOT scanner, which reads a backslash with the character after
+    # it, ends at the last quote; read as a label (\\ and \" stand for \ and
+    # "), it is the name
+    parsed, P = zio.parse_poset_text(f"poset {name}\nelements x\nend\n")
+    assert parsed == name
+    head = zio.export_dot(P, parsed).splitlines()[0]
+    m = re.fullmatch(r'digraph "((?:[^"\\]|\\.)*)" \{', head)
+    assert m, head
+    assert re.sub(r"\\(.)", r"\1", m.group(1)) == name
 
 
 def test_dot_overlay_beneath():

@@ -53,25 +53,6 @@ def test_iso_representatives_match_canonicalized_relation_filter(n):
     assert [P.up for P in ps._iso_representatives(n)] == sorted(keys)
 
 
-def random_orders(rng, n, count):
-    """``count`` seeded labeled orders on n points: the transitive closure of
-    a random acyclic relation on shuffled points, sparse to dense."""
-    out = []
-    for i in range(count):
-        density = (i % 5 + 1) / 6
-        place = list(range(n))
-        rng.shuffle(place)
-        rel = [[a == b or (place[a] < place[b] and rng.random() < density)
-                for b in range(n)] for a in range(n)]
-        for k in range(n):
-            for a in range(n):
-                if rel[a][k]:
-                    rel[a] = [x or y for x, y in zip(rel[a], rel[k])]
-        out.append(tuple(oracles.to_mask(b for b in range(n) if rel[a][b])
-                         for a in range(n)))
-    return out
-
-
 @pytest.mark.parametrize("n", UP_TO_SIZE_5)
 def test_canonical_key_matches_minimum_over_all_relabelings(n):
     for rows in oracles.labeled_orders(n):
@@ -80,7 +61,7 @@ def test_canonical_key_matches_minimum_over_all_relabelings(n):
 
 def test_canonical_key_matches_minimum_over_all_relabelings_on_a_sample_n6():
     rng = random.Random(6)
-    orders = random_orders(rng, 6, 300)
+    orders = oracles.random_orders(rng, 6, 300)
     assert len({kernels.canonical_key(6, rows) for rows in orders}) > 100
     for rows in orders:
         assert kernels.canonical_key(6, rows) == oracles.canonical_key(6, rows)
@@ -89,7 +70,7 @@ def test_canonical_key_matches_minimum_over_all_relabelings_on_a_sample_n6():
 def test_canonical_is_permutation_invariant():
     rng = random.Random(5)
     samples = [(4, rng.sample(kernels.enumerate_labeled_orders(4), 60))]
-    samples += [(n, random_orders(rng, n, 60)) for n in (5, 6)]
+    samples += [(n, oracles.random_orders(rng, n, 60)) for n in (5, 6)]
     for n, orders in samples:
         for up in orders:
             perm = list(range(n))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_kernels import random_orders
 from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
 from zdt import monad as md, poset as ps, systems as zs, topology as tp
 from zdt.errors import NotMonotoneError, SizeCapError, SupMissingError, ZdtError
@@ -25,7 +24,7 @@ def test_gamma_lattice_shapes(anti2, vee):
     assert len(L.elements) == 4  # a Boolean square
     LV = md.gamma_lattice(vee, FINITE)
     assert len(LV.elements) == 4  # a diamond
-    assert ps.canonical_form(LV.poset) == ps.canonical_form(fx.diamond())
+    assert oracles.canonical_form(LV.poset) == oracles.canonical_form(fx.diamond())
     one = ps.from_order_pairs(["x"], [])
     assert md.gamma_lattice(one, FINITE).poset.n == 2
 
@@ -145,7 +144,7 @@ def _beneath_against_objects(monkeypatch):
 
     def compared(table, dom, cod, system):
         found = real(table, dom, cod, system)
-        fbar = ps.MonotoneMap(dom, cod, table)
+        fbar = oracles.MonotoneMap(dom, cod, table)
         assert found == oracles.map_preserves_beneath(fbar, system), table
         outcomes.append(found)
         return found
@@ -166,7 +165,7 @@ def _continuity_against_the_fibre_walk(monkeypatch):
 
         def check(table):
             found = continuous(table)
-            f = ps.MonotoneMap(dom, cod, table)
+            f = oracles.MonotoneMap(dom, cod, table)
             assert found == oracles.map_sigma_continuous(f, system), table
             decided.append((table, found))
             return found
@@ -289,13 +288,13 @@ def test_adjunction_beneath_branch(monkeypatch):
     L = md.gamma_lattice(fx.vee(), DIRECTED)
     LP = md.gamma_lattice(P, DIRECTED).poset
     # warm every cache the run reads, so the patch reaches the check alone
-    assert md.verify_adjunction(P, DIRECTED, L=L).status is Status.HOLDS
+    assert oracles.adjunction_walk(P, DIRECTED, L).status is Status.HOLDS
     real = ct._beneath_all
     monkeypatch.setattr(
         ct, "_beneath_all", lambda Q, system: (Q.full,) * Q.n if Q == LP else real(Q, system)
     )
     beneath = _beneath_against_objects(monkeypatch)
-    res = md.verify_adjunction(P, DIRECTED, L=L)
+    res = oracles.adjunction_walk(P, DIRECTED, L)
     assert res.witness == {"part": "mediator", "reason": "beneath not preserved"}
     assert beneath[-1] is False
 
@@ -336,8 +335,8 @@ def test_mediator_search_finds_no_competitor(n):
             ben = oracles.beneath_pairs(LP.poset, system.name)
             sets = [oracles.to_set(a) for a in LP.elements]
             for table in ps.monotone_tables(P, kq.poset):
-                f = ps.MonotoneMap(P, kq.poset, table, _trusted=True)
-                if not tp.is_sigma_z_continuous(f, system):
+                f = oracles.MonotoneMap(P, kq.poset, table, _trusted=True)
+                if not oracles.is_sigma_z_continuous(f, system):
                     continue
                 pinned = {LP.index[P.down[p]]: kq.embed[f(p)] for p in range(P.n)}
                 fbar = tuple(
@@ -364,12 +363,12 @@ def test_join_check_equals_the_upper_adjoint_search():
         for system in SYSTEMS.values():
             L = md.gamma_lattice(P, system).poset
             if L.n <= 5:
-                small.setdefault(ps.canonical_form(L).up, L)
+                small.setdefault(oracles.canonical_form(L).up, L)
     lattices = [(L, md.join_table(L)) for L in small.values()]
     outcomes = {True: 0, False: 0}
     for T, joins_t in lattices:
         for S, joins_s in lattices:
-            for d in ps.enumerate_monotone_maps(T, S):
+            for d in oracles.enumerate_monotone_maps(T, S):
                 found = md.preserves_joins(d.table, _every_join(joins_t), joins_s)
                 assert found == (gl.upper_adjoint(T, S, d.table) is not None), (T, S, d.table)
                 outcomes[found] += 1
@@ -383,7 +382,7 @@ def test_adjunction_against_a_foreign_lattice():
     for source in (fx.antichain(2), fx.vee(), fx.chain(2)):
         L = md.gamma_lattice(source, DIRECTED)
         for P in (one, fx.chain(2), fx.antichain(2)):
-            res = md.verify_adjunction(P, DIRECTED, L=L)
+            res = oracles.adjunction_walk(P, DIRECTED, L)
             assert res.status is Status.HOLDS, (P, source, res.witness)
 
 
@@ -429,7 +428,7 @@ def test_monad_naturality_on_random_posets_against_the_object_loop(seed, n):
     # the transitive closure of a random acyclic relation on 5 or 6 points,
     # past the exhaustive populations above, on every system whose Γ-lattice
     # thm-monad walks (at most claims.LATTICE_CAP points)
-    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    rows = oracles.random_orders(random.Random(seed), n, 5)[seed % 5]
     P = ps.FinitePoset(ps.default_labels(n), rows)
     for system in SYSTEMS.values():
         if md.gamma_lattice(P, system).poset.n <= cl.LATTICE_CAP:
@@ -532,8 +531,15 @@ def _patch_not_closed(monkeypatch, base, mask):
 
 
 def _hide_structure_map(monkeypatch, target):
-    """Make ``target`` look like a poset that is not a δ-cpo."""
-    for name, value in (("em_structure_map", None), ("is_delta_cpo", False)):
+    """Make ``target`` look like a poset that is not a δ-cpo, to the
+    structure map, to ``is_delta_cpo`` and to the sup loop of
+    ``delta_cpo_witness`` that ``oracles.em_theorem`` reads."""
+    hidden = {"reason": "hidden"}
+    for name, value in (
+        ("em_structure_map", None),
+        ("is_delta_cpo", False),
+        ("delta_cpo_witness", hidden),
+    ):
         real = getattr(md, name)
         monkeypatch.setattr(
             md, name, lambda Q, system, real=real, value=value: (
@@ -612,7 +618,7 @@ def test_monotone_on_covers_against_the_constructor():
         for Q in posets:
             for table in itertools.product(range(Q.n), repeat=P.n):
                 try:
-                    ps.MonotoneMap(P, Q, table)
+                    oracles.MonotoneMap(P, Q, table)
                     monotone = True
                 except NotMonotoneError:
                     monotone = False
@@ -748,7 +754,7 @@ def test_em_laws_against_the_object_loop(n):
                 continue
             laws = md.em_laws(P, system)
             for t in _unit_tables(D1, eta_p, n):
-                xi = ps.MonotoneMap(D1, P, t, _trusted=True)
+                xi = oracles.MonotoneMap(D1, P, t, _trusted=True)
                 got = _outcome(lambda: laws(t))
                 assert got == _outcome(lambda: oracles.em_check(P, xi, system)), t
                 laws_seen.add(got.witness and got.witness.get("reason", got.witness["law"]))
@@ -811,7 +817,7 @@ def test_em_laws_non_monotone_delta_xi(patch_closure):
     xi = (0, 2, 1, 0)
     got = _outcome(lambda: md.em_laws(CHAIN3, DIRECTED)(xi))
     want = _outcome(
-        lambda: oracles.em_check(CHAIN3, ps.MonotoneMap(D1, CHAIN3, xi, _trusted=True), DIRECTED)
+        lambda: oracles.em_check(CHAIN3, oracles.MonotoneMap(D1, CHAIN3, xi, _trusted=True), DIRECTED)
     )
     assert got == want
     assert got[0] == "NotMonotoneError"

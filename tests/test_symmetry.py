@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_kernels import random_orders
 from test_monad import (
-    ANTI2, ANTI3, CHAIN2, POINT, _continuity_against_the_fibre_walk, _patch_table,
+    ANTI2, ANTI3, POINT, _continuity_against_the_fibre_walk, _patch_table,
 )
 from zdt import continuity as ct, monad as md, poset as ps, topology as tp
 from zdt.reports import CheckResult, Status
@@ -22,7 +21,7 @@ EVERY_SYSTEM = (*SYSTEMS.values(), PRINCIPAL_IDEALS)
 
 
 def _random_poset(seed, n):
-    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    rows = oracles.random_orders(random.Random(seed), n, 5)[seed % 5]
     return ps.FinitePoset(ps.default_labels(n), rows)
 
 
@@ -119,20 +118,6 @@ def test_a_closure_that_breaks_the_symmetry_shrinks_the_codomain_group(patch_clo
     assert got.witness == {
         "law": "functoriality", "of": ("b",), "image_closure": ("b", "c")
     }
-
-
-def test_explicit_lattice_keeps_the_full_walk(monkeypatch):
-    # into a foreign lattice every monotone table is decided
-    L = md.gamma_lattice(ANTI2, DIRECTED)
-    calls = []
-    monkeypatch.setattr(ps, "lex_least", lambda f, actions: calls.append(f) or True)
-    assert md.verify_adjunction(ANTI2, DIRECTED, L=L).status is Status.HOLDS
-    assert not calls
-    assert md.verify_adjunction(ANTI2, DIRECTED).status is Status.HOLDS
-    assert calls
-    assert md.verify_adjunction(CHAIN2, DIRECTED, L=L) == oracles.adjunction_walk(
-        CHAIN2, DIRECTED, L=L
-    )
 
 
 def test_a_beneath_table_that_breaks_the_symmetry_shrinks_the_adjunction_group(monkeypatch):

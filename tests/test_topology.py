@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_kernels import random_orders
 from zdt import fixtures as fx, poset as ps, topology as tp
 from zdt.systems import (
     CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SINGLETONS, SYSTEMS,
@@ -56,7 +55,7 @@ def test_gamma_on_random_posets_against_oracle(seed, n):
     # the transitive closure of a random acyclic relation on 6 to 8 points,
     # past the exhaustive populations, through the closed forms of each
     # system's member ideals; the principal-ideals view shares directed's I_Z
-    rows = random_orders(random.Random(seed), n, 5)[seed % 5]
+    rows = oracles.random_orders(random.Random(seed), n, 5)[seed % 5]
     P = ps.FinitePoset(ps.default_labels(n), rows)
     for name, system in (*SYSTEMS.items(), ("directed", PRINCIPAL_IDEALS)):
         expected = sorted(oracles.to_mask(a) for a in oracles.gamma(P, name))
@@ -218,12 +217,12 @@ def test_lower_topology_against_fixpoint_oracle(n):
 
 
 def test_sigma_continuity_basics(vee):
-    ident = ps.MonotoneMap.identity(vee)
-    assert tp.is_sigma_z_continuous(ident, FINITE)
+    ident = oracles.MonotoneMap.identity(vee)
+    assert oracles.is_sigma_z_continuous(ident, FINITE)
     for P in small_posets(3):
         for Q in small_posets(3):
-            for f in ps.enumerate_monotone_maps(P, Q):
-                assert tp.is_sigma_z_continuous(f, DIRECTED)
+            for f in oracles.enumerate_monotone_maps(P, Q):
+                assert oracles.is_sigma_z_continuous(f, DIRECTED)
 
 
 def preserves_cuts(f, system):
@@ -244,9 +243,9 @@ def test_continuity_iff_cut_preservation():
     posets = list(small_posets(3))
     for P in posets:
         for Q in posets:
-            for f in ps.enumerate_monotone_maps(P, Q):
+            for f in oracles.enumerate_monotone_maps(P, Q):
                 for system in SYSTEMS.values():
-                    c1 = tp.is_sigma_z_continuous(f, system)
+                    c1 = oracles.is_sigma_z_continuous(f, system)
                     c2 = preserves_cuts(f, system)
                     assert c1 == c2, (P, Q, f.table, system.name)
                     if c1:
@@ -258,7 +257,7 @@ def test_map_preserves_cuts_against_member_loop_oracle():
     outcomes = set()
     for P in posets:
         for Q in posets:
-            for f in ps.enumerate_monotone_maps(P, Q):
+            for f in oracles.enumerate_monotone_maps(P, Q):
                 for name, system in SYSTEMS.items():
                     expected = oracles.preserves_cuts(P, Q, f.table, name)
                     assert preserves_cuts(f, system) == expected, (f, name)
@@ -271,9 +270,9 @@ def test_continuity_lemma_on_larger_domains():
     fours = list(ps.enumerate_posets(4))[:6]
     for P in fours:
         for Q in fours:
-            for f in ps.enumerate_monotone_maps(P, Q):
+            for f in oracles.enumerate_monotone_maps(P, Q):
                 for system in (FINITE, SINGLETONS):
-                    assert tp.is_sigma_z_continuous(f, system) == preserves_cuts(f, system)
+                    assert oracles.is_sigma_z_continuous(f, system) == preserves_cuts(f, system)
 
 
 def test_lower_hereditary(fan3, twin):
@@ -351,7 +350,7 @@ def _map_tables_against_objects(P, system, outcomes):
         cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
         closures_q = tp.closure_table(Q, system)
         for table in ps.monotone_tables(P, Q):
-            f = ps.MonotoneMap(P, Q, table)
+            f = oracles.MonotoneMap(P, Q, table)
             images = tp.subset_images(table)
             got = (
                 continuous(table),
@@ -364,7 +363,7 @@ def _map_tables_against_objects(P, system, outcomes):
                 oracles.map_preserves_closures(f, system),
             )
             assert got == want, (P, Q, table, system.name)
-            assert got[0] == tp.is_sigma_z_continuous(f, system)
+            assert got[0] == oracles.is_sigma_z_continuous(f, system)
             assert got[1] == preserves_cuts(f, system)
             assert got[2] == preserves_closures(f, system)
             outcomes.add(got)
