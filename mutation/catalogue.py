@@ -88,12 +88,26 @@ MUTANTS = (
             f"{MONAD}::test_naturality_loop_on_a_non_monotone_closure",
         ),
     ),
-    # the naturality pass's unfolded path without the cover check of δf
+    # the naturality pass folding at maximal points where a closure does not
+    # let it
     Mutant(
         "src/zdt/monad.py",
-        "        if not folded:\n            ps.check_monotone(df, D1.poset, DQ.poset, D1.covers)\n",
-        "",
-        (f"{MONAD}::test_naturality_loop_non_monotone_delta_f",),
+        "    if not (foldable_q and foldable_dq):",
+        "    if False:",
+        (
+            f"{MONAD}::test_naturality_loop_on_a_non_monotone_closure",
+            f"{SYMMETRY}::test_naturality_on_a_closure_that_reads_more_than_down_sets",
+        ),
+    ),
+    # μ indexed by the raw union of a family, without its closure.  On an
+    # untampered closure the union is already closed: a nonempty family of
+    # δδ(P) is the ↓k of its greatest member k.  So only a patched closure
+    # that moves the closure of a union tells the two apart
+    Mutant(
+        "src/zdt/monad.py",
+        "        s = compact[union]",
+        "        s = D1.index.get(union)",
+        (f"{MONAD}::test_sup_tables_are_checked_monotone",),
     ),
     # the δ row loop going on past an image that is not compact
     Mutant(

@@ -124,15 +124,19 @@ def cmd_search(args):
     sys.stdout.write(cl.format_reports(reports))
     if args.emit_counterexamples:
         os.makedirs(args.emit_counterexamples, exist_ok=True)
+        # the reports run system-major, one per size (``run_claim``)
+        names = systems or cl.get_claim(args.claim).systems
         k = 0
-        for r in reports:
+        for i, r in enumerate(reports):
+            system = names[i // args.max_size]
             for instance, witness in r.witnesses:
                 if not isinstance(instance, ps.FinitePoset):
                     continue
                 path = os.path.join(
-                    args.emit_counterexamples, f"{args.claim}-{k:03d}.poset"
+                    args.emit_counterexamples, f"{args.claim}-{system}-{k:03d}.poset"
                 )
                 with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(f"# claim {args.claim}\n# system {system}\n# mode {mode}\n")
                     fh.write(zio.format_poset_text(instance, f"cex{k}"))
                     for line in zio.format_witness(witness):
                         fh.write(f"#{line}\n")

@@ -4,9 +4,9 @@ induced monad, and Eilenberg-Moore algebra checks.
 Objects: ``gamma_lattice(P, Z)`` is Γ^Z(P) under inclusion (a complete
 lattice); ``delta_object(P, Z)`` is its poset of Z-compact elements, the value
 of the composite endofunctor on P.  The unit sends p to ↓p; the
-multiplication takes the sup inside the compact poset.  The unit, the
-multiplication, the counit and the algebra structure maps are function
-tables: tuples of indices into their codomains.
+multiplication sends a family of compacts to the closure of its union.  The
+unit, the multiplication, the counit and the algebra structure maps are
+function tables: tuples of indices into their codomains.
 """
 
 from __future__ import annotations
@@ -117,7 +117,18 @@ def _small_families(n):
 def delta_object(P, system):
     """δ(P): the compacts of Γ^Z(P), with the unit's table.  Its poset is
     the restriction of the Γ-lattice's to them, which has the labels and
-    inclusion rows that ``family_poset(P, sets)`` would build."""
+    inclusion rows that ``family_poset(P, sets)`` would build.  Its sets:
+
+    - ``finite``, ``connected``: all of Γ^Z(P).  In a finite lattice every
+      nonempty lower set holds the bottom, so it is connected and in I_Z; a
+      nonempty closed A is then a member ideal, so cut(A) ⊆ A, and no A
+      misses a point that its cut captures: every point is compact.
+    - ``singletons``, ``chains``, ``directed``: ∅ and the ↓p.  On a finite
+      Q, I_Z(Q) is the principal ideals, each its own cut, so Γ^Z(Q) is
+      every lower set; by the closed form of ``kz_compacts``, one with two
+      or more maximal points m is the join of the ↓m inside it, none of
+      which holds it, so it is not compact, while ∅ and the ↓p are.
+    """
     L = gamma_lattice(P, system)
     k = kz_compacts(L.poset, system)
     sets = tuple(L.elements[i] for i in ps.bits(k))
@@ -180,9 +191,9 @@ def compact_table(Q, system):
     least closed set over m, and closed sets are lower sets.  While they
     do, every δf into Q is monotone, as A ⊆ B gives cl f(A) ⊆ cl f(B), and
     cl f(A) = cl f(max A) for a monotone f and a lower set A, as
-    f(max A) ⊆ f(A) ⊆ ↓f(max A).  So where both flags of Q and δ(Q) hold,
-    the naturality pass folds δf and δδf at maximal points and skips their
-    cover checks (``_naturality_failure``).  Q may have at most
+    f(max A) ⊆ f(A) ⊆ ↓f(max A).  So the naturality pass folds δf and δδf
+    at maximal points with no cover checks, and refuses a Q where a flag of
+    Q or δ(Q) fails (``_naturality_failure``).  Q may have at most
     ``COMPACT_TABLE_CAP`` points."""
     if Q.n > COMPACT_TABLE_CAP:
         raise SizeCapError("compact_table", Q.n, COMPACT_TABLE_CAP)
@@ -234,7 +245,7 @@ def delta_tables(dom, cod, system):
 
     It reads every point of each compact set and checks every cover pair,
     so it takes any table, monotone or not, and any closure; the naturality
-    pass folds where the closures let it (``_naturality_failure``)."""
+    pass folds at maximal points (``_naturality_failure``)."""
     DP, DQ = delta_object(dom, system), delta_object(cod, system)
     compact = compact_index(cod, system)
     sets, points = DP.sets, DP.points
@@ -271,25 +282,24 @@ def epsilon(L_poset, system):
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def mu(P, system):
-    """The multiplication as a table δδ(P) -> δ(P): sup inside the compact
-    poset, cross-checked against the union-closure prediction whenever that
-    value is itself compact.  It is built, checked monotone and
-    cross-checked once per (P, system)."""
+    """The multiplication as a table δδ(P) -> δ(P), checked monotone once
+    per (P, system): each family 𝒜 goes to cl(⋃𝒜), the least closed set
+    over its members, so its sup wherever it lies in δ(P).  It always does
+    (``delta_object``): on ``finite`` and ``connected`` δ(P) is Γ^Z(P); on
+    the other three δδ(P) is ∅ and the ↓k for k in δ(P), whose unions are ∅
+    and k.  A tampered closure that leaves δ(P) raises ``SupMissingError``.
+    """
     D1 = delta_object(P, system)
     D2 = delta_object(D1.poset, system)
+    compact = compact_index(P, system)
     table = []
     for fam in D2.sets:
-        s = ps.sup_of(D1.poset, fam)
-        if s is None:
-            raise SupMissingError(
-                f"family {fam:#x} has no sup among the compact elements"
-            )
         union = 0
         for i in ps.bits(fam):
             union |= D1.sets[i]
-        predicted = tp.closure_subbasic(P, system, union)
-        if predicted in D1.index and D1.index[predicted] != s:
-            raise ZdtError("multiplication disagrees with the union closure")
+        s = compact[union]
+        if s is None:
+            raise SupMissingError(f"family {fam:#x} closes outside the compacts")
         table.append(s)
     table = tuple(table)
     ps.check_monotone(table, D2.poset, D1.poset, D2.covers)
@@ -438,12 +448,13 @@ def verify_adjunction(P, system):
 
     The mediator for a continuous f into the compacts of L is A ↦ sup f(A),
     folded over L's join table at the maximal points of A, as f is monotone;
-    so it factors f, as ↓p has the one maximal point p.  It is unique once
-    every element of Γ^Z(P) is the sup of the principal ideals inside it:
-    any rival mediator has an upper adjoint, so it preserves every join, and
-    it agrees with the mediator on principal ideals, where both factor f.
-    That sup-determination does not depend on f, so it is checked once and
-    reported at the first f whose mediator passes the other checks.
+    so it factors f, as ↓p has the one maximal point p.  It is unique, as
+    every member A of Γ^Z(P) is the join of the ↓p inside it: a rival
+    mediator preserves every join, having an upper adjoint, and agrees on
+    each ↓p, where both factor f.  A is an order ideal (``gamma_subbasis``
+    filters ``kernels.order_ideals``), the union of the ↓p for p in A; each
+    ↓p is a member, as p bounds each member ideal inside it and so its cut;
+    and the join is cl A = A.
 
     The mediator has an upper adjoint iff it preserves the bottom and binary
     joins (Davey & Priestley 7.34), and, as a sup of f's values, iff it
@@ -491,12 +502,7 @@ def verify_adjunction(P, system):
             )
 
     # universal property of the unit
-    # every element of Γ^Z(P) is the sup of the principal ideals inside it
     principal = [LP.index[P.down[p]] for p in range(P.n)]
-    sup_determined = all(
-        LP.sup(sum(1 << principal[p] for p in ps.bits(a))) == i
-        for i, a in enumerate(LP.elements)
-    )
     joins_l = join_table(LP.poset)
     bottom, join = joins_l
     # Γ^Z(P)'s least member, cl ∅, is index 0: it lies inside every member
@@ -520,8 +526,6 @@ def verify_adjunction(P, system):
             return CheckResult.fails(part="mediator", reason="no upper adjoint")
         if not preserves_beneath(mediator, LP.poset, LP.poset, system):
             return CheckResult.fails(part="mediator", reason="beneath not preserved")
-        if not sup_determined:
-            return CheckResult.fails(part="uniqueness", reason="sup-determination")
     return CheckResult.holds()
 
 
@@ -538,8 +542,8 @@ def _adjunction_actions(P, system, LP, sub):
     each member and the principal ideals.  The join check asks, of a
     monotone f, m(cl S) = ⋁ f(S) at each gap S = A ∪ ↓p, whichever (A, p)
     lists S, so it reads the gaps only as the pairs (S, cl S).  So the
-    continuity check, the mediator, its join and beneath checks and
-    sup-determination give σ̂∘f∘σ⁻¹ the verdict of f.  Each condition asks σ to fix one structure, so the σ that meet all
+    continuity check, the mediator and its join and beneath checks give
+    σ̂∘f∘σ⁻¹ the verdict of f.  Each condition asks σ to fix one structure, so the σ that meet all
     of them form a group.  It is all of Aut P unless a table is tampered
     with, as each system is invariant under isomorphism."""
     others = ps.automorphisms(P)[1:]
@@ -570,9 +574,9 @@ def verify_monad_laws(P, system):
     to three points.
 
     Every map is a function table: δη and δμ come from ``delta_tables``,
-    and naturality runs one pass per codomain (``_naturality_failure``); a
-    δf or δδf that breaks a cover pair raises ``NotMonotoneError``
-    (``poset.check_monotone``).
+    where a table that breaks a cover pair raises ``NotMonotoneError``
+    (``poset.check_monotone``), and naturality runs one pass per codomain
+    (``_naturality_failure``).
     """
     D1 = delta_object(P, system)
     D2 = delta_object(D1.poset, system)
@@ -614,46 +618,34 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None.
 
     One loop decides each f in the steps of the object loop: continuity
-    (``topology.sigma_z_continuity``), δf with its escape witness and its
-    cover check, the unit equation, δδf with both, and the multiplication
-    equation.  δf and δδf come from the one row loop, ``compacts_of``, as
-    ``delta_tables`` builds them; a δf or δδf that breaks a cover pair
-    raises ``NotMonotoneError``.  The data are picked once per (P, Q):
+    (``topology.sigma_z_continuity``), δf with its escape witness, the unit
+    equation, δδf with its escape witness, and the multiplication equation.
+    δf and δδf come from the one row loop, ``compacts_of``, which reads
+    each compact set at its maximal points through the tabulated closures
+    of Q and δ(Q), with no cover check (``compact_table``; δ(Q) has at most
+    eight points).  Where a closure does not fold, which only tampering
+    makes, the pass raises ``ZdtError``.
 
-    - folded, where both closures fold: each compact set is read at its
-      maximal points through the tabulated closures, and no cover check is
-      needed (see ``compact_table``, which takes δ(Q): Q has at most three
-      points, so δ(Q) at most eight);
-    - unfolded, otherwise, which only a tampered closure reaches: every
-      point of each compact set, read through ``compact_index``, and the
-      cover check.
-
-    On the folded path the loop decides only the lex-least tables of their
-    orbits under f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
+    The loop decides only the lex-least tables of their orbits under
+    f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
     ``_codomain_group``).  The groups fix every table that a decision
     reads, so every f of an orbit gets one verdict; the first failing f in
     table order is the least of its orbit, as the least one is no later and
-    fails too, so the loop meets it, and returns its witness.  The unfolded
-    path decides every map.
+    fails too, so the loop meets it, and returns its witness.
     """
     D1, DQ = delta_object(P, system), delta_object(Q, system)
-    D2, DDQ = delta_object(D1.poset, system), delta_object(DQ.poset, system)
+    D2 = delta_object(D1.poset, system)
     eta_q, mu_q = eta(Q, system), mu(Q, system)
     compact_q, foldable_q = compact_table(Q, system)
     compact_dq, foldable_dq = compact_table(DQ.poset, system)
-    folded = foldable_q and foldable_dq
-    if folded:
-        rows_1, rows_2 = ps.maxima(P, D1.sets), ps.maxima(D1.poset, D2.sets)
-        tables = ps.map_reps(
-            P, Q,
-            _domain_group(P, system, eta_p, mu_p),
-            _codomain_group(Q, system, eta_q, mu_q),
-        )
-    else:
-        rows_1, rows_2 = D1.points, D2.points
-        compact_q = compact_index(Q, system)
-        compact_dq = compact_index(DQ.poset, system)
-        tables = ps.map_tables(P, Q)
+    if not (foldable_q and foldable_dq):
+        raise ZdtError(f"the closure of {Q!r} or of δ of it does not fold")
+    rows_1, rows_2 = ps.maxima(P, D1.sets), ps.maxima(D1.poset, D2.sets)
+    tables = ps.map_reps(
+        P, Q,
+        _domain_group(P, system, eta_p, mu_p),
+        _codomain_group(Q, system, eta_q, mu_q),
+    )
     continuous = tp.sigma_z_continuity(P, Q, system)
     units = tuple(enumerate(eta_p))
     for f in tables:
@@ -662,8 +654,6 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
         df = compacts_of(rows_1, f, compact_q)
         if len(df) < len(rows_1):
             return {"law": "functoriality", **_escape(P, Q, system, D1.sets[len(df)], f)}
-        if not folded:
-            ps.check_monotone(df, D1.poset, DQ.poset, D1.covers)
         for p, e in units:
             if df[e] != eta_q[f[p]]:
                 return {"law": "unit naturality", "map": f}
@@ -671,8 +661,6 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
         if len(ddf) < len(rows_2):
             a = D2.sets[len(ddf)]
             return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
-        if not folded:
-            ps.check_monotone(ddf, D2.poset, DDQ.poset, D2.covers)
         for m, d in zip(mu_p, ddf):
             if df[m] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from zdt import kernels, poset as ps, topology as tp
-from zdt.errors import SizeCapError
 from zdt.reports import CheckResult, ClaimReport
 
 
@@ -181,20 +180,18 @@ def is_zcpo(P, system):
 
 # -- bounded diagnostics ------------------------------------------------
 
-AXIOM_CAP = 4
+AXIOM_SIZE = 3  # the most points of the posets the axiom sweeps walk
 
 
-def check_system_axioms(system, size_bound=3):
+def check_system_axioms(system):
     """Singleton membership and closure under monotone images, exhaustively.
 
-    Runs over all labeled posets with at most ``size_bound`` elements and all
-    monotone maps between them; instance evidence, not a universal proof.
+    Runs over all labeled posets with at most ``AXIOM_SIZE`` elements and
+    all monotone maps between them; instance evidence, not a universal proof.
     """
-    if size_bound > AXIOM_CAP:
-        raise SizeCapError("check_system_axioms", size_bound, AXIOM_CAP)
-    report = ClaimReport("system-axioms", f"{system.name} n<={size_bound}")
+    report = ClaimReport("system-axioms", f"{system.name} n<={AXIOM_SIZE}")
     posets = [
-        P for n in range(1, size_bound + 1) for P in ps.enumerate_posets(n, "labeled")
+        P for n in range(1, AXIOM_SIZE + 1) for P in ps.enumerate_posets(n, "labeled")
     ]
     for P in posets:
         res = CheckResult.holds()
@@ -230,14 +227,12 @@ def _reflects_order(P, Q, table):
     return True
 
 
-def check_subset_hereditary_instances(system, size_bound=3):
+def check_subset_hereditary_instances(system):
     """D ∈ Z(P) iff f(D) ∈ Z(Q), over all order embeddings at bounded size:
     the monotone tables that reflect the order."""
-    if size_bound > AXIOM_CAP:
-        raise SizeCapError("check_subset_hereditary_instances", size_bound, AXIOM_CAP)
-    report = ClaimReport("subset-hereditary", f"{system.name} n<={size_bound}")
+    report = ClaimReport("subset-hereditary", f"{system.name} n<={AXIOM_SIZE}")
     posets = [
-        P for n in range(1, size_bound + 1) for P in ps.enumerate_posets(n, "labeled")
+        P for n in range(1, AXIOM_SIZE + 1) for P in ps.enumerate_posets(n, "labeled")
     ]
     for P in posets:
         for Q in posets:

@@ -4,8 +4,9 @@ Everything here works on ``frozenset`` values and translates the defining
 quantifiers directly, with no bitset tricks and no sharing with the package
 internals; tests compare the fast implementations against these.  The
 exceptions are ``lower_hereditary_witness``, the map objects with their
-object loops (``monad_naturality_failure`` and the slow paths), and the full
-walks at the end of the module, which say why in their docstrings.
+object loops (``monad_naturality_failure`` and the slow paths), the full
+walks, and the fixtures and patches of the monad tests at the end of the
+module, which say why in their docstrings.
 """
 
 from itertools import chain, combinations, permutations, product
@@ -851,6 +852,17 @@ def mu_map(P, system):
     return MonotoneMap(D2.poset, D1.poset, md.mu(P, system), _trusted=True)
 
 
+def mu_by_sups(P, system):
+    """μ_P as ``monad.mu`` built it before it read the closure of a union:
+    each family of δδ(P) ↦ its sup in δ(P), by this module's ``sup``, or
+    None where it has none.  It reads the package's δ(P) and δδ(P)."""
+    from zdt import monad as md
+
+    D1 = md.delta_object(P, system)
+    D2 = md.delta_object(D1.poset, system)
+    return tuple(sup(D1.poset, to_set(fam)) for fam in D2.sets)
+
+
 def structure_map(P, system):
     """The package's structure table at P as a ``MonotoneMap`` δ(P) -> P,
     or None where it has none."""
@@ -1041,15 +1053,17 @@ def em_theorem(P, system):
 
 def em_morphisms(P, system, codomains):
     """``prop-em-morph`` at P over the ``codomains``: for a δ-cpo P, the sup
-    equation against the square f ∘ ξ_P = ξ_Q ∘ δf, built with ``compose``."""
+    equation against the square f ∘ ξ_P = ξ_Q ∘ δf, built with ``compose``.
+    Which posets are δ-cpos it asks ``monad.delta_cpo_witness``, a sup loop
+    of its own, and not the structure map that the claim reads."""
     from zdt import monad as md, poset as ps
     from zdt.reports import CheckResult
 
-    if not md.is_delta_cpo(P, system):
+    if md.delta_cpo_witness(P, system) is not None:
         return CheckResult.inapplicable(reason="domain not a delta-cpo")
     xi_p = structure_map(P, system)
     for Q in codomains:
-        if not md.is_delta_cpo(Q, system):
+        if md.delta_cpo_witness(Q, system) is not None:
             continue
         xi_q = structure_map(Q, system)
         for f in enumerate_monotone_maps(P, Q):
@@ -1203,3 +1217,66 @@ def orbit(table, pairs):
             g[sigma[p]] = tau[v]
         out.add(tuple(g))
     return out
+
+
+# -- fixtures and patches of the monad tests --------------------------------
+#
+# The small posets whose tables the tests of the naturality, EM and symmetry
+# walks patch, and the patches they share.  They read and patch the
+# package, as a test of its failure branches must.
+
+
+def _poset(n, up):
+    from zdt import poset as ps
+
+    return next(Q for Q in ps.enumerate_posets(n) if Q.up == up)
+
+
+POINT, CHAIN2, ANTI2 = _poset(1, (1,)), _poset(2, (1, 3)), _poset(2, (1, 2))
+CHAIN3, ANTI3 = _poset(3, (1, 3, 7)), _poset(3, (1, 2, 4))
+
+
+def patch_table(monkeypatch, name, target, table):
+    """Make the ``monad`` function ``name`` return ``table`` at ``target``."""
+    from zdt import monad as md
+
+    real = getattr(md, name)
+    monkeypatch.setattr(
+        md, name, lambda Q, system: table if Q == target else real(Q, system)
+    )
+
+
+def assert_refused(Q, call, *args):
+    """``call(*args)`` refuses the naturality codomain Q, whose closure or
+    δ(Q)'s does not fold at maximal points, with a ``ZdtError`` naming Q."""
+    import pytest
+    from zdt.errors import ZdtError
+
+    with pytest.raises(ZdtError, match="does not fold") as err:
+        call(*args)
+    assert err.type is ZdtError and repr(Q) in str(err.value)
+
+
+def continuity_against_the_fibre_walk(monkeypatch):
+    """Patch ``topology.sigma_z_continuity`` so that each table it decides,
+    on the meet-irreducible closed sets, is held to ``map_sigma_continuous``
+    over every closed set; returns the list of (table, outcome) it decided."""
+    from zdt import topology as tp
+
+    real = tp.sigma_z_continuity
+    decided = []
+
+    def compared(dom, cod, system):
+        continuous = real(dom, cod, system)
+
+        def check(table):
+            found = continuous(table)
+            f = MonotoneMap(dom, cod, table)
+            assert found == map_sigma_continuous(f, system), table
+            decided.append((table, found))
+            return found
+
+        return check
+
+    monkeypatch.setattr(tp, "sigma_z_continuity", compared)
+    return decided

@@ -48,7 +48,7 @@ def test_criterion_01_core_operator_oracle_suite():
 def test_criterion_02_system_axioms():
     bad = []
     for name in sorted(zs.SYSTEMS):
-        report = zs.check_system_axioms(zs.SYSTEMS[name], 3)
+        report = zs.check_system_axioms(zs.SYSTEMS[name])
         if not report.ok:
             bad.append(name)
     assert _line(2, not bad, f"subset-system axioms at bound 3 (violations: {bad or 'none'})")

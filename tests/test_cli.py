@@ -206,6 +206,28 @@ def test_search_pass_and_fail(capsys, tmp_path):
                          "--property", "weakly-meet"]) == 1
 
 
+def test_emitted_counterexamples_replay_on_their_own_system(capsys, tmp_path):
+    # without --system, the witnesses of `finite` and `connected` share one
+    # directory: each file names its system, and its header names the
+    # system and the mode; each replays on that system, while several of
+    # the `finite` ones are weakly meet on `connected`
+    cex = tmp_path / "cex"
+    assert cli.main(["search", "--claim", "thm-local-wmc", "--max-size", "4",
+                     "--emit-counterexamples", str(cex)]) == 1
+    capsys.readouterr()
+    seen = set()
+    for f in sorted(cex.iterdir()):
+        system = f.name.split("-")[-2]
+        header = f.read_text().splitlines()[:3]
+        assert header == ["# claim thm-local-wmc", f"# system {system}", "# mode up_to_iso"]
+        assert cli.main(["check", "--poset", str(f), "--system", system,
+                         "--property", "weakly-meet"]) == 1, f.name
+        assert cli.main(["check", "--poset", str(f), "--system", system,
+                         "--property", "locally-weakly-meet"]) == 0, f.name
+        seen.add(system)
+    assert seen == {"finite", "connected"}
+
+
 def test_search_labeled_mode(capsys):
     assert cli.main(["search", "--claim", "lemma-wmc", "--max-size", "2",
                      "--system", "finite", "--labeled"]) == 0

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import (
+    ANTI2, ANTI3, CHAIN2, CHAIN3, POINT, assert_refused, continuity_against_the_fibre_walk,
+    patch_table,
+)
 from zdt import claims as cl, continuity as ct, fixtures as fx, galois as gl
 from zdt import monad as md, poset as ps, systems as zs, topology as tp
 from zdt.errors import NotMonotoneError, SizeCapError, SupMissingError, ZdtError
@@ -128,12 +132,44 @@ def test_epsilon_on_gamma_lattice(anti2):
         assert v in range(L.poset.n)
 
 
-def test_mu_against_union_prediction(wedge):
-    for system in (DIRECTED, FINITE, CHAINS):
-        m = md.mu(wedge, system)  # raises on any disagreement
-        d1 = md.delta_object(wedge, system)
-        d2 = md.delta_object(d1.poset, system)
-        assert len(m) == d2.poset.n and set(m) <= set(range(d1.poset.n))
+def _under_the_lattice_cap(max_n):
+    """(P, system) for the posets up to ``max_n`` points and the five
+    systems, where the Γ-lattice has at most ``claims.LATTICE_CAP`` points."""
+    for P in small_posets(max_n):
+        for system in SYSTEMS.values():
+            if md.gamma_lattice(P, system).poset.n <= cl.LATTICE_CAP:
+                yield P, system
+
+
+def test_delta_sets_by_system():
+    # the proof in ``delta_object``: on `finite` and `connected` every member
+    # of Γ^Z(P) is compact, and on the other three the compacts are ∅ and
+    # the principal ideals
+    for P, system in _under_the_lattice_cap(5):
+        sets = md.delta_object(P, system).sets
+        if system in (FINITE, CONNECTED):
+            assert sets == tp.gamma_subbasis(P, system).closed, (P, system.name)
+        else:
+            assert set(sets) == {0, *P.down}, (P, system.name)
+
+
+def test_mu_is_the_sup_in_the_compacts():
+    # the proof in ``mu``: the closure of each family's union is its sup
+    # among the compacts, which the sup walk finds
+    for P, system in _under_the_lattice_cap(5):
+        assert md.mu(P, system) == oracles.mu_by_sups(P, system), (P, system.name)
+
+
+def test_every_member_is_the_join_of_its_principal_ideals():
+    # the premise of the adjunction's uniqueness (``verify_adjunction``):
+    # each ↓p is a member of Γ^Z(P), and each member A is the sup, in the
+    # Γ-lattice, of the ↓p for p in A
+    for P, system in _under_the_lattice_cap(5):
+        L = md.gamma_lattice(P, system)
+        principal = [L.index[d] for d in P.down]
+        for i, a in enumerate(L.elements):
+            below = {principal[p] for p in oracles.to_set(a)}
+            assert oracles.sup(L.poset, below) == i, (P, system.name, a)
 
 
 def _beneath_against_objects(monkeypatch):
@@ -151,29 +187,6 @@ def _beneath_against_objects(monkeypatch):
 
     monkeypatch.setattr(md, "preserves_beneath", compared)
     return outcomes
-
-
-def _continuity_against_the_fibre_walk(monkeypatch):
-    """Patch ``topology.sigma_z_continuity`` so that each table it decides,
-    on the meet-irreducible closed sets, is held to the oracle's walk over
-    every closed set; returns the list of (table, outcome) it decided."""
-    real = tp.sigma_z_continuity
-    decided = []
-
-    def compared(dom, cod, system):
-        continuous = real(dom, cod, system)
-
-        def check(table):
-            found = continuous(table)
-            f = oracles.MonotoneMap(dom, cod, table)
-            assert found == oracles.map_sigma_continuous(f, system), table
-            decided.append((table, found))
-            return found
-
-        return check
-
-    monkeypatch.setattr(tp, "sigma_z_continuity", compared)
-    return decided
 
 
 def _lattice_automorphisms(P, system, kq):
@@ -205,7 +218,7 @@ def _adjunction_holds_with_joins_against_adjoints(posets, monkeypatch):
     join_check = md.preserves_joins
     outcomes = []
     beneath = _beneath_against_objects(monkeypatch)
-    decided = _continuity_against_the_fibre_walk(monkeypatch)
+    decided = continuity_against_the_fibre_walk(monkeypatch)
     continuity = collections.Counter()
     for P in posets:
         for name, system in (*SYSTEMS.items(), ("principal ideals", PRINCIPAL_IDEALS)):
@@ -503,22 +516,8 @@ def test_map_tables_are_enumerated_once_per_pair(monkeypatch):
 
 
 # Each failure branch of the naturality loop, reached by patching the unit,
-# the multiplication or a closure at one codomain that P does not equal.
-
-
-def _poset(n, up):
-    return next(Q for Q in ps.enumerate_posets(n) if Q.up == up)
-
-
-POINT, CHAIN2, ANTI2 = _poset(1, (1,)), _poset(2, (1, 3)), _poset(2, (1, 2))
-CHAIN3, ANTI3 = _poset(3, (1, 3, 7)), _poset(3, (1, 2, 4))
-
-
-def _patch_table(monkeypatch, name, target, table):
-    real = getattr(md, name)
-    monkeypatch.setattr(
-        md, name, lambda Q, system: table if Q == target else real(Q, system)
-    )
+# the multiplication or a closure at one codomain that P does not equal
+# (the posets and patches are in ``oracles``).
 
 
 def _patch_not_closed(monkeypatch, base, mask):
@@ -551,7 +550,7 @@ def _hide_structure_map(monkeypatch, target):
 def test_naturality_loop_unit_branch(monkeypatch):
     # η of the 3-chain c < b < a is (3, 2, 1); only b's value moves, so the
     # first map to fail sends the 2-chain's top to a and its bottom to b
-    _patch_table(monkeypatch, "eta", CHAIN3, (3, 1, 1))
+    patch_table(monkeypatch, "eta", CHAIN3, (3, 1, 1))
     res = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert res.witness == {"law": "unit naturality", "map": (0, 1)}
 
@@ -560,13 +559,13 @@ def test_naturality_loop_skips_discontinuous_maps(monkeypatch):
     # on `finite`, only the two constant maps from the 3-antichain to the
     # 2-antichain are continuous; the first map onto b that is checked, and
     # fails at the patched unit, is the constant one
-    _patch_table(monkeypatch, "eta", ANTI2, (1, 0))
+    patch_table(monkeypatch, "eta", ANTI2, (1, 0))
     res = _same_as_the_object_loop(ANTI3, FINITE)
     assert res.witness == {"law": "unit naturality", "map": (1, 1, 1)}
 
 
 def test_naturality_loop_multiplication_branch(monkeypatch):
-    _patch_table(monkeypatch, "mu", POINT, (0, 0, 0))
+    patch_table(monkeypatch, "mu", POINT, (0, 0, 0))
     res = _same_as_the_object_loop(CHAIN2, DIRECTED)
     assert res.witness == {"law": "multiplication naturality", "map": (0, 0)}
 
@@ -592,23 +591,24 @@ def test_naturality_loop_escape_of_delta_delta_f(patch_closure):
 def test_naturality_loop_non_monotone_delta_f(patch_closure):
     # in the 3-chain c < b < a, the image {a, b} closes to {c}: δf for
     # f = (a, b) on the 2-chain b < a sends {b} ⊆ {a, b} to {b, c} ⊄ {c}
+    # in the object loop, and the pass refuses the 3-chain, whose closure
+    # is not monotone
     patch_closure(CHAIN3, {3: 4})
-    err = _same_as_the_object_loop(CHAIN2, DIRECTED)
-    assert isinstance(err, NotMonotoneError)
+    assert not md.compact_table(CHAIN3, DIRECTED)[1]
+    with pytest.raises(NotMonotoneError):
+        oracles.monad_naturality_failure(CHAIN2, DIRECTED)
+    assert_refused(CHAIN3, md.verify_monad_laws, CHAIN2, DIRECTED)
 
 
-def test_naturality_loop_on_a_non_monotone_closure(monkeypatch, patch_closure):
+def test_naturality_loop_on_a_non_monotone_closure(patch_closure):
     # the 3-antichain's carrier closing to ∅ makes its closure non-monotone,
-    # though no image of the 2-chain is the carrier: δf into it then needs
-    # its cover check, so the pass decides every table into it, on the
-    # unfolded path, with the object loop's result
+    # though no image of the 2-chain is the carrier, so the object loop
+    # holds: the pass still refuses the 3-antichain
     patch_closure(ANTI3, {7: 0})
-    assert _same_as_the_object_loop(CHAIN2, DIRECTED).status is Status.HOLDS
+    assert oracles.monad_naturality_failure(CHAIN2, DIRECTED) is None
+    assert not md.compact_table(ANTI3, DIRECTED)[1]
     eta_p, mu_p = md.eta(CHAIN2, DIRECTED), md.mu(CHAIN2, DIRECTED)
-    decided = _continuity_against_the_fibre_walk(monkeypatch)
-    assert md._naturality_failure(CHAIN2, ANTI3, DIRECTED, eta_p, mu_p) is None
-    assert [f for f, _ in decided] == list(ps.map_tables(CHAIN2, ANTI3))
-    assert any(found for _, found in decided)
+    assert_refused(ANTI3, md._naturality_failure, CHAIN2, ANTI3, DIRECTED, eta_p, mu_p)
 
 
 def test_monotone_on_covers_against_the_constructor():
@@ -627,22 +627,24 @@ def test_monotone_on_covers_against_the_constructor():
 
 def test_sup_tables_are_checked_monotone(monkeypatch, patch_closure):
     # μ, ξ and ε check their tables on cover pairs and raise the validating
-    # constructor's NotMonotoneError, as building them as maps did.  A sup
-    # of the empty set sent to the top makes each table start above its
-    # next value.  Every table they read is built before the patch, and μ's
-    # union closures on the 2-chain are sent to {a}, which is not compact,
-    # so that its cross-check lets the patched sup through
+    # constructor's NotMonotoneError, as building them as maps did.  μ's
+    # union closures on the 2-chain b < a are ∅, {b} and {a, b}: ∅ closing
+    # to {a, b} keeps each of them compact, and sends the family {∅} above
+    # {∅, {b}}.  A sup of the empty set sent to the top makes ξ's and ε's
+    # tables start above their next values.  Every table they read is
+    # built before the patches
     D1 = md.delta_object(CHAIN2, DIRECTED).poset
     md.delta_object(D1, DIRECTED)
     L = md.gamma_lattice(CHAIN2, DIRECTED).poset
     md.epsilon(L, DIRECTED)
-    patch_closure(CHAIN2, {m: 1 for m in range(4)})
-    real = ps.sup_of
-    cases = ((md.mu, CHAIN2, D1), (md.em_structure_map, CHAIN2, CHAIN2), (md.epsilon, L, L))
     md.mu.cache_clear()
     md.em_structure_map.cache_clear()
     try:
-        for build, arg, target in cases:
+        patch_closure(CHAIN2, {0: 3})
+        with pytest.raises(NotMonotoneError, match="broken by the table"):
+            md.mu(CHAIN2, DIRECTED)
+        real = ps.sup_of
+        for build, arg, target in ((md.em_structure_map, CHAIN2, CHAIN2), (md.epsilon, L, L)):
             top = real(target, target.full)
             monkeypatch.setattr(
                 ps, "sup_of",
@@ -787,13 +789,13 @@ def _em_morph_both_ways(P, system):
 
 def test_em_loop_unit_branch(monkeypatch):
     # η of the 2-chain b < a is (2, 1); sending b to the top as well
-    _patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
+    patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
     res = _thm_em_both_ways(CHAIN2, DIRECTED)
     assert res.witness == {"law": "unit", "element": "b"}
 
 
 def test_em_loop_multiplication_branch(monkeypatch):
-    _patch_table(monkeypatch, "mu", CHAIN2, (0, 0, 1, 1))
+    patch_table(monkeypatch, "mu", CHAIN2, (0, 0, 1, 1))
     assert _thm_em_both_ways(CHAIN2, DIRECTED).witness == {"law": "multiplication"}
 
 
@@ -893,7 +895,7 @@ def test_em_search_on_a_non_injective_unit_walks_no_table(monkeypatch):
     # structure map is hidden, so the search runs: the two pins on the top
     # intersect to nothing, and no table is walked, as none passes the
     # unit law
-    _patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
+    patch_table(monkeypatch, "eta", CHAIN2, (2, 2))
     _hide_structure_map(monkeypatch, CHAIN2)
     walked = _record_pinned_searches(monkeypatch)
     assert _thm_em_both_ways(CHAIN2, DIRECTED) == CheckResult.holds()
@@ -901,11 +903,13 @@ def test_em_search_on_a_non_injective_unit_walks_no_table(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "closures, error", [({}, SupMissingError), ({2: 3, 3: 2}, ZdtError)]
+    "closures, error", [({}, SupMissingError), ({2: 3, 3: 2}, NotMonotoneError)]
 )
 def test_em_loop_errors_of_mu_surface_alike(monkeypatch, patch_closure, closures, error):
     # μ is built on the first table that passes the unit law, once: an error
-    # it raises leaves both loops at the same point.  μ is cached per
+    # it raises leaves both loops at the same point.  Swapping the closures
+    # of {b} and {a, b} on the 2-chain b < a sends the family {∅, {b}}
+    # above the family of all three compacts, and μ's cover check raises.  μ is cached per
     # (P, system), so its cache is cleared around the closure patch: μ is
     # built under the patch, and nothing built under it outlives the test
     cached_mu = md.mu
@@ -969,7 +973,7 @@ def test_em_morph_loop_non_monotone_delta_f(patch_closure):
 def test_em_morph_loop_square_branch(monkeypatch):
     # ξ of the 2-chain sent to its top everywhere: the first continuous map
     # that meets the sup equation misses the square
-    _patch_table(monkeypatch, "em_structure_map", CHAIN2, (1, 1, 1))
+    patch_table(monkeypatch, "em_structure_map", CHAIN2, (1, 1, 1))
     assert _em_morph_both_ways(CHAIN3, DIRECTED).witness == {
         "cod": repr(CHAIN2), "table": (0, 0, 1), "equation": True, "square": False
     }

@@ -40,10 +40,7 @@ ALLOWED = {
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = (SRC, ROOT / "perfbench", ROOT / "benchmarks")
 
-UNCALLED_DEFAULTS = {
-    "systems.check_system_axioms.size_bound": "diagnostic kept for outside callers",
-    "systems.check_subset_hereditary_instances.size_bound": "diagnostic kept for outside callers",
-}
+UNCALLED_DEFAULTS = {}
 
 
 def _modules():

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_monad import (
-    ANTI2, ANTI3, POINT, _continuity_against_the_fibre_walk, _patch_table,
-)
+from oracles import ANTI2, ANTI3, POINT, assert_refused, patch_table
 from zdt import continuity as ct, monad as md, poset as ps, topology as tp
 from zdt.reports import CheckResult, Status
 from zdt.systems import DIRECTED, FINITE, PRINCIPAL_IDEALS, SYSTEMS
@@ -77,7 +75,7 @@ def test_a_unit_that_breaks_the_symmetry_shrinks_the_codomain_group(monkeypatch)
     eta_q, mu_q = md.eta(ANTI2, FINITE), md.mu(ANTI2, FINITE)
     assert md._codomain_group(ANTI2, FINITE, eta_q, mu_q) == ps.automorphisms(ANTI2)
     assert len(ps.automorphisms(ANTI2)) == 2
-    _patch_table(monkeypatch, "eta", ANTI2, (1, 0))
+    patch_table(monkeypatch, "eta", ANTI2, (1, 0))
     patched = md.eta(ANTI2, FINITE)
     assert md._codomain_group(ANTI2, FINITE, patched, mu_q) == ((0, 1),)
     got, want = _naturality(ANTI3, FINITE)
@@ -90,7 +88,7 @@ def test_a_multiplication_that_breaks_the_symmetry_shrinks_the_codomain_group(mo
     # fails, while the map to a, the least table of its orbit, passes
     eta_q, mu_q = md.eta(ANTI2, DIRECTED), md.mu(ANTI2, DIRECTED)
     assert mu_q == (0, 0, 1, 2)
-    _patch_table(monkeypatch, "mu", ANTI2, (0, 0, 1, 1))
+    patch_table(monkeypatch, "mu", ANTI2, (0, 0, 1, 1))
     patched = md.mu(ANTI2, DIRECTED)
     assert md._codomain_group(ANTI2, DIRECTED, eta_q, patched) == ((0, 1),)
     got, want = _naturality(POINT, DIRECTED)
@@ -204,17 +202,16 @@ def test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group(
         assert got == oracles.naturality_walk(ANTI3, Q, DIRECTED), Q
 
 
-def test_naturality_on_a_closure_that_reads_more_than_down_sets(monkeypatch, patch_closure):
+def test_naturality_on_a_closure_that_reads_more_than_down_sets(patch_closure):
     # on the 2-chain a < b, b closing to itself keeps the closure monotone,
     # but not a function of down-sets: cl {b} ≠ cl ↓b.  So δf cannot fold at
-    # maximal points, and the pass decides every table into it, up to the
-    # first that fails, on the unfolded path, with the full walk's result
+    # maximal points, and the pass refuses the 2-chain, where the full walk
+    # finds a δf that escapes the compacts
     Q = ps.from_order_pairs(["a", "b"], [("a", "b")])
     patch_closure(Q, {2: 2})
     assert not md.compact_table(Q, DIRECTED)[1]
     eta_p, mu_p = md.eta(ANTI2, DIRECTED), md.mu(ANTI2, DIRECTED)
-    decided = _continuity_against_the_fibre_walk(monkeypatch)
-    got = md._naturality_failure(ANTI2, Q, DIRECTED, eta_p, mu_p)
-    assert got == {"law": "functoriality", "of": ("b",), "image_closure": ("b",)}
-    assert [f for f, _ in decided] == list(ps.map_tables(ANTI2, Q)[:2])
-    assert oracles.naturality_walk(ANTI2, Q, DIRECTED) == got
+    assert_refused(Q, md._naturality_failure, ANTI2, Q, DIRECTED, eta_p, mu_p)
+    assert oracles.naturality_walk(ANTI2, Q, DIRECTED) == {
+        "law": "functoriality", "of": ("b",), "image_closure": ("b",)
+    }
