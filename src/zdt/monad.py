@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from zdt import poset as ps, topology as tp
+from zdt import kernels, poset as ps, topology as tp
 from zdt.continuity import (
     beneath_set,
     kz_compacts,
@@ -22,7 +22,7 @@ from zdt.continuity import (
 )
 from zdt.errors import SizeCapError, SupMissingError, ZdtError
 from zdt.reports import CheckResult
-from zdt.systems import family_poset
+from zdt.systems import CONNECTED, FINITE, family_poset
 
 
 class GammaLattice:
@@ -115,24 +115,32 @@ def _small_families(n):
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def delta_object(P, system):
-    """δ(P): the compacts of Γ^Z(P), with the unit's table.  Its poset is
-    the restriction of the Γ-lattice's to them, which has the labels and
-    inclusion rows that ``family_poset(P, sets)`` would build.  Its sets:
+    """δ(P): the compacts of Γ^Z(P), with the unit's table, read off the
+    Γ-lattice L by the closed forms proved here; ``kz_compacts`` of L is
+    the definition, and ``tests/oracles.delta_by_compacts`` builds it.
 
-    - ``finite``, ``connected``: all of Γ^Z(P).  In a finite lattice every
-      nonempty lower set holds the bottom, so it is connected and in I_Z; a
-      nonempty closed A is then a member ideal, so cut(A) ⊆ A, and no A
-      misses a point that its cut captures: every point is compact.
-    - ``singletons``, ``chains``, ``directed``: ∅ and the ↓p.  On a finite
-      Q, I_Z(Q) is the principal ideals, each its own cut, so Γ^Z(Q) is
-      every lower set; by the closed form of ``kz_compacts``, one with two
-      or more maximal points m is the join of the ↓m inside it, none of
-      which holds it, so it is not compact, while ∅ and the ↓p are.
+    - ``finite``, ``connected``: all of Γ^Z(P), so δ(P) is L itself.  In a
+      finite lattice every nonempty lower set holds the bottom, so it is
+      connected and in I_Z; a nonempty closed A is then a member ideal, so
+      cut(A) ⊆ A, and no A misses a point that its cut captures: every
+      point is compact.
+    - ``singletons``, ``chains``, ``directed`` and the ``PRINCIPAL_IDEALS``
+      view: ∅ and the ↓p, in L's order, with L's order restricted to them,
+      which has the labels and inclusion rows that ``family_poset(P, sets)``
+      would build.  On a finite Q, I_Z(Q) is the principal ideals, each its
+      own cut, so Γ^Z(Q) is every lower set; by the closed form of
+      ``kz_compacts``, one with two or more maximal points m is the join of
+      the ↓m inside it, none of which holds it, so it is not compact, while
+      ∅ and the ↓p are.
     """
     L = gamma_lattice(P, system)
-    k = kz_compacts(L.poset, system)
-    sets = tuple(L.elements[i] for i in ps.bits(k))
-    obj = DeltaObject(P, system, sets, ps.restrict(L.poset, k).poset)
+    if system in (FINITE, CONNECTED):
+        obj = DeltaObject(P, system, L.elements, L.poset)
+    else:
+        keep = {0, *P.down}
+        k = sum(1 << i for i, m in enumerate(L.elements) if m in keep)
+        sets = tuple(m for m in L.elements if m in keep)
+        obj = DeltaObject(P, system, sets, ps.restrict(L.poset, k).poset)
     unit = []
     for p in range(P.n):
         i = obj.index.get(P.down[p])
@@ -605,17 +613,46 @@ def verify_monad_laws(P, system):
     if [mu_p[v] for v in mu_d1] != [mu_p[v] for v in d_mu]:
         return CheckResult.fails(law="associativity")
 
+    domain = _NaturalityDomain(P, system, eta_p, mu_p)
     for n in (1, 2, 3):
         for Q in ps.enumerate_posets(n):
-            bad = _naturality_failure(P, Q, system, eta_p, mu_p)
+            bad = _naturality_failure(Q, system, domain)
             if bad is not None:
                 return CheckResult.fails(**bad)
     return CheckResult.holds()
 
 
-def _naturality_failure(P, Q, system, eta_p, mu_p):
+class _NaturalityDomain:
+    """What ``_naturality_failure`` reads of P, built once per instance:
+    δ(P), δδ(P), the rows (maximal points) of their sets, G_P, η_P as pairs
+    (p, η_P(p)), whether every lower set of P is Γ-closed, compared as
+    sets, and whether the row of δ(P) at each η_P(p) is (p,); μ_P, and the
+    indices of the ``rest`` of the rows of δδ(P), those that are not (k,)
+    with μ_P(j) = k."""
+
+    __slots__ = ("base", "d1", "d2", "rows_1", "rows_2", "mu", "group", "units", "lower",
+                 "diagonal", "rest")
+
+    def __init__(self, P, system, eta_p, mu_p):
+        self.base = P
+        self.d1 = D1 = delta_object(P, system)
+        self.d2 = D2 = delta_object(D1.poset, system)
+        self.rows_1 = rows_1 = ps.maxima(P, D1.sets)
+        self.rows_2 = rows_2 = ps.maxima(D1.poset, D2.sets)
+        self.mu = mu_p
+        self.group = _domain_group(P, system, eta_p, mu_p)
+        self.units = tuple(enumerate(eta_p))
+        self.lower = set(tp.gamma_subbasis(P, system).closed).issuperset(
+            kernels.order_ideals(P.n, P.up, P.down)
+        )
+        self.diagonal = all(rows_1[e] == (p,) for p, e in self.units)
+        self.rest = tuple(j for j, row in enumerate(rows_2) if row != (mu_p[j],))
+
+
+def _naturality_failure(Q, system, domain):
     """The witness of the first σ^Z-continuous f : P -> Q, in table order,
-    that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None.
+    that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None; P and
+    what the pass reads of it come in ``domain`` (``_NaturalityDomain``).
 
     One loop decides each f in the steps of the object loop: continuity
     (``topology.sigma_z_continuity``), δf with its escape witness, the unit
@@ -626,6 +663,25 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     eight points).  Where a closure does not fold, which only tampering
     makes, the pass raises ``ZdtError``.
 
+    Three checks are decided once per codomain where the tables allow it,
+    each exactly:
+
+    - Continuity is skipped when every lower set of P is Γ-closed and every
+      meet-irreducible of Γ^Z(Q) is a lower set of Q: a monotone table
+      pulls lower sets back to lower sets, so every table passes.
+    - The unit equation is skipped when the rows of δ(P) at η_P are
+      diagonal and cl{q} is η_Q(q) for every q of Q: then δf(η_P(p)) is
+      cl{f(p)} = η_Q(f(p)) for every f.
+    - On a diagonal row j = (k,) of δδ(P), δδf(j) is cl{δf(k)} and μ_P(j)
+      is k, so both the escape and the multiplication equation there read
+      one value v = δf(k) of δ(Q).  When cl{v} is compact and μ_Q sends it
+      back to v for every v, no diagonal row escapes or fails, and the
+      first row that does, in order, is among the others; so only those
+      are read.
+
+    Where a table shows a failing value, which only tampering makes, that
+    check runs on every table as above, so the witnesses do not move.
+
     The loop decides only the lex-least tables of their orbits under
     f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
     ``_codomain_group``).  The groups fix every table that a decision
@@ -633,23 +689,27 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
     table order is the least of its orbit, as the least one is no later and
     fails too, so the loop meets it, and returns its witness.
     """
-    D1, DQ = delta_object(P, system), delta_object(Q, system)
-    D2 = delta_object(D1.poset, system)
+    P, D1, D2, rows_1, mu_p = domain.base, domain.d1, domain.d2, domain.rows_1, domain.mu
+    DQ = delta_object(Q, system)
     eta_q, mu_q = eta(Q, system), mu(Q, system)
     compact_q, foldable_q = compact_table(Q, system)
     compact_dq, foldable_dq = compact_table(DQ.poset, system)
     if not (foldable_q and foldable_dq):
         raise ZdtError(f"the closure of {Q!r} or of δ of it does not fold")
-    rows_1, rows_2 = ps.maxima(P, D1.sets), ps.maxima(D1.poset, D2.sets)
-    tables = ps.map_reps(
-        P, Q,
-        _domain_group(P, system, eta_p, mu_p),
-        _codomain_group(Q, system, eta_q, mu_q),
-    )
-    continuous = tp.sigma_z_continuity(P, Q, system)
-    units = tuple(enumerate(eta_p))
+    tables = ps.map_reps(P, Q, domain.group, _codomain_group(Q, system, eta_q, mu_q))
+    continuous = None
+    irreducible = tp.gamma_subbasis(Q, system).irreducible
+    if not (domain.lower and all(ps.down_set(Q, c) == c for c in irreducible)):
+        continuous = tp.sigma_z_continuity(P, Q, system)
+    units = ()
+    if not domain.diagonal or any(compact_q[1 << q] != eta_q[q] for q in range(Q.n)):
+        units = domain.units
+    where = domain.rest
+    if any(compact_dq[1 << v] is None or mu_q[compact_dq[1 << v]] != v for v in range(DQ.poset.n)):
+        where = range(len(domain.rows_2))
+    rows_2 = [domain.rows_2[j] for j in where]
     for f in tables:
-        if not continuous(f):
+        if continuous is not None and not continuous(f):
             continue
         df = compacts_of(rows_1, f, compact_q)
         if len(df) < len(rows_1):
@@ -659,10 +719,10 @@ def _naturality_failure(P, Q, system, eta_p, mu_p):
                 return {"law": "unit naturality", "map": f}
         ddf = compacts_of(rows_2, df, compact_dq)
         if len(ddf) < len(rows_2):
-            a = D2.sets[len(ddf)]
+            a = D2.sets[where[len(ddf)]]
             return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
-        for m, d in zip(mu_p, ddf):
-            if df[m] != mu_q[d]:
+        for j, d in zip(where, ddf):
+            if df[mu_p[j]] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}
     return None
 

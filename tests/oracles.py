@@ -863,6 +863,18 @@ def mu_by_sups(P, system):
     return tuple(sup(D1.poset, to_set(fam)) for fam in D2.sets)
 
 
+def delta_by_compacts(X, system):
+    """δ(X) by its definition, as ``monad.delta_object`` built it before it
+    read closed forms: the sets of the Γ-lattice of X on the diagonal of
+    its beneath table (``continuity.kz_compacts``), in the lattice's order,
+    and the lattice's order restricted to them."""
+    from zdt import continuity as ct, monad as md, poset as ps
+
+    L = md.gamma_lattice(X, system)
+    k = ct.kz_compacts(L.poset, system)
+    return tuple(L.elements[i] for i in ps.bits(k)), ps.restrict(L.poset, k).poset
+
+
 def structure_map(P, system):
     """The package's structure table at P as a ``MonotoneMap`` δ(P) -> P,
     or None where it has none."""
@@ -1244,6 +1256,15 @@ def patch_table(monkeypatch, name, target, table):
     monkeypatch.setattr(
         md, name, lambda Q, system: table if Q == target else real(Q, system)
     )
+
+
+def naturality_pass(P, Q, system, eta_p, mu_p):
+    """``monad._naturality_failure`` at the codomain Q, with what it reads
+    of P built by ``monad._NaturalityDomain``, as ``verify_monad_laws``
+    builds it."""
+    from zdt import monad as md
+
+    return md._naturality_failure(Q, system, md._NaturalityDomain(P, system, eta_p, mu_p))
 
 
 def assert_refused(Q, call, *args):

@@ -176,6 +176,18 @@ def test_monad_subcommand(vee_file, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("name", ["wedge", "vee"])
+def test_monad_laws_subcommand_on_every_system(name, tmp_path, capsys):
+    # the command evaluates thm-monad with each real system, never through
+    # the principal-ideals view that the claim sweeps share
+    path = tmp_path / f"{name}.poset"
+    path.write_text(zio.format_poset_text(getattr(fx, name)(), name))
+    for system in ("singletons", "chains", "directed", "finite", "connected"):
+        assert cli.main(["monad", "--poset", str(path), "--system", system,
+                         "--verify", "monad-laws"]) == 0
+        assert capsys.readouterr().out == "CLAIM thm-monad HOLDS\n", system
+
+
 def test_monad_subcommand_on_a_nine_point_chain(tmp_path, capsys):
     # the naturality and algebra-morphism walks from P into codomains of at
     # most three points take a poset file past ENUM_CAP + 2 points

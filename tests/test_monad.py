@@ -141,16 +141,39 @@ def _under_the_lattice_cap(max_n):
                 yield P, system
 
 
+def _delta_against_the_compacts(P):
+    """δ(X) from its closed form against ``oracles.delta_by_compacts``, its
+    definition, at X = P, δ(P) and δδ(P), for the five systems and the
+    principal-ideals view, where the Γ-lattice of P has at most
+    ``claims.LATTICE_CAP`` points."""
+    for name, system in (*SYSTEMS.items(), ("principal ideals", PRINCIPAL_IDEALS)):
+        if md.gamma_lattice(P, system).poset.n > cl.LATTICE_CAP:
+            continue
+        X = P
+        for level in range(3):
+            got = md.delta_object(X, system)
+            sets, poset = oracles.delta_by_compacts(X, system)
+            assert got.sets == sets, (P, name, level)
+            assert (got.poset.labels, got.poset.up) == (poset.labels, poset.up), (P, name, level)
+            X = got.poset
+
+
 def test_delta_sets_by_system():
     # the proof in ``delta_object``: on `finite` and `connected` every member
-    # of Γ^Z(P) is compact, and on the other three the compacts are ∅ and
-    # the principal ideals
-    for P, system in _under_the_lattice_cap(5):
-        sets = md.delta_object(P, system).sets
-        if system in (FINITE, CONNECTED):
-            assert sets == tp.gamma_subbasis(P, system).closed, (P, system.name)
-        else:
-            assert set(sets) == {0, *P.down}, (P, system.name)
+    # of Γ^Z(P) is compact, and on the other three and the view the compacts
+    # are ∅ and the principal ideals, on every poset up to iso with n ≤ 5
+    for P in small_posets(5):
+        _delta_against_the_compacts(P)
+
+
+def test_delta_sets_on_random_posets():
+    # past n = 5: fixed-seed orders on 6 to 8 points, twelve per size,
+    # sparse to dense; the cap on P's Γ-lattice and the three levels keep
+    # this and the test above within about 1 s together
+    rng = random.Random(20261020)
+    for n in (6, 7, 8):
+        for rows in oracles.random_orders(rng, n, 12):
+            _delta_against_the_compacts(ps.FinitePoset(ps.default_labels(n), rows))
 
 
 def test_mu_is_the_sup_in_the_compacts():
@@ -608,7 +631,79 @@ def test_naturality_loop_on_a_non_monotone_closure(patch_closure):
     assert oracles.monad_naturality_failure(CHAIN2, DIRECTED) is None
     assert not md.compact_table(ANTI3, DIRECTED)[1]
     eta_p, mu_p = md.eta(CHAIN2, DIRECTED), md.mu(CHAIN2, DIRECTED)
-    assert_refused(ANTI3, md._naturality_failure, CHAIN2, ANTI3, DIRECTED, eta_p, mu_p)
+    assert_refused(ANTI3, oracles.naturality_pass, CHAIN2, ANTI3, DIRECTED, eta_p, mu_p)
+
+
+# The naturality pass decides the continuity check, the unit equation and
+# the multiplication equation on diagonal rows once per codomain where the
+# tables allow it (``monad._naturality_failure``).  Each test below tampers
+# with one table of the 3-chain c < b < a so that a check fails at one value
+# and must run map by map, and asserts the witness that the map-by-map pass
+# finds.
+
+
+@pytest.fixture
+def patch_compact_table(monkeypatch):
+    """``patch(Q, mask, value)`` makes ``compact_table(Q, DIRECTED)`` hold
+    ``value`` at ``mask``, with its fold flag as it is.  The codomain groups
+    read that table, so they are cleared by the patch and after the test."""
+
+    def patch(Q, mask, value):
+        table, foldable = md.compact_table(Q, DIRECTED)
+        moved = (*table[:mask], value, *table[mask + 1:])
+        patch_table(monkeypatch, "compact_table", Q, (moved, foldable))
+        md._codomain_group.cache_clear()
+
+    yield patch
+    md._codomain_group.cache_clear()
+
+
+def test_naturality_unit_equation_failing_at_one_value(patch_compact_table):
+    # cl {b} read as {c}, index 1 of δ(Q), in place of ↓b = η_Q(b): the
+    # first map onto b breaks the unit equation
+    assert md.compact_table(CHAIN3, DIRECTED)[0][0b010] == md.eta(CHAIN3, DIRECTED)[1] == 2
+    patch_compact_table(CHAIN3, 0b010, 1)
+    res = md.verify_monad_laws(CHAIN2, DIRECTED)
+    assert res.witness == {"law": "unit naturality", "map": (0, 1)}
+
+
+@pytest.mark.parametrize("value, witness", [
+    (None, {"law": "functoriality", "of": ("s_empty", "s_b"),
+            "image_closure": ("s_empty", "s_c", "s_b_c")}),
+    (1, {"law": "multiplication naturality", "map": (0, 1)}),
+])
+def test_naturality_diagonal_rows_failing_at_one_value(patch_compact_table, value, witness):
+    # in δ(Q) = ∅ < {c} < {b, c} < Q, the closure of the value {b, c} is its
+    # ↓, index 3 of δδ(Q), which μ_Q sends back to it.  Read as no compact
+    # set, δδf escapes on the first diagonal row that reaches that value;
+    # read as ↓{c}, which μ_Q sends to {c}, the multiplication equation
+    # fails there
+    DQ = md.delta_object(CHAIN3, DIRECTED).poset
+    assert md.compact_table(DQ, DIRECTED)[0][0b0100] == 3 and md.mu(CHAIN3, DIRECTED)[3] == 2
+    patch_compact_table(DQ, 0b0100, value)
+    assert md.verify_monad_laws(CHAIN2, DIRECTED).witness == witness
+
+
+def test_naturality_continuity_with_an_irreducible_that_is_not_a_lower_set(monkeypatch):
+    # every lower set of the 2-chain is closed, so continuity is skipped
+    # wherever each meet-irreducible of Γ^Z(Q) is a lower set.  {a}, the
+    # top of the 3-chain, made a meet-irreducible pulls back to the top of
+    # the 2-chain under (a, b), which is then not continuous: with the unit
+    # patched to fail at b, the first map that fails is (b, b), not (a, b).
+    # The object loop reads every closed set, not the irreducibles, so it
+    # does not see this patch
+    patch_table(monkeypatch, "eta", CHAIN3, (3, 1, 1))
+    assert md.verify_monad_laws(CHAIN2, DIRECTED).witness["map"] == (0, 1)
+    real = tp.TopologyFamily.irreducible
+    monkeypatch.setattr(tp.TopologyFamily, "irreducible", property(
+        lambda fam: (*real.fget(fam), 0b001) if fam.base == CHAIN3 else real.fget(fam)
+    ))
+    md._codomain_group.cache_clear()
+    try:
+        res = md.verify_monad_laws(CHAIN2, DIRECTED)
+    finally:
+        md._codomain_group.cache_clear()
+    assert res.witness == {"law": "unit naturality", "map": (1, 1)}
 
 
 def test_monotone_on_covers_against_the_constructor():
