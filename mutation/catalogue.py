@@ -40,30 +40,6 @@ MUTANTS = (
         "",
         (f"{SYMMETRY}::test_automorphisms_of_small_posets_against_brute_force",),
     ),
-    # naturality groups that ignore the unit
-    Mutant(
-        "src/zdt/monad.py",
-        "            and ps.fixes(eta_p, sigma, hat)\n",
-        "",
-        (f"{SYMMETRY}::test_a_unit_that_breaks_the_symmetry_shrinks_the_codomain_group",),
-    ),
-    # naturality groups that ignore the multiplication
-    Mutant(
-        "src/zdt/monad.py",
-        "            and ps.fixes(mu_p, twice, hat)\n",
-        "",
-        (
-            f"{SYMMETRY}::test_a_multiplication_that_breaks_the_symmetry"
-            "_shrinks_the_codomain_group",
-        ),
-    ),
-    # naturality codomain groups that ignore the closure of Q
-    Mutant(
-        "src/zdt/monad.py",
-        "        and ps.fixes(compact_q, tp.subset_images(rho), hat)\n",
-        "",
-        (f"{SYMMETRY}::test_a_closure_that_breaks_the_symmetry_shrinks_the_codomain_group",),
-    ),
     # adjunction groups that ignore the beneath table
     Mutant(
         "src/zdt/monad.py",
@@ -126,6 +102,7 @@ MUTANTS = (
         "        for c in irreducible[:1]:\n            pre = 0",
         (
             "tests/test_topology.py::test_map_tables_against_object_loops",
+            "tests/test_topology.py::test_continuity_on_random_posets_against_the_object_loop",
             f"{MONAD}::test_monad_naturality_against_the_object_loop",
         ),
     ),
@@ -159,13 +136,6 @@ MUTANTS = (
             f"{SYMMETRY}::test_a_compact_family_that_breaks_the_symmetry"
             "_shrinks_the_adjunction_group",
         ),
-    ),
-    # naturality domain groups that ignore Γ^Z(P)
-    Mutant(
-        "src/zdt/monad.py",
-        "        if ps.family_action(sigma, closed) is not None\n",
-        "",
-        (f"{SYMMETRY}::test_a_closed_family_that_breaks_the_symmetry_shrinks_the_domain_group",),
     ),
     # the compacts' closed form calling a point with nothing outside ↑x
     # (a bottom) not compact

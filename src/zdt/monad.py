@@ -624,13 +624,13 @@ def verify_monad_laws(P, system):
 
 class _NaturalityDomain:
     """What ``_naturality_failure`` reads of P, built once per instance:
-    δ(P), δδ(P), the rows (maximal points) of their sets, G_P, η_P as pairs
+    δ(P), δδ(P), the rows (maximal points) of their sets, η_P as pairs
     (p, η_P(p)), whether every lower set of P is Γ-closed, compared as
     sets, and whether the row of δ(P) at each η_P(p) is (p,); μ_P, and the
     indices of the ``rest`` of the rows of δδ(P), those that are not (k,)
     with μ_P(j) = k."""
 
-    __slots__ = ("base", "d1", "d2", "rows_1", "rows_2", "mu", "group", "units", "lower",
+    __slots__ = ("base", "d1", "d2", "rows_1", "rows_2", "mu", "units", "lower",
                  "diagonal", "rest")
 
     def __init__(self, P, system, eta_p, mu_p):
@@ -640,7 +640,6 @@ class _NaturalityDomain:
         self.rows_1 = rows_1 = ps.maxima(P, D1.sets)
         self.rows_2 = rows_2 = ps.maxima(D1.poset, D2.sets)
         self.mu = mu_p
-        self.group = _domain_group(P, system, eta_p, mu_p)
         self.units = tuple(enumerate(eta_p))
         self.lower = set(tp.gamma_subbasis(P, system).closed).issuperset(
             kernels.order_ideals(P.n, P.up, P.down)
@@ -654,9 +653,10 @@ def _naturality_failure(Q, system, domain):
     that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None; P and
     what the pass reads of it come in ``domain`` (``_NaturalityDomain``).
 
-    One loop decides each f in the steps of the object loop: continuity
-    (``topology.sigma_z_continuity``), δf with its escape witness, the unit
-    equation, δδf with its escape witness, and the multiplication equation.
+    One loop decides each f of ``poset.map_tables(P, Q)`` in the steps of
+    the object loop: continuity (``topology.sigma_z_continuity``), δf with
+    its escape witness, the unit equation, δδf with its escape witness, and
+    the multiplication equation.
     δf and δδf come from the one row loop, ``compacts_of``, which reads
     each compact set at its maximal points through the tabulated closures
     of Q and δ(Q), with no cover check (``compact_table``; δ(Q) has at most
@@ -681,13 +681,6 @@ def _naturality_failure(Q, system, domain):
 
     Where a table shows a failing value, which only tampering makes, that
     check runs on every table as above, so the witnesses do not move.
-
-    The loop decides only the lex-least tables of their orbits under
-    f ↦ ρ∘f∘σ⁻¹ for (σ, ρ) in G_P × G_Q (``_domain_group``,
-    ``_codomain_group``).  The groups fix every table that a decision
-    reads, so every f of an orbit gets one verdict; the first failing f in
-    table order is the least of its orbit, as the least one is no later and
-    fails too, so the loop meets it, and returns its witness.
     """
     P, D1, D2, rows_1, mu_p = domain.base, domain.d1, domain.d2, domain.rows_1, domain.mu
     DQ = delta_object(Q, system)
@@ -696,7 +689,6 @@ def _naturality_failure(Q, system, domain):
     compact_dq, foldable_dq = compact_table(DQ.poset, system)
     if not (foldable_q and foldable_dq):
         raise ZdtError(f"the closure of {Q!r} or of δ of it does not fold")
-    tables = ps.map_reps(P, Q, domain.group, _codomain_group(Q, system, eta_q, mu_q))
     continuous = None
     irreducible = tp.gamma_subbasis(Q, system).irreducible
     if not (domain.lower and all(ps.down_set(Q, c) == c for c in irreducible)):
@@ -708,7 +700,7 @@ def _naturality_failure(Q, system, domain):
     if any(compact_dq[1 << v] is None or mu_q[compact_dq[1 << v]] != v for v in range(DQ.poset.n)):
         where = range(len(domain.rows_2))
     rows_2 = [domain.rows_2[j] for j in where]
-    for f in tables:
+    for f in ps.map_tables(P, Q):
         if continuous is not None and not continuous(f):
             continue
         df = compacts_of(rows_1, f, compact_q)
@@ -725,57 +717,3 @@ def _naturality_failure(Q, system, domain):
             if df[mu_p[j]] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}
     return None
-
-
-def _lifts(P, system, eta_p, mu_p):
-    """(σ, σ̂, σ̂̂) for each automorphism σ of P other than the identity such
-    that σ maps the sets of δ(P) onto themselves, acting on them as σ̂, σ̂
-    maps those of δδ(P) onto themselves, acting as σ̂̂, and the unit and
-    multiplication tables commute with them: η_P ∘ σ = σ̂ ∘ η_P and
-    μ_P ∘ σ̂̂ = σ̂ ∘ μ_P."""
-    D1 = delta_object(P, system)
-    D2 = delta_object(D1.poset, system)
-    for sigma in ps.automorphisms(P)[1:]:
-        hat = ps.family_action(sigma, D1.sets, D1.index)
-        twice = None if hat is None else ps.family_action(hat, D2.sets, D2.index)
-        if (
-            twice is not None
-            and ps.fixes(eta_p, sigma, hat)
-            and ps.fixes(mu_p, twice, hat)
-        ):
-            yield sigma, hat, twice
-
-
-@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
-def _domain_group(P, system, eta_p, mu_p):
-    """G_P of ``_naturality_failure``: the σ of ``_lifts`` that also map
-    Γ^Z(P) onto itself.  Keyed by the unit and multiplication tables its
-    caller reads, so that it always answers for them.
-
-    A map's decision reads P through Γ^Z(P) (the closedness of preimages),
-    the sets of δ(P) and their maximal points, those of δδ(P), η_P and μ_P;
-    for such a σ, replacing f by f∘σ⁻¹ relabels each of them alike."""
-    closed = tp.gamma_subbasis(P, system).closed
-    return ps.automorphisms(P)[:1] + tuple(
-        sigma for sigma, _, _ in _lifts(P, system, eta_p, mu_p)
-        if ps.family_action(sigma, closed) is not None
-    )
-
-
-@lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
-def _codomain_group(Q, system, eta_q, mu_q):
-    """G_Q of ``_naturality_failure``: the ρ of ``_lifts`` that also map the
-    meet-irreducible members of Γ^Z(Q) onto themselves and commute with
-    both compact tables, cl on Q with ρ̂ and cl on δ(Q) with ρ̂̂.  Keyed by
-    the unit and multiplication tables its caller reads; read from the
-    closure through the compact tables, so a test that patches a closure
-    clears it."""
-    irreducible = tp.gamma_subbasis(Q, system).irreducible
-    compact_q, _ = compact_table(Q, system)
-    compact_dq, _ = compact_table(delta_object(Q, system).poset, system)
-    return ps.automorphisms(Q)[:1] + tuple(
-        rho for rho, hat, twice in _lifts(Q, system, eta_q, mu_q)
-        if ps.family_action(rho, irreducible) is not None
-        and ps.fixes(compact_q, tp.subset_images(rho), hat)
-        and ps.fixes(compact_dq, tp.subset_images(hat), twice)
-    )

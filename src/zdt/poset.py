@@ -569,10 +569,11 @@ def map_tables(P, Q):
 
 # -- symmetry ----------------------------------------------------------
 #
-# A permutation of n points is its table, ``perm[i]`` the image of i.  Two
-# walks over function tables, the adjunction's and the monad's naturality,
-# decide one table per orbit of a group that fixes every table they read
-# (``monad.verify_adjunction``, ``monad._naturality_failure``).
+# A permutation of n points is its table, ``perm[i]`` the image of i.  The
+# adjunction's walk over the tables P -> K(L) decides one table per orbit of
+# a group that fixes every table it reads (``monad.verify_adjunction``).
+# The naturality walk decides every table of ``map_tables``: its per-table
+# work is one row loop, and an orbit filter would cost about what it saves.
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
@@ -641,16 +642,6 @@ def family_action(perm, masks, index=None):
     return tuple(out)
 
 
-def fixes(table, dom_perm, cod_perm):
-    """Whether a function table commutes with a pair of permutations,
-    table[dom_perm[i]] = cod_perm[table[i]] for every i; a None value must
-    go to None."""
-    for i, v in enumerate(table):
-        if table[dom_perm[i]] != (None if v is None else cod_perm[v]):
-            return False
-    return True
-
-
 def lex_least(table, actions):
     """Whether no action maps ``table`` to a lexicographically smaller one.
 
@@ -668,17 +659,3 @@ def lex_least(table, actions):
                     return False
                 break
     return True
-
-
-@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
-def map_reps(P, Q, dom_group, cod_group):
-    """The tables of ``map_tables(P, Q)`` that are lex-least in their orbits
-    under f ↦ τ∘f∘σ⁻¹ for σ in ``dom_group`` ⊆ Aut P and τ in
-    ``cod_group`` ⊆ Aut Q, in table order.  Such a τ∘f∘σ⁻¹ is monotone
-    with f, so each orbit lies in ``map_tables(P, Q)``.  The tuple holds the
-    table objects of ``map_tables``, so it is never the larger of the two.
-    Each group lists the identity first."""
-    actions = tuple((inverse(s), t) for s in dom_group for t in cod_group)[1:]
-    if not actions:
-        return map_tables(P, Q)
-    return tuple(f for f in map_tables(P, Q) if lex_least(f, actions))

@@ -23,17 +23,15 @@ def patch_closure(monkeypatch):
     """``patch(base, closures)`` makes ``TopologyFamily.closure`` return
     ``closures[mask]`` on the family of ``base`` for each mask it holds.
 
-    The closure and compact tables, and the naturality codomain groups
-    read from them, are cached per (poset, system), so they are cleared
-    by the patch, which then reaches every table built under it, and again
-    after the test, so that none of those outlives it.
+    The closure and compact tables are cached per (poset, system), so they
+    are cleared by the patch, which then reaches every table built under
+    it, and again after the test, so that none of those outlives it.
     """
 
     def clear():
         topology.closure_table.cache_clear()
         monad.compact_index.cache_clear()
         monad.compact_table.cache_clear()
-        monad._codomain_group.cache_clear()
 
     def patch(base, closures):
         clear()

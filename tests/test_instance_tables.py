@@ -10,13 +10,11 @@ from zdt import claims as cl, poset as ps
 
 # the caches keyed by one (poset, system) instance, one poset, a pair of
 # posets (the Galois connections and the monotone tables of the map claims),
-# a poset and a table of its masks (the maximal points of each), or one of
-# those and the tables or groups a walk reads (the orbit representatives and
-# the symmetry groups of the naturality walk)
+# or a poset and a table of its masks (the maximal points of each)
 INSTANCE_CACHES = (
     "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.sup_table",
     "poset.map_tables",
-    "poset.maxima", "poset.automorphisms", "poset.map_reps",
+    "poset.maxima", "poset.automorphisms",
     "systems._members", "systems._member_ideals",
     "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
     "topology.closure_table", "topology.is_lower_hereditary",
@@ -24,8 +22,7 @@ INSTANCE_CACHES = (
     "continuity._beneath_all", "continuity.s_z_witness",
     "galois._connections",
     "monad.gamma_lattice", "monad.delta_object", "monad.compact_index",
-    "monad.compact_table", "monad._domain_group", "monad._codomain_group",
-    "monad.mu", "monad.em_structure_map",
+    "monad.compact_table", "monad.mu", "monad.em_structure_map",
 )
 
 # the caches keyed by something else: a way-below query within an instance,
