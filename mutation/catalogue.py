@@ -205,29 +205,11 @@ MUTANTS = (
         "    if system not in (FINITE, CONNECTED):",
         (f"{MONAD}::test_delta_sets_by_system",),
     ),
-    # the naturality pass skipping continuity on every codomain
-    Mutant(
-        "src/zdt/monad.py",
-        "    if not (domain.lower and all(ps.down_set(Q, c) == c for c in irreducible)):",
-        "    if False:",
-        (
-            f"{MONAD}::test_naturality_loop_skips_discontinuous_maps",
-            f"{MONAD}::test_monad_naturality_against_the_object_loop",
-        ),
-    ),
-    # the continuity skip ignoring meet-irreducibles of Γ^Z(Q) that are not
-    # lower sets
-    Mutant(
-        "src/zdt/monad.py",
-        "    if not (domain.lower and all(ps.down_set(Q, c) == c for c in irreducible)):",
-        "    if not domain.lower:",
-        (f"{MONAD}::test_naturality_continuity_with_an_irreducible_that_is_not_a_lower_set",),
-    ),
     # the hoisted unit equation ignoring a failing value
     Mutant(
         "src/zdt/monad.py",
-        "    if not domain.diagonal or any(compact_q[1 << q] != eta_q[q] for q in range(Q.n)):",
-        "    if not domain.diagonal:",
+        "domain.diagonal and all(compact_q[1 << q] == eta_q[q] for q in range(Q.n))",
+        "domain.diagonal",
         (
             f"{MONAD}::test_naturality_unit_equation_failing_at_one_value",
             f"{MONAD}::test_naturality_loop_unit_branch",
@@ -237,9 +219,23 @@ MUTANTS = (
     # ignoring a failing value
     Mutant(
         "src/zdt/monad.py",
-        "    if any(compact_dq[1 << v] is None or mu_q[compact_dq[1 << v]] != v for v in range(DQ.poset.n)):",
-        "    if False:",
+        "        compact_dq[1 << v] is not None and mu_q[compact_dq[1 << v]] == v\n",
+        "        True\n",
         (f"{MONAD}::test_naturality_diagonal_rows_failing_at_one_value",),
+    ),
+    # the escape of δf decided per codomain without the width of δ(P)
+    Mutant(
+        "src/zdt/monad.py",
+        "        and all(c is not None for m, c in enumerate(compact_q) if m.bit_count() <= domain.width)\n",
+        "",
+        (f"{MONAD}::test_naturality_escape_of_delta_f_past_the_width",),
+    ),
+    # the empty row of δδ(P) decided per codomain without its equation
+    Mutant(
+        "src/zdt/monad.py",
+        " and mu_q[compact_dq[0]] == compact_q[0])",
+        ")",
+        (f"{MONAD}::test_naturality_empty_family_failing",),
     ),
     # prop-em-morph reading the codomain's cuts as its sups
     Mutant(

@@ -348,12 +348,28 @@ def _eval_thm_em(P, system):
     return CheckResult.holds()
 
 
+def _sup_failure(table, sups, rows, cod_sups):
+    """The first i with f(sups[i]) ≠ sup f(rows[i]), read from ``cod_sups``
+    by mask, for a monotone f given by its ``table``; None if there is
+    none.  With ``rows[i]`` the maximal points of a set A, sup f(rows[i])
+    is sup f(A), whether or not it exists: each point of A lies under one
+    of them, so f(A) and f(max A) have the same upper bounds."""
+    for i, row in enumerate(rows):
+        image = 0
+        for p in row:
+            image |= 1 << table[p]
+        if table[sups[i]] != cod_sups[image]:
+            return i
+    return None
+
+
 def _eval_prop_em_morph(P, system):
     if not md.is_delta_cpo(P, system):
         return CheckResult.inapplicable(reason="domain not a delta-cpo")
-    # ξ_P's table holds sup A for each compact A; both sides read it
+    # ξ_P's table holds sup A for each compact A; both sides read it, and
+    # the sup equation reads each A at its maximal points
     xi_p = md.em_structure_map(P, system)
-    compacts = md.delta_object(P, system).sets
+    rows = ps.maxima(P, md.delta_object(P, system).sets)
     for Q in _inner_posets():
         xi_q = md.em_structure_map(Q, system)
         if xi_q is None:  # ξ_Q exists exactly on the δ-cpos
@@ -364,7 +380,7 @@ def _eval_prop_em_morph(P, system):
         for f in ps.map_tables(P, Q):
             if not continuous(f):
                 continue
-            eq = md._sup_failure(f, xi_p, compacts, sups_q) is None
+            eq = _sup_failure(f, xi_p, rows, sups_q) is None
             df, bad = delta(f)
             if df is None:
                 return CheckResult.fails(reason="functor ill-typed", **bad)

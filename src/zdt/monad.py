@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from zdt import kernels, poset as ps, topology as tp
+from zdt import poset as ps, topology as tp
 from zdt.continuity import (
     beneath_set,
     kz_compacts,
@@ -375,16 +375,6 @@ def em_laws(P, system):
     return check
 
 
-def _sup_failure(table, sups, sets, cod_sups):
-    """The first i with f(sups[i]) ≠ sup f(sets[i]), read from ``cod_sups``
-    by mask, for f given by its ``table``; None if there is none."""
-    images = tp.subset_images(table)
-    for i, a in enumerate(sets):
-        if table[sups[i]] != cod_sups[images[a]]:
-            return i
-    return None
-
-
 # -- theorem-level verifications -----------------------------------------
 
 
@@ -625,13 +615,13 @@ def verify_monad_laws(P, system):
 class _NaturalityDomain:
     """What ``_naturality_failure`` reads of P, built once per instance:
     δ(P), δδ(P), the rows (maximal points) of their sets, η_P as pairs
-    (p, η_P(p)), whether every lower set of P is Γ-closed, compared as
-    sets, and whether the row of δ(P) at each η_P(p) is (p,); μ_P, and the
-    indices of the ``rest`` of the rows of δδ(P), those that are not (k,)
-    with μ_P(j) = k."""
+    (p, η_P(p)), and whether the row of δ(P) at each η_P(p) is (p,); μ_P,
+    whether the rows of δδ(P) that are not (k,) with μ_P(j) = k are all
+    the empty row () with μ_P(j) the empty row of δ(P), and whether there
+    are any; and the ``width`` of δ(P), the most points a row of it has."""
 
-    __slots__ = ("base", "d1", "d2", "rows_1", "rows_2", "mu", "units", "lower",
-                 "diagonal", "rest")
+    __slots__ = ("base", "d1", "d2", "rows_1", "rows_2", "mu", "units", "diagonal",
+                 "empty", "rest", "width")
 
     def __init__(self, P, system, eta_p, mu_p):
         self.base = P
@@ -641,11 +631,11 @@ class _NaturalityDomain:
         self.rows_2 = rows_2 = ps.maxima(D1.poset, D2.sets)
         self.mu = mu_p
         self.units = tuple(enumerate(eta_p))
-        self.lower = set(tp.gamma_subbasis(P, system).closed).issuperset(
-            kernels.order_ideals(P.n, P.up, P.down)
-        )
         self.diagonal = all(rows_1[e] == (p,) for p, e in self.units)
-        self.rest = tuple(j for j, row in enumerate(rows_2) if row != (mu_p[j],))
+        rest = [j for j, row in enumerate(rows_2) if row != (mu_p[j],)]
+        self.empty = all(rows_2[j] == () and rows_1[mu_p[j]] == () for j in rest)
+        self.rest = bool(rest)
+        self.width = max(map(len, rows_1))
 
 
 def _naturality_failure(Q, system, domain):
@@ -653,34 +643,38 @@ def _naturality_failure(Q, system, domain):
     that breaks δf ∘ η_P = η_Q ∘ f or δf ∘ μ_P = μ_Q ∘ δδf, or None; P and
     what the pass reads of it come in ``domain`` (``_NaturalityDomain``).
 
-    One loop decides each f of ``poset.map_tables(P, Q)`` in the steps of
-    the object loop: continuity (``topology.sigma_z_continuity``), δf with
-    its escape witness, the unit equation, δδf with its escape witness, and
-    the multiplication equation.
     δf and δδf come from the one row loop, ``compacts_of``, which reads
     each compact set at its maximal points through the tabulated closures
     of Q and δ(Q), with no cover check (``compact_table``; δ(Q) has at most
     eight points).  Where a closure does not fold, which only tampering
     makes, the pass raises ``ZdtError``.
 
-    Three checks are decided once per codomain where the tables allow it,
-    each exactly:
+    Four checks are decided once per codomain, each exactly, from the
+    tables of Q and δ(Q) alone:
 
-    - Continuity is skipped when every lower set of P is Γ-closed and every
-      meet-irreducible of Γ^Z(Q) is a lower set of Q: a monotone table
-      pulls lower sets back to lower sets, so every table passes.
-    - The unit equation is skipped when the rows of δ(P) at η_P are
+    - The unit equation holds for every f when the rows of δ(P) at η_P are
       diagonal and cl{q} is η_Q(q) for every q of Q: then δf(η_P(p)) is
-      cl{f(p)} = η_Q(f(p)) for every f.
+      cl{f(p)} = η_Q(f(p)).
     - On a diagonal row j = (k,) of δδ(P), δδf(j) is cl{δf(k)} and μ_P(j)
       is k, so both the escape and the multiplication equation there read
       one value v = δf(k) of δ(Q).  When cl{v} is compact and μ_Q sends it
-      back to v for every v, no diagonal row escapes or fails, and the
-      first row that does, in order, is among the others; so only those
-      are read.
+      back to v for every v, no diagonal row escapes or fails.
+    - No δf escapes when cl m is compact for every mask m of Q with at most
+      ``width`` points: a row of δ(P) has at most that many points, and so
+      has its image.
+    - On untampered tables the only other row of δδ(P) is the empty
+      family.  When each other row j is () and μ_P(j) is the empty row of
+      δ(P), δδf(j) is cl ∅ of δ(Q) and δf(μ_P(j)) is cl ∅ of Q for every
+      f, so no such row escapes or fails when cl ∅ of δ(Q) is compact and
+      μ_Q sends it to cl ∅ of Q.
 
-    Where a table shows a failing value, which only tampering makes, that
-    check runs on every table as above, so the witnesses do not move.
+    When all four hold, no table can fail, and the pass returns None
+    without reading the tables P -> Q or σ^Z-continuity: continuity only
+    skips tables.  Otherwise, which only tampering makes, one loop decides
+    each f of ``poset.map_tables(P, Q)`` in the steps of the object loop:
+    continuity (``topology.sigma_z_continuity``), δf with its escape
+    witness, the unit equation, δδf with its escape witness, and the
+    multiplication equation on every row, so the witnesses do not move.
     """
     P, D1, D2, rows_1, mu_p = domain.base, domain.d1, domain.d2, domain.rows_1, domain.mu
     DQ = delta_object(Q, system)
@@ -689,31 +683,35 @@ def _naturality_failure(Q, system, domain):
     compact_dq, foldable_dq = compact_table(DQ.poset, system)
     if not (foldable_q and foldable_dq):
         raise ZdtError(f"the closure of {Q!r} or of δ of it does not fold")
-    continuous = None
-    irreducible = tp.gamma_subbasis(Q, system).irreducible
-    if not (domain.lower and all(ps.down_set(Q, c) == c for c in irreducible)):
-        continuous = tp.sigma_z_continuity(P, Q, system)
-    units = ()
-    if not domain.diagonal or any(compact_q[1 << q] != eta_q[q] for q in range(Q.n)):
-        units = domain.units
-    where = domain.rest
-    if any(compact_dq[1 << v] is None or mu_q[compact_dq[1 << v]] != v for v in range(DQ.poset.n)):
-        where = range(len(domain.rows_2))
-    rows_2 = [domain.rows_2[j] for j in where]
+    unit_holds = domain.diagonal and all(compact_q[1 << q] == eta_q[q] for q in range(Q.n))
+    diagonal_holds = all(
+        compact_dq[1 << v] is not None and mu_q[compact_dq[1 << v]] == v
+        for v in range(DQ.poset.n)
+    )
+    if (
+        unit_holds
+        and diagonal_holds
+        and all(c is not None for m, c in enumerate(compact_q) if m.bit_count() <= domain.width)
+        and domain.empty
+        and (not domain.rest or compact_dq[0] is not None and mu_q[compact_dq[0]] == compact_q[0])
+    ):
+        return None
+    continuous = tp.sigma_z_continuity(P, Q, system)
+    rows_2 = domain.rows_2
     for f in ps.map_tables(P, Q):
-        if continuous is not None and not continuous(f):
+        if not continuous(f):
             continue
         df = compacts_of(rows_1, f, compact_q)
         if len(df) < len(rows_1):
             return {"law": "functoriality", **_escape(P, Q, system, D1.sets[len(df)], f)}
-        for p, e in units:
+        for p, e in domain.units:
             if df[e] != eta_q[f[p]]:
                 return {"law": "unit naturality", "map": f}
         ddf = compacts_of(rows_2, df, compact_dq)
         if len(ddf) < len(rows_2):
-            a = D2.sets[where[len(ddf)]]
+            a = D2.sets[len(ddf)]
             return {"law": "functoriality", **_escape(D1.poset, DQ.poset, system, a, df)}
-        for j, d in zip(where, ddf):
+        for j, d in enumerate(ddf):
             if df[mu_p[j]] != mu_q[d]:
                 return {"law": "multiplication naturality", "map": f}
     return None

@@ -572,8 +572,9 @@ def map_tables(P, Q):
 # A permutation of n points is its table, ``perm[i]`` the image of i.  The
 # adjunction's walk over the tables P -> K(L) decides one table per orbit of
 # a group that fixes every table it reads (``monad.verify_adjunction``).
-# The naturality walk decides every table of ``map_tables``: its per-table
-# work is one row loop, and an orbit filter would cost about what it saves.
+# The naturality pass walks every table of ``map_tables``, and only where a
+# per-codomain check fails: its per-table work is one row loop, and an
+# orbit filter would cost about what it saves.
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)

@@ -458,17 +458,50 @@ def test_monad_naturality_against_the_object_loop(n):
             assert res.status is Status.HOLDS, (P, system.name, res.witness)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(5, 6))
-@settings(max_examples=12, deadline=None, derandomize=True)
-def test_monad_naturality_on_random_posets_against_the_object_loop(seed, n):
-    # the transitive closure of a random acyclic relation on 5 or 6 points,
-    # past the exhaustive populations above, on every system whose Γ-lattice
-    # thm-monad walks (at most claims.LATTICE_CAP points)
+def _random_instances(seed, n):
+    """The transitive closure of a random acyclic relation on n points, on
+    every system whose Γ-lattice thm-monad walks (at most
+    claims.LATTICE_CAP points)."""
     rows = oracles.random_orders(random.Random(seed), n, 5)[seed % 5]
     P = ps.FinitePoset(ps.default_labels(n), rows)
     for system in SYSTEMS.values():
         if md.gamma_lattice(P, system).poset.n <= cl.LATTICE_CAP:
-            _same_as_the_object_loop(P, system)
+            yield P, system
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(5, 6))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_monad_naturality_on_random_posets_against_the_object_loop(seed, n):
+    # random posets of 5 or 6 points, past the exhaustive populations above
+    for P, system in _random_instances(seed, n):
+        _same_as_the_object_loop(P, system)
+
+
+def _no_map_tables(P, Q):
+    raise AssertionError(f"the naturality pass read the tables {P!r} -> {Q!r}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_untampered_naturality_reads_no_map_table(monkeypatch, n):
+    # on untampered tables every check of the naturality pass is decided
+    # once per codomain (``monad._naturality_failure``), so thm-monad holds
+    # without reading a table P -> Q
+    monkeypatch.setattr(ps, "map_tables", _no_map_tables)
+    for P in ps.enumerate_posets(n):
+        for system in SYSTEMS.values():
+            res = md.verify_monad_laws(P, system)
+            assert res.status is Status.HOLDS, (P, system.name, res.witness)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(5, 6))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_untampered_naturality_reads_no_map_table_on_random_posets(seed, n):
+    # the random posets of the test above
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ps, "map_tables", _no_map_tables)
+        for P, system in _random_instances(seed, n):
+            res = md.verify_monad_laws(P, system)
+            assert res.status is Status.HOLDS, (P, system.name, res.witness)
 
 
 def test_compact_table_cap():
@@ -518,8 +551,9 @@ def test_delta_map_against_closure_oracle():
 
 
 def test_map_tables_are_enumerated_once_per_pair(monkeypatch):
-    # naturality, prop-em-morph and lemma-sigma-cont read the tables of each
-    # (P, Q) pair from one enumeration, whatever the system
+    # prop-em-morph and lemma-sigma-cont read the tables of each (P, Q)
+    # pair from one enumeration, whatever the system; the naturality pass
+    # reads them only where a codomain check fails
     counts = collections.Counter()
     real = ps.monotone_tables
 
@@ -634,12 +668,12 @@ def test_naturality_loop_on_a_non_monotone_closure(patch_closure):
     assert_refused(ANTI3, oracles.naturality_pass, CHAIN2, ANTI3, DIRECTED, eta_p, mu_p)
 
 
-# The naturality pass decides the continuity check, the unit equation and
-# the multiplication equation on diagonal rows once per codomain where the
-# tables allow it (``monad._naturality_failure``).  Each test below tampers
-# with one table of the 3-chain c < b < a so that a check fails at one value
-# and must run map by map, and asserts the witness that the map-by-map pass
-# finds.
+# The naturality pass decides the unit equation, the diagonal rows of
+# δδ(P), the escape of δf and the empty row once per codomain, and walks
+# the tables only where one of them fails (``monad._naturality_failure``).
+# Each test below tampers with one table of a codomain so that a check
+# fails at one value and the pass walks, and asserts the witness that the
+# walk finds.
 
 
 @pytest.fixture
@@ -681,14 +715,43 @@ def test_naturality_diagonal_rows_failing_at_one_value(patch_compact_table, valu
     assert md.verify_monad_laws(CHAIN2, DIRECTED).witness == witness
 
 
+def test_naturality_escape_of_delta_f_past_the_width(patch_closure):
+    # on `finite` the row of {a, b} in δ of the 2-antichain has two points.
+    # The 3-antichain's closure made to keep {a, b}, which is not closed and
+    # so not compact, still folds, and cl ∅ and each cl {q} stay compact, so
+    # only the width check sees it: the first map onto a and b escapes
+    assert md.compact_table(ANTI3, FINITE)[0][0b011] is not None
+    patch_closure(ANTI3, {0b011: 0b011})
+    table, foldable = md.compact_table(ANTI3, FINITE)
+    assert foldable and table[0b011] is None
+    assert None not in (table[0], table[0b001], table[0b010], table[0b100])
+    res = _same_as_the_object_loop(ANTI2, FINITE)
+    assert res.witness == {
+        "law": "functoriality", "of": ("a", "b"), "image_closure": ("a", "b")
+    }
+
+
+def test_naturality_empty_family_failing(monkeypatch):
+    # μ of the point read as sending the empty family of δδ(Q), cl ∅ of
+    # δ(Q), to {a} in place of ∅ = cl ∅ of Q, while the diagonal rows hold:
+    # the empty row of δδ of the 2-chain breaks the multiplication equation
+    # at the first continuous map
+    DQ = md.delta_object(POINT, DIRECTED).poset
+    compact_dq = md.compact_table(DQ, DIRECTED)[0]
+    mu_q = md.mu(POINT, DIRECTED)
+    assert mu_q[compact_dq[0]] == md.compact_table(POINT, DIRECTED)[0][0] == 0
+    patch_table(monkeypatch, "mu", POINT, (1, *mu_q[1:]))
+    res = _same_as_the_object_loop(CHAIN2, DIRECTED)
+    assert res.witness == {"law": "multiplication naturality", "map": (0, 0)}
+
+
 def test_naturality_continuity_with_an_irreducible_that_is_not_a_lower_set(monkeypatch):
-    # every lower set of the 2-chain is closed, so continuity is skipped
-    # wherever each meet-irreducible of Γ^Z(Q) is a lower set.  {a}, the
-    # top of the 3-chain, made a meet-irreducible pulls back to the top of
-    # the 2-chain under (a, b), which is then not continuous: with the unit
-    # patched to fail at b, the first map that fails is (b, b), not (a, b).
-    # The object loop reads every closed set, not the irreducibles, so it
-    # does not see this patch
+    # the walk reads continuity on the meet-irreducibles of Γ^Z(Q).  {a},
+    # the top of the 3-chain, made a meet-irreducible pulls back to the top
+    # of the 2-chain under (a, b), which is then not continuous: with the
+    # unit patched to fail at b, the first map that fails is (b, b), not
+    # (a, b).  The object loop reads every closed set, not the
+    # irreducibles, so it does not see this patch
     patch_table(monkeypatch, "eta", CHAIN3, (3, 1, 1))
     assert md.verify_monad_laws(CHAIN2, DIRECTED).witness["map"] == (0, 1)
     real = tp.TopologyFamily.irreducible
@@ -769,11 +832,12 @@ def test_delta_cpo_and_structure(anti2, wedge):
 
 
 def _equation_failure(f, P, Q, system):
-    """``md._sup_failure`` as prop-em-morph calls it: the index of the first
-    compact A of P with f(sup A) ≠ sup f(A) in Q, or None."""
+    """``claims._sup_failure`` as prop-em-morph calls it, at the maximal
+    points of each compact A of P: the index of the first A with
+    f(sup A) ≠ sup f(A) in Q, or None."""
     sups = md.em_structure_map(P, system)
-    compacts = md.delta_object(P, system).sets
-    return md._sup_failure(f, sups, compacts, [ps.sup_of(Q, m) for m in range(1 << Q.n)])
+    rows = ps.maxima(P, md.delta_object(P, system).sets)
+    return cl._sup_failure(f, sups, rows, [ps.sup_of(Q, m) for m in range(1 << Q.n)])
 
 
 def test_em_morphisms(wedge):
@@ -784,7 +848,8 @@ def test_em_morphisms(wedge):
 
 
 def test_em_morphism_equation_against_oracle():
-    # f(sup A) = sup f(A) over the compact A, with the sups from the oracle
+    # f(sup A) = sup f(A) over the compact A, read at the maximal points
+    # of A, against the oracle's sup of the whole image f(A)
     outcomes = set()
     posets = list(small_posets(3))
     for system in SYSTEMS.values():

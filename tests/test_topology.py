@@ -347,10 +347,12 @@ def _map_tables_against_objects(P, system, outcomes, hulls=True):
 
     member_cuts = ct._member_cut_pairs(P, system)
     closures_p = list(enumerate(tp.closure_table(P, system)))
+    oracle_closures_p = oracles.closures(P, system)
     for Q in small_posets(3):
         continuous = tp.sigma_z_continuity(P, Q, system)
         cuts_q = [ps.cut(Q, m) for m in range(1 << Q.n)]
         closures_q = tp.closure_table(Q, system)
+        oracle_closures_q = oracles.closures(Q, system)
         for table in ps.monotone_tables(P, Q):
             f = oracles.MonotoneMap(P, Q, table)
             got = (continuous(table),)
@@ -363,7 +365,7 @@ def _map_tables_against_objects(P, system, outcomes, hulls=True):
                 )
                 want += (
                     oracles.map_preserves_cuts(f, system),
-                    oracles.map_preserves_closures(f, system),
+                    oracles.map_preserves_closures(f, oracle_closures_p, oracle_closures_q),
                 )
             assert got == want, (P, Q, table, system.name)
             assert got[0] == oracles.is_sigma_z_continuous(f, system)
