@@ -19,34 +19,11 @@ class Mutant(NamedTuple):
 
 
 SYMMETRY = "tests/test_symmetry.py"
+TAMPERED = "tests/test_tampered_walks.py"
 MONAD = "tests/test_monad.py"
 CONTINUITY = "tests/test_continuity.py"
 
 MUTANTS = (
-    # the lex-least test keeping the greatest table of each orbit
-    Mutant(
-        "src/zdt/poset.py",
-        "                if v < w:\n                    return False",
-        "                if v > w:\n                    return False",
-        (
-            f"{SYMMETRY}::test_automorphisms_and_orbit_sizes_against_brute_force",
-            f"{MONAD}::test_adjunction_small",
-        ),
-    ),
-    # automorphisms that keep i <= j but not j <= i
-    Mutant(
-        "src/zdt/poset.py",
-        "                and (down[i] >> j & 1) == (down[v] >> table[j] & 1)\n",
-        "",
-        (f"{SYMMETRY}::test_automorphisms_of_small_posets_against_brute_force",),
-    ),
-    # adjunction groups that ignore the beneath table
-    Mutant(
-        "src/zdt/monad.py",
-        "        if any(beneath[hat[y]] != ps.permuted(hat, b) for y, b in enumerate(beneath)):",
-        "        if False:",
-        (f"{SYMMETRY}::test_a_beneath_table_that_breaks_the_symmetry_shrinks_the_adjunction_group",),
-    ),
     # the maxima fold allowed for a closure that reads more than down-sets
     Mutant(
         "src/zdt/monad.py",
@@ -106,6 +83,45 @@ MUTANTS = (
             f"{MONAD}::test_monad_naturality_against_the_object_loop",
         ),
     ),
+    # the adjunction's decision without (G), the closure gaps checked
+    # against the closure table
+    Mutant(
+        "src/zdt/monad.py",
+        "        if closed[k] != closures[closed[a] | P.down[p]]:",
+        "        if False:",
+        (f"{TAMPERED}::test_a_tampered_closure_gap_refuses_the_decision",),
+    ),
+    # the adjunction's decision without (J), the compacts below each point
+    # closed in Γ^Z(K(L))
+    Mutant(
+        "src/zdt/monad.py",
+        "    if not all(is_closed(sub.to_sub(d & compact)) for d in L.down):",
+        "    if False:",
+        (f"{TAMPERED}::test_compacts_below_a_point_that_are_not_closed_refuse_the_decision",),
+    ),
+    # the adjunction's decision without the join closure of the compacts
+    Mutant(
+        "src/zdt/monad.py",
+        "        not compact >> join[i][j] & 1 for i in sub.embed for j in sub.embed",
+        "        False for i in sub.embed for j in sub.embed",
+        (f"{TAMPERED}::test_compacts_that_are_not_join_closed_refuse_the_decision",),
+    ),
+    # the join closure asked of every instance, not only where a compact has
+    # two maximal points: K(L) of `directed` is ∅ and the ↓p, whose joins
+    # are not compact, so the decision refuses untampered instances
+    Mutant(
+        "src/zdt/monad.py",
+        "    if any(len(tops[k]) > 1 for k in sub.embed) and any(",
+        "    if any(",
+        (f"{MONAD}::test_untampered_adjunction_walks_no_table",),
+    ),
+    # the adjunction's decision without the beneath equation
+    Mutant(
+        "src/zdt/monad.py",
+        "        if beneath_set(L, system, y) != union:",
+        "        if False:",
+        (f"{TAMPERED}::test_a_tampered_beneath_table_refuses_the_decision",),
+    ),
     # the adjunction's walk skipping every other table
     Mutant(
         "src/zdt/monad.py",
@@ -119,23 +135,6 @@ MUTANTS = (
         "        for x in xs:\n            if not (allowed >> table[x]) & 1:",
         "        for x in xs[:1]:\n            if not (allowed >> table[x]) & 1:",
         (f"{CONTINUITY}::test_preserves_beneath_reads_every_maximal_point",),
-    ),
-    # adjunction groups that ignore the closure gaps
-    Mutant(
-        "src/zdt/monad.py",
-        "        if {(ps.permuted(sigma, a), ps.permuted(sigma, c)) for a, c in gaps} != gaps:",
-        "        if False:",
-        (f"{SYMMETRY}::test_a_closure_gap_that_breaks_the_symmetry_shrinks_the_adjunction_group",),
-    ),
-    # adjunction groups that ignore the closed family of K(L)
-    Mutant(
-        "src/zdt/monad.py",
-        "        if ps.family_action(tau, compact_closed) is not None:",
-        "        if True:",
-        (
-            f"{SYMMETRY}::test_a_compact_family_that_breaks_the_symmetry"
-            "_shrinks_the_adjunction_group",
-        ),
     ),
     # the compacts' closed form calling a point with nothing outside ↑x
     # (a bottom) not compact

@@ -461,15 +461,10 @@ def verify_adjunction(P, system):
     tables.  Either way the mediator is monotone, as ``preserves_beneath``
     requires.
 
-    The walk decides only the tables that are lex-least in their orbits
-    under the group of ``_adjunction_actions``, f ↦ σ̂∘f∘σ⁻¹.  A table's
-    verdict (skipped, passed, or the part and reason of its failure) is a
-    function of the table and of the instance tables the walk reads, and the
-    group fixes each of them, so every table of an orbit has the same
-    verdict.  The first failing table in table order is the least of its
-    orbit, as the least one is no later and fails too; so the walk over the
-    lex-least tables meets the same first failure, and holds where the full
-    walk holds.
+    ``_mediators_pass`` decides both checks for every continuous f at once,
+    from the tables of L alone.  Where it cannot, which only tampering
+    makes, the walk decides every monotone table P -> K(L) in table order,
+    so the witnesses do not move.
     """
     LP = gamma_lattice(P, system)
 
@@ -500,17 +495,16 @@ def verify_adjunction(P, system):
             )
 
     # universal property of the unit
-    principal = [LP.index[P.down[p]] for p in range(P.n)]
     joins_l = join_table(LP.poset)
+    tops = ps.maxima(P, LP.elements)
+    if _mediators_pass(P, system, LP, sub, joins_l[1], tops):
+        return CheckResult.holds()
+    principal = [LP.index[P.down[p]] for p in range(P.n)]
     bottom, join = joins_l
     # Γ^Z(P)'s least member, cl ∅, is index 0: it lies inside every member
     gaps = (0, tuple((a, principal[p], k) for a, p, k in tp.closure_gaps(P, system)))
-    tops = ps.maxima(P, LP.elements)
     continuous = tp.sigma_z_continuity(P, sub.poset, system)
-    actions = _adjunction_actions(P, system, LP, sub)
     for f in ps.monotone_tables(P, sub.poset):
-        if actions and not ps.lex_least(f, actions):
-            continue
         if not continuous(f):
             continue
         values = [sub.embed[v] for v in f]
@@ -527,44 +521,62 @@ def verify_adjunction(P, system):
     return CheckResult.holds()
 
 
-def _adjunction_actions(P, system, LP, sub):
-    """The actions f ↦ σ̂∘f∘σ⁻¹ on tables P -> K(L), for L = Γ^Z(P), of
-    the automorphisms σ of P that fix every table the adjunction's walk
-    reads, as ``poset.lex_least`` takes them; the identity left out.
+def _mediators_pass(P, system, LP, sub, join, tops):
+    """Whether the mediator m of every σ^Z-continuous f : P -> K(L) passes
+    the join and the beneath check of ``verify_adjunction``, decided from
+    the tables of L = Γ^Z(P) alone; False where this cannot tell.  ``sub``
+    is K(L), ``join`` L's join table and ``tops`` the maximal points of each
+    member of Γ^Z(P).
 
-    σ̂ is σ acting on the members of Γ^Z(P), the points of L, and then on
-    the compact points K(L).  Such a σ must map Γ^Z(P) and its closure gaps
-    onto themselves, and σ̂ must fix the beneath table of L, the compact
-    points and the closed family of K(L).  σ̂ preserves inclusion, so it
-    also fixes L's order and join table, and with σ the maximal points of
-    each member and the principal ideals.  The join check asks, of a
-    monotone f, m(cl S) = ⋁ f(S) at each gap S = A ∪ ↓p, whichever (A, p)
-    lists S, so it reads the gaps only as the pairs (S, cl S).  So the
-    continuity check, the mediator and its join and beneath checks give
-    σ̂∘f∘σ⁻¹ the verdict of f.  Each condition asks σ to fix one structure, so the σ that meet all
-    of them form a group.  It is all of Aut P unless a table is tampered
-    with, as each system is invariant under isomorphism."""
-    others = ps.automorphisms(P)[1:]
-    if not others:
-        return ()
-    closed = LP.elements
-    gaps = {(closed[a] | P.down[p], closed[k]) for a, p, k in tp.closure_gaps(P, system)}
-    beneath = [beneath_set(LP.poset, system, y) for y in range(LP.poset.n)]
-    position = {x: j for j, x in enumerate(sub.embed)}
-    compact_closed = tp.gamma_subbasis(sub.poset, system).closed
-    actions = []
-    for sigma in others:
-        hat = ps.family_action(sigma, closed, LP.index)
-        if hat is None or ps.permuted(hat, sub.carrier) != sub.carrier:
-            continue
-        if any(beneath[hat[y]] != ps.permuted(hat, b) for y, b in enumerate(beneath)):
-            continue
-        if {(ps.permuted(sigma, a), ps.permuted(sigma, c)) for a, c in gaps} != gaps:
-            continue
-        tau = tuple(position[hat[x]] for x in sub.embed)
-        if ps.family_action(tau, compact_closed) is not None:
-            actions.append((ps.inverse(sigma), tau))
-    return tuple(actions)
+    m(A) = ⊥ ∨ ⋁ f(A), folded at the maximal points of A, as f is
+    monotone.  cl is ``topology.closure_table``, the least closed superset,
+    and continuity makes the preimage of every closed set of K(L) closed
+    (``topology.sigma_z_continuity``).  Three conditions are checked:
+
+    - (G) every closure gap (a, p, k) of ``topology.closure_gaps`` has
+      closed[k] = cl S for S = closed[a] ∪ ↓p;
+    - (J) for every y of L, the compacts below y form a closed set of
+      Γ^Z(K(L));
+    - (B) beneath_L(y) = ⋃{↓k : k compact, k ≤ y} for every y of L
+      (``beneath_set``), and, where some compact, as a member of Γ^Z(P),
+      has two or more maximal points, K(L) is closed under L's joins.
+
+    (G) and (J) give the join check.  At a gap, let y = m(A) ∨ f(p), which
+    is ⊥ ∨ ⋁ f(S).  By (J) and continuity, f⁻¹(K(L) ∩ ↓y) is closed; it
+    holds S, so it holds cl S = closed[k] by (G), and m(closed[k]) ≤ y;
+    S ⊆ cl S gives ≥.  The same with y = ⊥ and S = ∅ gives m(cl ∅) = ⊥.
+
+    (B) gives the beneath check.  For x ≺ y in L, the equation gives a
+    compact k with x ≤ k ≤ y, so m(x) ≤ m(k) ≤ m(y).  m(k) is compact:
+    where k has no maximal point it is ∅, L's bottom, and m(k) = ⊥ = k;
+    with one, p, m(k) = f(p); with more, m(k) is a join of compacts,
+    compact by the join closure.  So m(x) lies in ↓m(k), inside
+    beneath_L(m(y)) by the equation at m(y).  So L's bottom needs no
+    check of its own: the one compact with no maximal point is ⊥ itself.
+
+    All three read the tables a tamper test patches at call time (the
+    gaps, the closures, Γ^Z(K(L)) and the beneath table), so a patch
+    there reaches the decision as it reaches the walk.
+    """
+    closed, closures = LP.elements, tp.closure_table(P, system)
+    for a, p, k in tp.closure_gaps(P, system):
+        if closed[k] != closures[closed[a] | P.down[p]]:
+            return False
+    L, compact = LP.poset, sub.carrier
+    is_closed = tp.gamma_subbasis(sub.poset, system).is_closed
+    if not all(is_closed(sub.to_sub(d & compact)) for d in L.down):
+        return False
+    if any(len(tops[k]) > 1 for k in sub.embed) and any(
+        not compact >> join[i][j] & 1 for i in sub.embed for j in sub.embed
+    ):
+        return False
+    for y, d in enumerate(L.down):
+        union = 0
+        for k in ps.bits(d & compact):
+            union |= L.down[k]
+        if beneath_set(L, system, y) != union:
+            return False
+    return True
 
 
 def verify_monad_laws(P, system):

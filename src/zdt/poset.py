@@ -565,98 +565,3 @@ def map_tables(P, Q):
     over (every system shares them); a large codomain, as in the P -> K(L)
     walk of the adjunction, keeps the generator."""
     return tuple(monotone_tables(P, Q))
-
-
-# -- symmetry ----------------------------------------------------------
-#
-# A permutation of n points is its table, ``perm[i]`` the image of i.  The
-# adjunction's walk over the tables P -> K(L) decides one table per orbit of
-# a group that fixes every table it reads (``monad.verify_adjunction``).
-# The naturality pass walks every table of ``map_tables``, and only where a
-# per-codomain check fails: its per-table work is one row loop, and an
-# orbit filter would cost about what it saves.
-
-
-@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
-def automorphisms(P):
-    """The order automorphisms of P, in lexicographic order of their tables,
-    so the identity first.
-
-    Backtracking sends point i to an unused point v with as many points
-    above and below it, such that j ≤ i ⟺ σ(j) ≤ v and i ≤ j ⟺ v ≤ σ(j)
-    for each earlier point j.  Those pairs are every pair, so each table it
-    completes is an automorphism, and it misses none."""
-    n, up, down = P.n, P.up, P.down
-    shape = [(up[i].bit_count(), down[i].bit_count()) for i in range(n)]
-    table = [0] * n
-    out = []
-
-    def rec(i, used):
-        if i == n:
-            out.append(tuple(table))
-            return
-        for v in range(n):
-            if (used >> v) & 1 or shape[v] != shape[i]:
-                continue
-            if all(
-                (up[i] >> j & 1) == (up[v] >> table[j] & 1)
-                and (down[i] >> j & 1) == (down[v] >> table[j] & 1)
-                for j in range(i)
-            ):
-                table[i] = v
-                rec(i + 1, used | 1 << v)
-
-    rec(0, 0)
-    return tuple(out)
-
-
-def inverse(perm):
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
-
-
-def permuted(perm, mask):
-    """The image of a mask under a permutation of its points."""
-    out = 0
-    while mask:
-        lsb = mask & -mask
-        mask ^= lsb
-        out |= 1 << perm[lsb.bit_length() - 1]
-    return out
-
-
-def family_action(perm, masks, index=None):
-    """The permutation of the positions of ``masks`` that ``perm`` induces,
-    i ↦ the position of perm(masks[i]); None when perm does not map the
-    family onto itself.  ``index`` maps each mask to its position, if the
-    caller holds one."""
-    if index is None:
-        index = {m: i for i, m in enumerate(masks)}
-    out = []
-    for m in masks:
-        j = index.get(permuted(perm, m))
-        if j is None:
-            return None
-        out.append(j)
-    return tuple(out)
-
-
-def lex_least(table, actions):
-    """Whether no action maps ``table`` to a lexicographically smaller one.
-
-    Each action is a pair (moved, values) and sends a table f to the g with
-    g[p] = values[f[moved[p]]]: f ↦ τ∘f∘σ⁻¹ for moved = σ⁻¹ and values = τ.
-    Over the non-identity elements of a group, this is the test that f is
-    the least table of its orbit.  Each comparison stops at the first point
-    where the two tables differ, and nothing is kept between calls."""
-    for moved, values in actions:
-        for p, q in enumerate(moved):
-            v = values[table[q]]
-            w = table[p]
-            if v != w:
-                if v < w:
-                    return False
-                break
-    return True

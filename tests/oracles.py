@@ -1138,11 +1138,11 @@ def labeled_reports(claim_id, max_size, systems=None):
 
 # -- full walks ------------------------------------------------------------
 #
-# The adjunction's walk over P -> K(L) as the package ran it before it
-# decided one table per orbit: every monotone table, in order.  It reads the
-# package's own tables and functions through its modules, so that a test can
-# hold the orbit walk to the full walk, patched functions and tables
-# included.  The naturality walk's full walk is ``naturality_walk``.
+# The adjunction's walk over P -> K(L) with no decision before it: every
+# monotone table, in order.  It reads the package's own tables and functions
+# through its modules, so that a test can hold the decision and its
+# fallback walk to the full walk, patched functions and tables included.
+# The naturality walk's full walk is ``naturality_walk``.
 
 
 def _gamma_map(f, system):
@@ -1222,28 +1222,10 @@ def adjunction_walk(P, system, L=None):
     return CheckResult.holds()
 
 
-def automorphisms(P):
-    """Aut P: the relabelings of all n! that leave the order as it is."""
-    return [
-        perm for perm in permutations(range(P.n)) if relabel(P.up, perm) == tuple(P.up)
-    ]
-
-
-def orbit(table, pairs):
-    """The tables τ∘f∘σ⁻¹ for the pairs (σ, τ) of a group, from f's table."""
-    out = set()
-    for sigma, tau in pairs:
-        g = [None] * len(table)
-        for p, v in enumerate(table):
-            g[sigma[p]] = tau[v]
-        out.add(tuple(g))
-    return out
-
-
 # -- fixtures and patches of the monad tests --------------------------------
 #
-# The small posets whose tables the tests of the naturality, EM and symmetry
-# walks patch, and the patches they share.  They read and patch the
+# The small posets whose tables the tests of the naturality, EM and
+# adjunction walks patch, and the patches they share.  They read and patch the
 # package, as a test of its failure branches must.
 
 

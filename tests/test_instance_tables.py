@@ -14,7 +14,7 @@ from zdt import claims as cl, poset as ps
 INSTANCE_CACHES = (
     "poset.principal_downs", "poset.fin_poset", "poset.cut_table", "poset.sup_table",
     "poset.map_tables",
-    "poset.maxima", "poset.automorphisms",
+    "poset.maxima",
     "systems._members", "systems._member_ideals",
     "topology.gamma_subbasis", "topology.sigma_topology", "topology.lower_topology",
     "topology.closure_table", "topology.is_lower_hereditary",
