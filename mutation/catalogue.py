@@ -18,10 +18,10 @@ class Mutant(NamedTuple):
     tests: tuple
 
 
-SYMMETRY = "tests/test_symmetry.py"
 TAMPERED = "tests/test_tampered_walks.py"
 MONAD = "tests/test_monad.py"
 CONTINUITY = "tests/test_continuity.py"
+TOPOLOGY = "tests/test_topology.py"
 
 MUTANTS = (
     # the maxima fold allowed for a closure that reads more than down-sets
@@ -29,7 +29,7 @@ MUTANTS = (
         "src/zdt/monad.py",
         "    ) and all(closures[d] == c for d, c in zip(downs, closures))",
         "    )",
-        (f"{SYMMETRY}::test_naturality_on_a_closure_that_reads_more_than_down_sets",),
+        (f"{TAMPERED}::test_naturality_on_a_closure_that_reads_more_than_down_sets",),
     ),
     # the fold flag fixed at true
     Mutant(
@@ -49,7 +49,7 @@ MUTANTS = (
         "    if False:",
         (
             f"{MONAD}::test_naturality_loop_on_a_non_monotone_closure",
-            f"{SYMMETRY}::test_naturality_on_a_closure_that_reads_more_than_down_sets",
+            f"{TAMPERED}::test_naturality_on_a_closure_that_reads_more_than_down_sets",
         ),
     ),
     # μ indexed by the raw union of a family, without its closure.  On an
@@ -242,5 +242,26 @@ MUTANTS = (
         "        sups_q = ps.sup_table(Q)",
         "        sups_q = ps.cut_table(Q)",
         (f"{MONAD}::test_em_morphisms_against_the_object_loop",),
+    ),
+    # the lattice test without the bottom: the V, a and b below c, has every
+    # binary join, and on `connected` its closed set {a, b} goes missing
+    Mutant(
+        "src/zdt/poset.py",
+        "    if P.full not in rows:\n        return False\n",
+        "",
+        (
+            f"{TOPOLOGY}::test_gamma_against_oracle",
+            f"{TOPOLOGY}::test_lattice_test_against_the_oracle",
+        ),
+    ),
+    # Γ^Z of a lattice on `finite` and `connected` without ∅
+    Mutant(
+        "src/zdt/topology.py",
+        "        closed = sorted({0, *P.down})",
+        "        closed = sorted(P.down)",
+        (
+            f"{TOPOLOGY}::test_gamma_against_oracle",
+            f"{TOPOLOGY}::test_gamma_closed_form_against_the_walk_on_the_lattice_path",
+        ),
     ),
 )

@@ -64,7 +64,7 @@ class DeltaObject:
         self.sets = sets
         self.poset = poset
         self.index = {m: i for i, m in enumerate(sets)}
-        self.points = tuple(tuple(ps.bits(m)) for m in sets)
+        self.points = tuple(ps.bits(m) for m in sets)
         self.covers = tuple(ps.covers(poset))
 
     def __repr__(self):
@@ -449,8 +449,8 @@ def verify_adjunction(P, system):
     so it factors f, as ↓p has the one maximal point p.  It is unique, as
     every member A of Γ^Z(P) is the join of the ↓p inside it: a rival
     mediator preserves every join, having an upper adjoint, and agrees on
-    each ↓p, where both factor f.  A is an order ideal (``gamma_subbasis``
-    filters ``kernels.order_ideals``), the union of the ↓p for p in A; each
+    each ↓p, where both factor f.  A is an order ideal (every member of
+    ``gamma_subbasis`` is), the union of the ↓p for p in A; each
     ↓p is a member, as p bounds each member ideal inside it and so its cut;
     and the join is cl A = A.
 

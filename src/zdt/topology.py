@@ -95,15 +95,38 @@ class TopologyFamily:
 
 @lru_cache(maxsize=ps.INSTANCE_CACHE_SIZE)
 def gamma_subbasis(P, system):
-    """Γ^Z(P): the subbasic closed family (a closure system of lower sets)."""
-    ideals = kernels.order_ideals(P.n, P.up, P.down)
+    """Γ^Z(P): the subbasic closed family (a closure system of lower sets).
+
+    On ``finite`` and ``connected``, where P is a lattice
+    (``poset.is_lattice``), it is ∅ and the ↓y, read off without the walk
+    over the order ideals.  In a finite lattice every nonempty down-set holds
+    ⊥, so it is connected; on both systems I_Z(P) is then every nonempty
+    down-set, and cut(D) = ↓sup D.  A nonempty closed A is such a D, so it
+    holds cut(A) = ↓sup A; hence sup A ∈ A, and A = ↓sup A.  Each ↓y is
+    closed, as D ⊆ ↓y gives sup D ≤ y, and so is ∅.  The bottom is needed
+    on ``connected``: in the V, a and b below c, {a, b} is closed.
+    Elsewhere, the principal-ideals view included, ``_gamma_walk``
+    decides.
+    """
+    from zdt.systems import CONNECTED, FINITE  # systems imports this module
+
+    if system in (FINITE, CONNECTED) and ps.is_lattice(P):
+        closed = sorted({0, *P.down})
+    else:
+        closed = _gamma_walk(P, system)
+    return TopologyFamily(P, "subbasic-closed", closed)
+
+
+def _gamma_walk(P, system):
+    """Γ^Z(P) by its definition: the order ideals of P that hold cut(D) for
+    each member ideal D inside them, in ascending mask order."""
     constraints = []
     for d in system.member_ideals(P):
         c = ps.cut(P, d)
         if c & ~d:
             constraints.append((d, c))
-    closed = kernels.absorbing_ideals(ideals, constraints)
-    return TopologyFamily(P, "subbasic-closed", tuple(closed))
+    ideals = kernels.order_ideals(P.n, P.up, P.down)
+    return kernels.absorbing_ideals(ideals, constraints)
 
 
 def sigma_subbasis(P, system):

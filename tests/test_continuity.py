@@ -410,7 +410,7 @@ def test_compacts_against_the_beneath_table_and_oracle(n):
 
 def test_compacts_of_lattices_and_compact_posets_against_the_beneath_table():
     # every Γ-lattice, δ(P) and δδ(P) poset of the posets with n <= 4; the
-    # lattices have up to 18 points, so the oracle reads the small ones only
+    # lattices have up to 17 points, so the oracle reads the small ones only
     paths = set()
     for P in small_posets(4):
         for name, system in EVERY_SYSTEM:
@@ -419,6 +419,18 @@ def test_compacts_of_lattices_and_compact_posets_against_the_beneath_table():
             for Q in (md.gamma_lattice(P, system).poset, D1, D2):
                 paths.add(_compacts_against_beneath(Q, name, system))
     assert paths == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_beneath_is_the_order_and_every_point_compact_on_gamma_lattices(n):
+    # on `finite` and `connected` Γ^Z of a lattice L is ∅ and the ↓y, and
+    # cut(↓a) captures y iff y <= a, so beneath_L(y) = ↓y and K(L) = L
+    for P in ps.enumerate_posets(n):
+        for _, system in EVERY_SYSTEM:
+            L = md.gamma_lattice(P, system).poset
+            for z in (FINITE, CONNECTED):
+                assert ct._beneath_all(L, z) == L.down, (P, system, z)
+                assert ct.kz_compacts(L, z) == L.full, (P, system, z)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(6, 9))

@@ -26,11 +26,12 @@ INSTANCE_CACHES = (
 )
 
 # the caches keyed by something else: a way-below query within an instance,
-# or a population size (the labeled orbits are the rows and classes of the
-# labeled orders, kept apart so that run_claim need not build their posets)
+# a population size (the labeled orbits are the rows and classes of the
+# labeled orders, kept apart so that run_claim need not build their posets),
+# or a mask alone (the set bits of ``poset.bits``, which serve every poset)
 OTHER_CACHES = (
     "continuity._wb", "poset._labeled_orders", "poset.labeled_orbits",
-    "poset._iso_representatives", "claims._inner_posets",
+    "poset._iso_representatives", "claims._inner_posets", "poset.bits",
 )
 
 # the nineteen non-lattice claims over the labeled posets with n <= 4;

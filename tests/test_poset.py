@@ -20,6 +20,14 @@ from zdt.errors import (
 from zdt.systems import CHAINS, DIRECTED
 
 
+def test_bits_against_the_oracle():
+    # a memo: each mask's tuple is built once and then shared
+    for m in range(1 << 10):
+        got = ps.bits(m)
+        assert type(got) is tuple and got == tuple(sorted(oracles.to_set(m)))
+        assert ps.bits(m) is got
+
+
 def test_from_order_pairs_closes_transitively(chain3):
     assert chain3.leq(0, 2)
     assert not chain3.leq(2, 0)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from zdt import fixtures as fx, poset as ps, topology as tp
+from zdt import (
+    continuity as ct, fixtures as fx, kernels, monad as md, poset as ps, topology as tp,
+)
 from zdt.systems import (
     CHAINS, CONNECTED, DIRECTED, FINITE, PRINCIPAL_IDEALS, SINGLETONS, SYSTEMS,
 )
@@ -60,6 +62,112 @@ def test_gamma_on_random_posets_against_oracle(seed, n):
     for name, system in (*SYSTEMS.items(), ("directed", PRINCIPAL_IDEALS)):
         expected = sorted(oracles.to_mask(a) for a in oracles.gamma(P, name))
         assert list(tp.gamma_subbasis(P, system).closed) == expected, (P, name)
+
+
+# On `finite` and `connected`, Γ^Z of a lattice is read off in closed form,
+# ∅ and the ↓y; everywhere else gamma_subbasis walks the order ideals.  The
+# closed form is held to that walk on the lattices the monad builds, and to
+# the oracle on random lattices of at most 6 points.
+LATTICE_SYSTEMS = (("finite", FINITE), ("connected", CONNECTED))
+
+
+def is_lattice_by_oracle(P):
+    """A bottom and a sup for every pair, by the frozenset oracle."""
+    points = frozenset(range(P.n))
+    return oracles.least(P, points) is not None and all(
+        oracles.sup(P, {x, y}) is not None for x in points for y in points
+    )
+
+
+def test_lattice_test_against_the_oracle():
+    for P in (P for n in range(1, 5) for P in ps.enumerate_posets(n, "labeled")):
+        assert ps.is_lattice(P) == is_lattice_by_oracle(P), P
+
+
+def _lattice_path_posets():
+    """The Γ-lattice, δ(P) and δδ(P) posets of every P with n <= 4, under
+    each system and the principal-ideals view; δ(P) for n <= 3 is the δ(Q)
+    of each naturality codomain Q."""
+    out = {}
+    for P in small_posets(4):
+        for system in (*SYSTEMS.values(), PRINCIPAL_IDEALS):
+            D1 = md.delta_object(P, system).poset
+            D2 = md.delta_object(D1, system).poset
+            for X in (md.gamma_lattice(P, system).poset, D1, D2):
+                out.setdefault(X, None)
+    return list(out)
+
+
+def test_gamma_closed_form_against_the_walk_on_the_lattice_path():
+    lattices = 0
+    for X in _lattice_path_posets():
+        for _, system in LATTICE_SYSTEMS:
+            got = tp.gamma_subbasis(X, system).closed
+            assert got == tuple(tp._gamma_walk(X, system)), (X, system)
+        lattices += ps.is_lattice(X)
+    assert lattices > 50
+
+
+def _inclusion_lattice(ground, generators, rnd):
+    """The ∩-closure of ``generators`` with the carrier, subsets of a
+    ``ground``-point set, ordered by inclusion, its sets shuffled by ``rnd``
+    among the poset's points."""
+    family = {(1 << ground) - 1}
+    for g in generators:
+        family |= {g & a for a in family}
+    sets = sorted(family)
+    rnd.shuffle(sets)
+    rows = [sum(1 << j for j, b in enumerate(sets) if a & ~b == 0) for a in sets]
+    return ps.FinitePoset(ps.default_labels(len(sets)), rows)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_gamma_closed_form_on_random_lattices(data):
+    # a finite ∩-closed family with the carrier is a lattice under
+    # inclusion, and every finite lattice is one of these
+    k = data.draw(st.integers(1, 4))
+    generators = data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=5))
+    L = _inclusion_lattice(k, generators, data.draw(st.randoms(use_true_random=False)))
+    assert ps.is_lattice(L)
+    for name, system in LATTICE_SYSTEMS:
+        got = tp.gamma_subbasis(L, system).closed
+        assert got == tuple(tp._gamma_walk(L, system)), (L, name)
+        if L.n <= 6:
+            assert got == tuple(sorted(oracles.to_mask(a) for a in oracles.gamma(L, name)))
+
+
+def _poset_of_ideals(ideals):
+    """The poset whose order ideals are ``ideals``: x <= y iff every ideal
+    that holds y holds x."""
+    n = max(ideals).bit_length()
+    rows = [
+        sum(1 << y for y in range(n) if all(a >> x & 1 for a in ideals if a >> y & 1))
+        for x in range(n)
+    ]
+    return ps.FinitePoset(ps.default_labels(n), rows)
+
+
+def test_monad_laws_walk_no_lattice_on_finite_and_connected(monkeypatch):
+    # every Γ^Z that the monad laws read at n <= 3 is built afresh here;
+    # the spy names the poset of each walk by the order ideals it filters
+    for module in (tp, ct, md):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    walked = []
+    real = kernels.absorbing_ideals
+
+    def spy(ideals, constraints):
+        walked.append(_poset_of_ideals(ideals))
+        return real(ideals, constraints)
+
+    monkeypatch.setattr(kernels, "absorbing_ideals", spy)
+    for P in small_posets(3):
+        for _, system in LATTICE_SYSTEMS:
+            md.verify_monad_laws(P, system)
+    assert walked
+    assert not [X for X in walked if is_lattice_by_oracle(X)]
 
 
 def test_sigma_matches_its_direct_definition():
